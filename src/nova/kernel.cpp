@@ -136,9 +136,8 @@ Kernel::Kernel(Platform& platform, const KernelConfig& cfg)
   // One private hardware lane per simulated core, plus a private clock per
   // lane for the host-parallel batch phase (DESIGN.md §14).
   platform_.configure_lanes(cfg_.num_cores);
-  lane_clocks_.reserve(cfg_.num_cores);
-  for (u32 i = 0; i < cfg_.num_cores; ++i)
-    lane_clocks_.emplace_back(platform.clock().freq_hz());
+  lane_clocks_.assign(cfg_.num_cores,
+                      LaneClock{sim::Clock(platform.clock().freq_hz())});
   vfp_owner_.assign(cfg_.num_cores, kInvalidPd);
   l2ctrl_owner_.assign(cfg_.num_cores, kInvalidPd);
   if (cfg_.host_threads > 1)

@@ -53,6 +53,17 @@ inline constexpr u32 kVtimerVirq = 120;
 /// request words here; the service reads them from its own space).
 inline constexpr u32 kManagerMailboxOffset = 0x1000;
 
+/// A lane's private clock for the host-parallel batch phase (DESIGN.md §14),
+/// alone on a 64-byte host cache line. Batch items charge their lanes'
+/// clocks concurrently from different host threads, and every charge is a
+/// store: clocks sharing a line would bounce it between the threads on each
+/// one (false sharing).
+struct alignas(64) LaneClock {
+  sim::Clock clock;
+};
+static_assert(alignof(LaneClock) == 64 && sizeof(LaneClock) == 64,
+              "adjacent lane clocks must not share a cache line");
+
 /// Synchronous hardware-task service implemented by the Hardware Task
 /// Manager (src/hwmgr). The kernel routes the hardware-task hypercalls here
 /// after switching into the manager's protection domain.
@@ -379,9 +390,12 @@ class Kernel {
   /// private clock. Touches only the lane, the PD's own guest memory and
   /// the guest object — the whole thread-safety argument of §14.
   void exec_batch_item(BatchStep& s);
-  /// Serial epilogue of a deferred step: quantum accounting, halt/rotate/
-  /// park, local-clock advance. Batch (= core-id) order, deterministic.
-  void commit_batch_item(BatchStep& s);
+  /// Scheduling epilogue of a guest step on `cc` that ran `used` cycles:
+  /// quantum charge, supervisor pet/ran/reap, halt/rotate/park. Shared by
+  /// the inline path of smp_slice and the serial batch commit; each caller
+  /// advances the core's local clock itself.
+  void step_epilogue(CoreContext& cc, ProtectionDomain* pd, cycles_t used,
+                     StepExit exit);
   /// Take the IRQ-class trap for every IPI that has arrived at `cc` and
   /// perform its action. Runs before any guest dispatch in the slice.
   void drain_ipis(CoreContext& cc);
@@ -508,7 +522,7 @@ class Kernel {
   // lane i's private clock for the batch phase; `in_parallel_batch_` arms
   // the contract asserts (no hypercall/fault/VFP from a compute step).
   std::vector<BatchStep> batch_;
-  std::vector<sim::Clock> lane_clocks_;
+  std::vector<LaneClock> lane_clocks_;
   std::unique_ptr<HostPool> pool_;
   bool in_parallel_batch_ = false;
   util::Logger log_{"nova.kernel"};

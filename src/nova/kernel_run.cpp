@@ -70,8 +70,13 @@ void Kernel::run_until(cycles_t deadline) {
     }
     in_parallel_batch_ = false;
     // Serial commit, batch (== ascending core) order: deterministic at any
-    // host thread count.
-    for (auto& s : batch_) commit_batch_item(s);
+    // host thread count. The lane clock's end time stands in for the
+    // global clock reading of the inline path.
+    for (const auto& s : batch_) {
+      CoreContext& cc = cores_[s.core_id];
+      step_epilogue(cc, s.pd, s.end - s.start, s.exit);
+      cc.local_now = std::max(cc.local_now + 1, s.end);
+    }
   }
 
   // Leave the clock at the frontier so callers see a monotone timeline.
@@ -147,90 +152,56 @@ bool Kernel::smp_slice(CoreContext& cc, cycles_t limit, bool allow_defer) {
 
   const cycles_t t0 = clock.now();
   const StepExit exit = pd->guest()->step(ctx, budget);
-  const cycles_t used = clock.now() - t0;
-  pd->quantum_left -= std::min(used, pd->quantum_left);
+  step_epilogue(cc, pd, clock.now() - t0, exit);
+  return false;
+}
 
+void Kernel::step_epilogue(CoreContext& cc, ProtectionDomain* pd,
+                           cycles_t used, StepExit exit) {
+  pd->quantum_left -= std::min(used, pd->quantum_left);
   if (sup_ != nullptr) {
     // Watchdog accounting: a yield is progress (the guest chose to wait);
     // anything else charges the step's burn against the liveness budget.
-    // Detectors may condemn the VM here (or already have, inside the step
-    // via guest_fatal) — the reap must happen now, after the step returned
-    // and before the scheduler touches the dying PD again.
+    // Detectors may condemn the VM here (or already have, inside an inline
+    // step via guest_fatal) — the reap must happen now, after the step
+    // returned and before the scheduler touches the dying PD again. It
+    // runs the full destroy_vm teardown (dequeue, current pointer with the
+    // MMU fallback, ownership strip, recycling).
     if (exit == StepExit::kYield)
       sup_->pet(pd->id());
     else
       sup_->on_guest_ran(pd->id(), used);
     if (sup_->condemned(pd->id())) {
-      // Reap via the full destroy_vm teardown (it dequeues the PD, clears
-      // the current pointer with the MMU fallback, strips ownership and
-      // recycles everything).
       sup_->reap(*pd);
-      return false;
+      return;
     }
   }
-
   if (exit == StepExit::kHalt) {
     cc.sched.remove(pd);
     if (cc.current == pd) cc.current = nullptr;
-    return false;
-  }
-  if (pd->quantum_left == 0) {
+  } else if (pd->quantum_left == 0) {
     cc.sched.rotate(pd);
   } else if (exit == StepExit::kYield) {
     // Nothing to do until an event: park so lower-priority PDs (or the
     // idle loop) get the CPU. A deliverable vIRQ unparks it above.
     set_parked(*pd, true);
   }
-  return false;
 }
 
 // Batch phase (DESIGN.md §14): run one deferred compute step on its core's
 // private lane under that lane's private clock. May execute on a host
-// worker thread — everything it touches (the lane, the PD's guest pages,
-// the guest object, its BatchStep slot) belongs to this core alone, and
-// the global clock is frozen for the duration.
+// worker thread — everything it touches (the lane, its clock's cache line,
+// the PD's guest pages, the guest object, its BatchStep slot) belongs to
+// this core alone, and the global clock is frozen for the duration.
 void Kernel::exec_batch_item(BatchStep& s) {
   cpu::Core& lane = platform_.lane(s.core_id);
-  sim::Clock& lclk = lane_clocks_[s.core_id];
+  sim::Clock& lclk = lane_clocks_[s.core_id].clock;
   lclk.set_time(s.start);
   lane.set_clock(&lclk);
   GuestContext ctx(*this, *s.pd, lane);
   s.exit = s.pd->guest()->step(ctx, s.budget);
   s.end = lclk.now();
   lane.set_clock(&platform_.clock());
-}
-
-// Serial epilogue of a deferred step — the exact tail of the inline path
-// in smp_slice, with the lane clock's end time standing in for the global
-// clock reading.
-void Kernel::commit_batch_item(BatchStep& s) {
-  CoreContext& cc = cores_[s.core_id];
-  ProtectionDomain* pd = s.pd;
-  const cycles_t used = s.end - s.start;
-  pd->quantum_left -= std::min(used, pd->quantum_left);
-  if (sup_ != nullptr) {
-    // Mirror of the inline epilogue. A compute step cannot raise a fatal
-    // (hypercalls/faults are banned there), but its burn still counts
-    // against the watchdog budget — and the budget can trip here.
-    if (s.exit == StepExit::kYield)
-      sup_->pet(pd->id());
-    else
-      sup_->on_guest_ran(pd->id(), used);
-    if (sup_->condemned(pd->id())) {
-      sup_->reap(*pd);
-      cc.local_now = std::max(cc.local_now + 1, s.end);
-      return;
-    }
-  }
-  if (s.exit == StepExit::kHalt) {
-    cc.sched.remove(pd);
-    if (cc.current == pd) cc.current = nullptr;
-  } else if (pd->quantum_left == 0) {
-    cc.sched.rotate(pd);
-  } else if (s.exit == StepExit::kYield) {
-    set_parked(*pd, true);
-  }
-  cc.local_now = std::max(cc.local_now + 1, s.end);
 }
 
 void Kernel::idle(cycles_t limit) { platform_.idle_until_next_event(limit); }

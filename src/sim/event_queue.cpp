@@ -8,46 +8,65 @@ namespace minova::sim {
 
 EventQueue::EventId EventQueue::schedule_at(cycles_t when, Callback cb) {
   MINOVA_CHECK(cb != nullptr);
-  const EventId id = callbacks_.size();
-  callbacks_.push_back(std::move(cb));
+  u32 index;
+  if (free_slots_.empty()) {
+    index = u32(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.cb = std::move(cb);
+  const EventId id = (EventId(slot.gen) << 32) | index;
   heap_.push(Event{when, next_seq_++, id});
   ++live_count_;
   return id;
 }
 
-bool EventQueue::cancel(EventId id) {
-  if (id >= callbacks_.size() || !callbacks_[id]) return false;
-  callbacks_[id] = nullptr;  // lazily dropped when popped
+EventQueue::Slot* EventQueue::live_slot(EventId id) {
+  const u32 index = u32(id);
+  if (index >= slots_.size()) return nullptr;
+  Slot& slot = slots_[index];
+  return slot.cb && slot.gen == u32(id >> 32) ? &slot : nullptr;
+}
+
+void EventQueue::release(u32 index) {
+  Slot& slot = slots_[index];
+  slot.cb = nullptr;
+  ++slot.gen;
+  free_slots_.push_back(index);
   --live_count_;
+}
+
+bool EventQueue::cancel(EventId id) {
+  if (live_slot(id) == nullptr) return false;
+  release(u32(id));  // the heap entry is dropped lazily when it surfaces
   return true;
 }
 
 std::size_t EventQueue::run_due(cycles_t now) {
   std::size_t fired = 0;
   while (!heap_.empty() && heap_.top().when <= now) {
-    const Event ev = heap_.top();
+    const EventId id = heap_.top().id;
     heap_.pop();
-    Callback cb = std::move(callbacks_[ev.id]);
-    callbacks_[ev.id] = nullptr;
-    if (!cb) continue;  // was cancelled
-    --live_count_;
+    Slot* slot = live_slot(id);
+    if (slot == nullptr) continue;  // was cancelled
+    Callback cb = std::move(slot->cb);
+    release(u32(id));
     cb();
     ++fired;
   }
   return fired;
 }
 
-bool EventQueue::next_deadline(cycles_t& out) const {
-  // The heap may contain cancelled entries; peek past them without mutating
-  // state by copying (heap is small: device events only).
-  auto copy = heap_;
-  while (!copy.empty()) {
-    const Event& ev = copy.top();
-    if (callbacks_[ev.id]) {
-      out = ev.when;
+bool EventQueue::next_deadline(cycles_t& out) {
+  while (!heap_.empty()) {
+    if (live_slot(heap_.top().id) != nullptr) {
+      out = heap_.top().when;
       return true;
     }
-    copy.pop();
+    heap_.pop();  // cancelled
   }
   return false;
 }

@@ -20,6 +20,9 @@ namespace minova::sim {
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+  /// Opaque handle: a callback slot index tagged with the slot's
+  /// generation, so an id that outlived its event never names the event
+  /// that later reuses the slot.
   using EventId = u64;
 
   /// Schedule `cb` to fire once the clock reaches `when` (absolute cycles).
@@ -34,11 +37,15 @@ class EventQueue {
   /// Returns the number of events fired.
   std::size_t run_due(cycles_t now);
 
-  /// Deadline of the earliest pending event, or no value if empty.
-  bool next_deadline(cycles_t& out) const;
+  /// Deadline of the earliest pending event, or no value if empty. Drops
+  /// cancelled entries at the head of the heap on the way.
+  bool next_deadline(cycles_t& out);
 
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }
+  /// Callback slots ever allocated (pending plus free). Bounded by the peak
+  /// number of simultaneously pending events, not by events scheduled.
+  std::size_t slot_count() const { return slots_.size(); }
 
  private:
   struct Event {
@@ -51,10 +58,20 @@ class EventQueue {
       return seq > o.seq;
     }
   };
+  struct Slot {
+    Callback cb;  // empty == free
+    u32 gen = 0;  // bumped each time the slot is released
+  };
+
+  /// The slot `id` names, or null if its event already fired or was
+  /// cancelled.
+  Slot* live_slot(EventId id);
+  /// Return a fired or cancelled event's slot to the free list.
+  void release(u32 index);
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-  // Callback storage indexed by id; empty function == cancelled.
-  std::vector<Callback> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<u32> free_slots_;
   u64 next_seq_ = 0;
   std::size_t live_count_ = 0;
 };

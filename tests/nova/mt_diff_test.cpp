@@ -30,6 +30,12 @@ using testing::StubGuest;
 using workloads::StreamComputeConfig;
 using workloads::StreamComputeGuest;
 
+// Lane clocks are written concurrently by the batch phase: two adjacent
+// ones must never share a 64-byte host cache line.
+constexpr std::size_t kHostCacheLine = 64;
+static_assert(alignof(LaneClock) % kHostCacheLine == 0);
+static_assert(sizeof(LaneClock) % kHostCacheLine == 0);
+
 // Host thread counts to sweep against the threads=1 reference. The env
 // hook lets CI extend the sweep (e.g. MININOVA_TEST_THREADS=8,16).
 std::vector<u32> thread_counts() {
