@@ -19,6 +19,7 @@
 #include "harness.hpp"
 #include "nova/inspector.hpp"
 #include "nova/kernel.hpp"
+#include "util/fnv.hpp"
 #include "workloads/compute.hpp"
 
 namespace minova::bench {
@@ -33,17 +34,6 @@ struct MtPoint {
     return host_seconds > 0 ? sim_us / host_seconds : 0.0;
   }
 };
-
-namespace detail {
-
-inline void mt_mix(u64& h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFFu;
-    h *= 0x0000'0100'0000'01B3ull;
-  }
-}
-
-}  // namespace detail
 
 // Compute-saturated SMP run: two stream guests per simulated core, a wide
 // sync window so batch items are fat enough to amortize the pool handoff.
@@ -73,22 +63,22 @@ inline MtPoint run_mt_point(u32 cores, u32 threads, double sim_ms,
   p.host_seconds = timer.elapsed_s();
   p.sim_us = sim_ms * 1000.0;
   nova::KernelInspector insp(kernel);
-  u64 h = 0xCBF2'9CE4'8422'2325ull;
-  detail::mt_mix(h, platform.clock().now());
-  detail::mt_mix(h, insp.vm_switches());
-  detail::mt_mix(h, insp.hypercalls());
+  util::Fnv1a d;
+  d.mix(platform.clock().now());
+  d.mix(insp.vm_switches());
+  d.mix(insp.hypercalls());
   for (u32 c = 0; c < insp.num_cores(); ++c) {
     const auto cv = insp.core(c);
-    detail::mt_mix(h, cv.local_now());
-    detail::mt_mix(h, cv.ipis_sent());
-    detail::mt_mix(h, cv.steals());
-    detail::mt_mix(h, cv.vm_switches());
+    d.mix(cv.local_now());
+    d.mix(cv.ipis_sent());
+    d.mix(cv.steals());
+    d.mix(cv.vm_switches());
   }
   for (const auto* g : guests) {
-    detail::mt_mix(h, g->checksum());
-    detail::mt_mix(h, g->steps());
+    d.mix(g->checksum());
+    d.mix(g->steps());
   }
-  p.sim_digest = h;
+  p.sim_digest = d.h;
   return p;
 }
 

@@ -6,30 +6,12 @@
 #include "core/platform.hpp"
 #include "hwmgr/manager.hpp"
 #include "nova/kernel.hpp"
+#include "util/fnv.hpp"
 #include "workloads/chaos.hpp"
 
 namespace minova::fuzz {
 
 namespace {
-
-// ---- FNV-1a ----------------------------------------------------------------
-
-struct Digest {
-  u64 h = 0xCBF2'9CE4'8422'2325ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFFu;
-      h *= 0x0000'0100'0000'01B3ull;
-    }
-  }
-  void mix(const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 0x0000'0100'0000'01B3ull;
-    }
-    mix(s.size());
-  }
-};
 
 /// Independent derivation stream keyed on (seed, lane). Used so that one
 /// lane's draws (e.g. VM 3's parameters) never depend on whether another
@@ -279,7 +261,7 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
     res.violations = std::move(v);
     // Failure digest: captured *at the violating step*, before any further
     // simulation — this is the value replays must reproduce bit-identically.
-    Digest dg;
+    util::Fnv1a dg;
     dg.mix(opts.seed);
     dg.mix(step);
     dg.mix(platform.clock().now());
@@ -384,7 +366,7 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
   if (!res.failed) {
     // Clean-run digest over end-of-run counters: replaying the same options
     // must land on exactly this value.
-    Digest dg;
+    util::Fnv1a dg;
     dg.mix(opts.seed);
     dg.mix(step);
     dg.mix(res.vm_switches);

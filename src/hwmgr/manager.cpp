@@ -20,19 +20,6 @@ ManagerService::ManagerService(nova::Kernel& kernel,
       prr_table_(kernel.platform().prr_controller().num_prrs()),
       ledger_(kernel.platform().prr_controller().num_prrs()),
       code_(nova::kManagerBase + 0x10000 + 0x2c40, 64 * kKiB) {
-  auto& reg = kernel_.platform().stats();
-  c_sw_grants_ = reg.handle("hwmgr.sw_grants");
-  c_reconfig_success_ = reg.handle("hwmgr.reconfig_success");
-  c_pcap_failures_ = reg.handle("hwmgr.pcap_failures");
-  c_retries_ = reg.handle("hwmgr.retries");
-  c_fallbacks_ = reg.handle("hwmgr.fallbacks");
-  c_quarantines_ = reg.handle("hwmgr.quarantines");
-  c_unquarantines_ = reg.handle("hwmgr.unquarantines");
-  c_preemptions_ = reg.handle("hwmgr.preemptions");
-  c_resumes_ = reg.handle("hwmgr.resumes");
-  c_cache_hits_ = reg.handle("hwmgr.cache_hits");
-  c_cache_misses_ = reg.handle("hwmgr.cache_misses");
-  c_cache_evicts_ = reg.handle("hwmgr.cache_evicts");
   rg_handle_ = code_.place(768);
   rg_select_ = code_.place(384);
   rg_consistency_ = code_.place(512);
@@ -53,28 +40,62 @@ nova::ProtectionDomain& ManagerService::install(u32 priority) {
   return *pd_;
 }
 
-void ManagerService::touch_task_table(GuestContext& ctx, hwtask::TaskId task) {
-  // 8-word table row: bitstream addr/size, latency, PRR list (Fig. 7).
-  const vaddr_t row = kTaskTableVa + (task % 64) * 32;
-  for (u32 w = 0; w < 8; ++w) (void)ctx.read32(row + w * 4);
+// ---- charge sink ------------------------------------------------------------
+
+u32 ManagerService::Sink::read(vaddr_t va, paddr_t pa) const {
+  if (ctx_ != nullptr) return ctx_->read32(va).value;
+  u32 v = 0;
+  (void)bus_.read32(pa, v);
+  return v;
 }
 
-void ManagerService::touch_prr_table(GuestContext& ctx, u32 prr_idx,
-                                     bool write) {
-  const vaddr_t row = kPrrTableVa + prr_idx * 32;
+void ManagerService::Sink::write(vaddr_t va, paddr_t pa, u32 v) const {
+  if (ctx_ != nullptr)
+    (void)ctx_->write32(va, v);
+  else
+    (void)bus_.write32(pa, v);
+}
+
+u32 ManagerService::Sink::pl_read(u32 reg) const {
+  return read(nova::manager_pl_ctrl_va() + reg, mem::kPrrGlobalRegsBase + reg);
+}
+
+void ManagerService::Sink::pl_write(u32 reg, u32 v) const {
+  write(nova::manager_pl_ctrl_va() + reg, mem::kPrrGlobalRegsBase + reg, v);
+}
+
+u32 ManagerService::Sink::pcap_read(u32 reg) const {
+  return read(nova::manager_pcap_va() + reg, mem::kDevcfgBase + reg);
+}
+
+void ManagerService::Sink::pcap_write(u32 reg, u32 v) const {
+  write(nova::manager_pcap_va() + reg, mem::kDevcfgBase + reg, v);
+}
+
+u32 ManagerService::Sink::fabric_read(paddr_t pa) const {
+  u32 v = 0;
+  (void)bus_.read32(pa, v);
+  if (ctx_ != nullptr) {
+    cpu::Core& core = ctx_->core();
+    core.spend(core.caches().access_device());
+  }
+  return v;
+}
+
+void ManagerService::Sink::touch(vaddr_t row, bool write) const {
+  if (ctx_ == nullptr) return;
   for (u32 w = 0; w < 8; ++w) {
     if (write)
-      (void)ctx.write32(row + w * 4, 0);
+      (void)ctx_->write32(row + w * 4, 0);
     else
-      (void)ctx.read32(row + w * 4);
+      (void)ctx_->read32(row + w * 4);
   }
 }
 
-int ManagerService::select_prr(GuestContext& ctx,
-                               const hwtask::TaskInfo& info, PdId requester,
-                               bool& needs_reconfig,
+int ManagerService::select_prr(const Sink& s, const hwtask::TaskInfo& info,
+                               PdId requester, bool& needs_reconfig,
                                bool& quarantine_blocked) {
-  ctx.exec(rg_select_);
+  s.exec(rg_select_);
   const auto& prrctl = kernel_.platform().prr_controller();
 
   // Refresh the table's in-flight bits from the static logic first: a PRR
@@ -86,14 +107,10 @@ int ManagerService::select_prr(GuestContext& ctx,
   // configured with this task (no reconfiguration needed). Each candidate
   // is evaluated against its table row plus a live status read from the
   // static logic.
-  auto& core = ctx.core();
   for (u32 prr : info.compatible_prrs) {
-    touch_prr_table(ctx, prr, /*write=*/false);
-    u32 status = 0;
-    (void)kernel_.platform().bus().read32(
-        prrctl.reg_group_pa(prr) + pl::kRegStatus, status);
-    core.spend(core.caches().access_device());
-    ctx.spend_insns(costs_.insns_select_per_prr);
+    s.touch(kPrrTableVa + prr * 32, /*write=*/false);
+    (void)s.fabric_read(prrctl.reg_group_pa(prr) + pl::kRegStatus);
+    s.insns(costs_.insns_select_per_prr);
     const auto& hw = prrctl.prr(prr);
     if (hw.busy || hw.reconfiguring) continue;
     if (prr_table_[prr].health == PrrHealth::kQuarantined) continue;
@@ -144,55 +161,55 @@ int ManagerService::select_prr(GuestContext& ctx,
   return reclaimable;
 }
 
-void ManagerService::reclaim_from(GuestContext& ctx, u32 prr_idx) {
-  ctx.exec(rg_consistency_);
-  ctx.spend_insns(costs_.insns_consistency);
+std::array<u32, 8> ManagerService::reclaim_from(const Sink& s, u32 prr_idx) {
+  s.exec(rg_consistency_);
+  s.insns(costs_.insns_consistency);
   PrrTableEntry& entry = prr_table_[prr_idx];
-  nova::ProtectionDomain* old_client = kernel_.pd_by_id(entry.client);
-  if (old_client == nullptr) return;
-  ++stats_.reclaims;
-  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
-                                  sim::TraceKind::kHwReclaim, prr_idx,
-                                  entry.client);
-
-  // Read the interface register group through the static logic (manager's
-  // authority over the fabric) — 8 uncached device reads.
-  auto& core = ctx.core();
-  const auto& prrctl = kernel_.platform().prr_controller();
   std::array<u32, 8> regs{};
-  for (u32 w = 0; w < 8; ++w) {
-    u32 v = 0;
-    (void)kernel_.platform().bus().read32(
-        prrctl.reg_group_pa(prr_idx) + w * 4, v);
-    regs[w] = v;
-    core.spend(core.caches().access_device());
+  nova::ProtectionDomain* old_client = kernel_.pd_by_id(entry.client);
+  if (old_client != nullptr) {
+    ++stats_.reclaims;
+    kernel_.platform().trace().emit(kernel_.platform().clock().now(),
+                                    sim::TraceKind::kHwReclaim, prr_idx,
+                                    entry.client);
+    // Read the interface register group through the static logic (manager's
+    // authority over the fabric) — 8 uncached device reads.
+    const paddr_t group =
+        kernel_.platform().prr_controller().reg_group_pa(prr_idx);
+    for (u32 w = 0; w < 8; ++w) regs[w] = s.fabric_read(group + w * 4);
+
+    // Save register contents + inconsistent flag into the old client's data
+    // section (§IV.C / Fig. 5).
+    std::array<u32, kConsistencyWords> record{};
+    record[0] = kStateInconsistent;
+    record[1] = entry.task;
+    for (u32 w = 0; w < 8; ++w) record[2 + w] = regs[w];
+    kernel_.svc_write_client_data(
+        *pd_, entry.client, consistency_offset(old_client->hw_data_size),
+        record);
   }
-  last_reclaim_regs_ = regs;
+  unbind(prr_idx, /*forget_task=*/false);
+  return regs;
+}
 
-  // Save register contents + inconsistent flag into the old client's data
-  // section (§IV.C / Fig. 5).
-  std::array<u32, kConsistencyWords> record{};
-  record[0] = kStateInconsistent;
-  record[1] = entry.task;
-  for (u32 w = 0; w < 8; ++w) record[2 + w] = regs[w];
-  kernel_.svc_write_client_data(*pd_, entry.client,
-                                consistency_offset(old_client->hw_data_size),
-                                record);
+void ManagerService::unmap_iface(PdId client, vaddr_t va, u32 prr) {
+  auto it = iface_map_.find(std::make_pair(client, va));
+  if (it == iface_map_.end() || it->second != prr) return;
+  kernel_.svc_unmap_from(*pd_, client, va);
+  iface_map_.erase(it);
+}
 
-  // Demap the interface page from the old client — but only when its VA
-  // still points at *this* region (a later grant may have retargeted it).
-  if (entry.client_iface_va != 0) {
-    const auto key = std::make_pair(entry.client, entry.client_iface_va);
-    auto it = iface_map_.find(key);
-    if (it != iface_map_.end() && it->second == prr_idx) {
-      kernel_.svc_unmap_from(*pd_, entry.client, entry.client_iface_va);
-      iface_map_.erase(it);
-    }
-  }
-
+void ManagerService::unbind(u32 prr, bool forget_task) {
+  PrrTableEntry& entry = prr_table_[prr];
+  if (entry.client_iface_va != 0)
+    unmap_iface(entry.client, entry.client_iface_va, prr);
   entry.client = nova::kInvalidPd;
   entry.client_iface_va = 0;
-  ledger_[prr_idx] = LedgerEntry{};
+  if (forget_task) {
+    entry.task = hwtask::kInvalidTask;
+    entry.reconfiguring = false;
+  }
+  ledger_[prr] = LedgerEntry{};
 }
 
 // ---- priority preemption / wait queue (DESIGN.md §15) -----------------------
@@ -257,67 +274,18 @@ void ManagerService::park_victim(PdId victim, hwtask::TaskId task,
                                      ReconfigOutcome::kQueued};
 }
 
-void ManagerService::preempt_and_park(GuestContext& ctx, u32 prr_idx) {
+void ManagerService::preempt_and_park(const Sink& s, u32 prr_idx) {
   PrrTableEntry& entry = prr_table_[prr_idx];
   const PdId victim = entry.client;
   const hwtask::TaskId task = entry.task;
   const vaddr_t iface_va = entry.client_iface_va;
   const bool victim_live = kernel_.pd_by_id(victim) != nullptr;
-  reclaim_from(ctx, prr_idx);  // §IV.C save + unbind, identical protocol
+  const auto regs = reclaim_from(s, prr_idx);
   if (!victim_live) return;
   ++stats_.preemptions;
-  c_preemptions_.inc();
-  park_victim(victim, task, iface_va, last_reclaim_regs_);
+  park_victim(victim, task, iface_va, regs);
   log_.debug("client %u preempted off PRR%u (task %u), parked for resume",
              victim, prr_idx, task);
-}
-
-void ManagerService::preempt_phys(u32 prr_idx) {
-  PrrTableEntry& entry = prr_table_[prr_idx];
-  const PdId victim = entry.client;
-  const hwtask::TaskId task = entry.task;
-  const vaddr_t iface_va = entry.client_iface_va;
-  nova::ProtectionDomain* old_client = kernel_.pd_by_id(victim);
-  if (old_client == nullptr) {
-    entry.client = nova::kInvalidPd;
-    entry.client_iface_va = 0;
-    ledger_[prr_idx] = LedgerEntry{};
-    return;
-  }
-  ++stats_.reclaims;
-  ++stats_.preemptions;
-  c_preemptions_.inc();
-  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
-                                  sim::TraceKind::kHwReclaim, prr_idx, victim);
-  // Event-context save: read the register group over the physical bus (no
-  // simulated charge, like the retry path's device programming).
-  auto& plat = kernel_.platform();
-  const auto& prrctl = plat.prr_controller();
-  std::array<u32, 8> regs{};
-  for (u32 w = 0; w < 8; ++w) {
-    u32 v = 0;
-    (void)plat.bus().read32(prrctl.reg_group_pa(prr_idx) + w * 4, v);
-    regs[w] = v;
-  }
-  std::array<u32, kConsistencyWords> record{};
-  record[0] = kStateInconsistent;
-  record[1] = task;
-  for (u32 w = 0; w < 8; ++w) record[2 + w] = regs[w];
-  kernel_.svc_write_client_data(*pd_, victim,
-                                consistency_offset(old_client->hw_data_size),
-                                record);
-  if (iface_va != 0) {
-    const auto key = std::make_pair(victim, iface_va);
-    auto it = iface_map_.find(key);
-    if (it != iface_map_.end() && it->second == prr_idx) {
-      kernel_.svc_unmap_from(*pd_, victim, iface_va);
-      iface_map_.erase(it);
-    }
-  }
-  entry.client = nova::kInvalidPd;
-  entry.client_iface_va = 0;
-  ledger_[prr_idx] = LedgerEntry{};
-  park_victim(victim, task, iface_va, regs);
 }
 
 void ManagerService::enqueue_request(const HwTaskRequest& req) {
@@ -411,87 +379,22 @@ bool ManagerService::try_regrant(const WaitEntry& w) {
   const bool needs_pcap = ctl.prr(prr).loaded_task != w.task;
   if (needs_pcap && plat.pcap().busy()) return false;  // port contended
 
-  PrrTableEntry& entry = prr_table_[prr];
-  if (entry.client != nova::kInvalidPd && entry.client != w.client)
-    preempt_phys(prr);
-
-  // Stage 3 (phys): map the interface page into the waiting client.
-  const paddr_t reg_pa = ctl.reg_group_pa(prr);
-  const auto key = std::make_pair(w.client, w.iface_va);
-  auto mit = iface_map_.find(key);
-  bool fresh_map = false;
-  if (mit == iface_map_.end() || mit->second != prr) {
-    if (kernel_.svc_map_into(*pd_, w.client, w.iface_va, reg_pa) !=
-        HcStatus::kSuccess)
-      return false;
-    iface_map_[key] = prr;
-    fresh_map = true;
-  }
-
-  // Stage 4 (phys): hwMMU window + PL IRQ straight at the device — event
-  // contexts have no manager VA window (same as handle_client_destroyed).
-  const u32 glob = mem::kPrrMaxRegions * mem::kPrrRegGroupStride;
-  ctl.mmio_write(glob + pl::kGlobPrrSelect, prr);
-  ctl.mmio_write(glob + pl::kGlobHwmmuBase, u32(client->hw_data_pa));
-  ctl.mmio_write(glob + pl::kGlobHwmmuSize, client->hw_data_size);
-  if (entry.irq_index == 0xFFFF'FFFFu) {
-    ctl.mmio_write(glob + pl::kGlobIrqAlloc, 1);
-    entry.irq_index = ctl.mmio_read(glob + pl::kGlobIrqAlloc);
-  }
-  if (entry.irq_index < mem::kNumPlIrqs)
-    kernel_.svc_assign_pl_irq(*pd_, w.client,
-                              mem::pl_irq_to_gic(entry.irq_index));
-
-  // Resume-from-record: put the saved interface registers back before any
+  const Sink s = sink(nullptr);
+  const PdId owner = prr_table_[prr].client;
+  if (owner != nova::kInvalidPd && owner != w.client) preempt_and_park(s, prr);
+  // Resume-from-record: the saved interface registers go back before any
   // reload (load_task preserves the programmable registers).
   auto sit = save_outstanding_.find(w.client);
   const bool resume =
       w.resume && sit != save_outstanding_.end() && sit->second.task == w.task;
-  if (resume) ctl.restore_registers(prr, sit->second.regs);
-
-  // Stage 5 (phys): reconfigure unless the task is already in the fabric.
-  if (needs_pcap) {
-    kernel_.svc_set_pcap_owner(*pd_, w.client);
-    if (!launch_pcap_phys(prr, w.task)) {
-      // The port raced busy after the check: unwind the fresh mapping (the
-      // table never records this grant) and stay parked. The queued pending
-      // record survives — the client still polls as queued.
-      if (fresh_map) {
-        kernel_.svc_unmap_from(*pd_, w.client, w.iface_va);
-        iface_map_.erase(key);
-      }
-      return false;
-    }
-    abandon_stale_reconfig(w.client, prr);
-    pending_[w.client] =
-        PendingReconfig{w.task, prr, 1, ReconfigOutcome::kInFlight};
-    inflight_client_ = w.client;
-    ++stats_.grants_with_reconfig;
-  } else {
-    abandon_stale_reconfig(w.client, prr);
-    pending_.erase(w.client);
-    ++stats_.grants_no_reconfig;
-  }
-
-  // The re-grant completes the preempt/resume round trip: record turns
-  // consistent and the outstanding save is consumed.
-  const std::array<u32, 2> ok_record{kStateConsistent, w.task};
-  kernel_.svc_write_client_data(*pd_, w.client,
-                                consistency_offset(client->hw_data_size),
-                                ok_record);
-  save_outstanding_.erase(w.client);
-  if (resume) {
-    ++stats_.resumes;
-    c_resumes_.inc();
-  }
-
-  // Stage 6 (phys): table + ledger update.
-  entry.client = w.client;
-  entry.task = w.task;
-  entry.client_iface_va = w.iface_va;
-  entry.reconfiguring = needs_pcap;
-  entry.last_grant_seq = ++grant_seq_;
-  ledger_[prr] = LedgerEntry{w.client, w.task};
+  // A busy port after the check leaves the request parked; its queued
+  // pending record survives, so the client still polls as queued.
+  if (grant(s, *client, prr, w.task, w.iface_va, needs_pcap,
+            resume ? &sit->second.regs : nullptr) != HcStatus::kSuccess)
+    return false;
+  // The re-grant completes the preempt/resume round trip.
+  commit(s, *client, prr, w.task, w.iface_va, needs_pcap);
+  if (resume) ++stats_.resumes;
   ++stats_.wait_grants;
   plat.trace().emit(plat.clock().now(), sim::TraceKind::kHwGrant, w.task,
                     w.client);
@@ -520,7 +423,6 @@ void ManagerService::cache_insert(hwtask::TaskId task, bool prefetched) {
     log_.debug("bitstream cache evicts task %u", victim->task);
     cache_.erase(victim);
     ++stats_.cache_evictions;
-    c_cache_evicts_.inc();
   }
 }
 
@@ -537,70 +439,145 @@ u32 ManagerService::cache_transfer_len(hwtask::TaskId task) {
     if (e.task != task) continue;
     e.stamp = ++cache_seq_;
     ++stats_.cache_hits;
-    c_cache_hits_.inc();
     return std::min(sched_.cache_hit_load_bytes, bits.len);
   }
   ++stats_.cache_misses;
-  c_cache_misses_.inc();
   cache_insert(task, /*prefetched=*/false);
   return bits.len;
 }
 
 // ---- request path (Fig. 7) --------------------------------------------------
 
-void ManagerService::program_hwmmu(GuestContext& ctx, u32 prr_idx,
-                                   paddr_t base, u32 size) {
-  const vaddr_t glob = nova::manager_pl_ctrl_va();
-  ctx.spend_insns(costs_.insns_hwmmu);
-  (void)ctx.write32(glob + pl::kGlobPrrSelect, prr_idx);
-  (void)ctx.write32(glob + pl::kGlobHwmmuBase, base);
-  (void)ctx.write32(glob + pl::kGlobHwmmuSize, size);
+void ManagerService::program_hwmmu(const Sink& s, u32 prr_idx, paddr_t base,
+                                   u32 size) {
+  s.insns(costs_.insns_hwmmu);
+  s.pl_write(pl::kGlobPrrSelect, prr_idx);
+  s.pl_write(pl::kGlobHwmmuBase, base);
+  s.pl_write(pl::kGlobHwmmuSize, size);
 }
 
-u32 ManagerService::ensure_pl_irq(GuestContext& ctx, u32 prr_idx) {
+u32 ManagerService::ensure_pl_irq(const Sink& s, u32 prr_idx) {
   if (prr_table_[prr_idx].irq_index != 0xFFFF'FFFFu)
     return prr_table_[prr_idx].irq_index;
-  const vaddr_t glob = nova::manager_pl_ctrl_va();
-  (void)ctx.write32(glob + pl::kGlobPrrSelect, prr_idx);
-  (void)ctx.write32(glob + pl::kGlobIrqAlloc, 1);
-  const auto r = ctx.read32(glob + pl::kGlobIrqAlloc);
-  prr_table_[prr_idx].irq_index = r.value;
-  return r.value;
+  s.pl_write(pl::kGlobPrrSelect, prr_idx);
+  s.pl_write(pl::kGlobIrqAlloc, 1);
+  prr_table_[prr_idx].irq_index = s.pl_read(pl::kGlobIrqAlloc);
+  return prr_table_[prr_idx].irq_index;
 }
 
-bool ManagerService::launch_pcap(GuestContext& ctx, u32 prr_idx,
+bool ManagerService::launch_pcap(const Sink& s, u32 prr_idx,
                                  hwtask::TaskId task) {
-  ctx.exec(rg_pcap_);
-  ctx.spend_insns(costs_.insns_pcap);
-  const vaddr_t pcap = nova::manager_pcap_va();
-  const auto status = ctx.read32(pcap + pl::kPcapStatus);
-  if (status.value & pl::kPcapStatusBusy) return false;
+  // From event context (retries, the pump) the DMA re-program is charged as
+  // zero CPU time — the paper's overlap argument (§IV.E) applies doubly.
+  s.exec(rg_pcap_);
+  s.insns(costs_.insns_pcap);
+  if (s.pcap_read(pl::kPcapStatus) & pl::kPcapStatusBusy) return false;
   const auto bits = kernel_.find_bitstream(task);
   u32 len = bits.len;
   if (sched_.cache_capacity > 0) len = cache_transfer_len(task);
-  (void)ctx.write32(pcap + pl::kPcapSrcAddr, bits.pa);
-  (void)ctx.write32(pcap + pl::kPcapLen, len);
-  (void)ctx.write32(pcap + pl::kPcapTarget, prr_idx);
-  (void)ctx.write32(pcap + pl::kPcapTaskId, task);
-  (void)ctx.write32(pcap + pl::kPcapCtrl, 1);
+  s.pcap_write(pl::kPcapSrcAddr, bits.pa);
+  s.pcap_write(pl::kPcapLen, len);
+  s.pcap_write(pl::kPcapTarget, prr_idx);
+  s.pcap_write(pl::kPcapTaskId, task);
+  s.pcap_write(pl::kPcapCtrl, 1);
   kernel_.platform().trace().emit(kernel_.platform().clock().now(),
                                   sim::TraceKind::kPcapStart, task, prr_idx);
   return true;
+}
+
+HcStatus ManagerService::grant(const Sink& s, nova::ProtectionDomain& client,
+                               u32 prr, hwtask::TaskId task, vaddr_t iface_va,
+                               bool needs_pcap,
+                               const std::array<u32, 8>* restore) {
+  const PdId id = client.id();
+  // Stage 3: map the interface page into the client. The live (client, VA)
+  // -> PRR map decides whether the page table actually needs an update.
+  auto& ctl = kernel_.platform().prr_controller();
+  const auto key = std::make_pair(id, iface_va);
+  auto it = iface_map_.find(key);
+  bool fresh_map = false;
+  if (it == iface_map_.end() || it->second != prr) {
+    const HcStatus map_status =
+        kernel_.svc_map_into(*pd_, id, iface_va, ctl.reg_group_pa(prr));
+    if (map_status != HcStatus::kSuccess) return map_status;
+    iface_map_[key] = prr;
+    fresh_map = true;
+  }
+
+  // Stage 4: load the hwMMU with the client's data section, then the PL
+  // interrupt plumbing (§IV.D): allocate a source and register it in the
+  // client's vGIC.
+  program_hwmmu(s, prr, client.hw_data_pa, client.hw_data_size);
+  const u32 irq_idx = ensure_pl_irq(s, prr);
+  if (irq_idx < mem::kNumPlIrqs)
+    kernel_.svc_assign_pl_irq(*pd_, id, mem::pl_irq_to_gic(irq_idx));
+  if (restore != nullptr) ctl.restore_registers(prr, *restore);
+
+  // Stage 5: reconfigure unless the task is already in the fabric.
+  if (needs_pcap) {
+    kernel_.svc_set_pcap_owner(*pd_, id);
+    if (!launch_pcap(s, prr, task)) {
+      // The grant dies here without reaching stage 6, so the PRR table never
+      // records this client — the interface page mapped in stage 3 must not
+      // survive, or a rejected applicant keeps reaching a register group the
+      // table says is free. The client's old pending record is untouched: a
+      // backoff retry it may have scheduled stays live.
+      if (fresh_map) unmap_iface(id, iface_va, prr);
+      return HcStatus::kBusy;
+    }
+  }
+  // The grant is committed: only now may it supersede the old outcome record
+  // (erasing earlier would kill a scheduled retry, stranding its region, on
+  // the Busy path above).
+  abandon_stale_reconfig(id, prr);
+  if (needs_pcap) {
+    pending_[id] = PendingReconfig{task, prr, 1, ReconfigOutcome::kInFlight};
+    inflight_client_ = id;
+    ++stats_.grants_with_reconfig;
+  } else {
+    pending_.erase(id);
+    ++stats_.grants_no_reconfig;
+  }
+  return HcStatus::kSuccess;
+}
+
+void ManagerService::commit(const Sink& s, nova::ProtectionDomain& client,
+                            u32 prr, hwtask::TaskId task, vaddr_t iface_va,
+                            bool reconfiguring) {
+  // Mark the client's own consistency record as consistent. Any outstanding
+  // preemption save is consumed (a resume) or superseded (a fresh grant).
+  const std::array<u32, 2> ok_record{kStateConsistent, task};
+  kernel_.svc_write_client_data(*pd_, client.id(),
+                                consistency_offset(client.hw_data_size),
+                                ok_record);
+  save_outstanding_.erase(client.id());
+
+  PrrTableEntry& entry = prr_table_[prr];
+  entry.client = client.id();
+  entry.task = task;
+  entry.client_iface_va = iface_va;
+  entry.reconfiguring = reconfiguring;
+  entry.last_grant_seq = ++grant_seq_;
+  ledger_[prr] = LedgerEntry{client.id(), task};
+  s.touch(kPrrTableVa + prr * 32, /*write=*/true);
+  s.insns(costs_.insns_table_update);
 }
 
 HcStatus ManagerService::handle_request(GuestContext& ctx,
                                         const HwTaskRequest& req,
                                         u32& result_flags) {
   ++stats_.requests;
-  ctx.exec(rg_handle_);
+  const Sink s = sink(&ctx);
+  s.exec(rg_handle_);
   // Stage 1: read the request from the mailbox (written by the kernel).
   for (u32 w = 0; w < 4; ++w) (void)ctx.read32(kMailboxVa + w * 4);
 
   const hwtask::TaskInfo* info =
       kernel_.platform().task_library().find(req.task);
   if (info == nullptr) return HcStatus::kNotFound;
-  touch_task_table(ctx, req.task);
-  ctx.spend_insns(costs_.insns_validate);
+  // 8-word task-table row: bitstream addr/size, latency, PRR list (Fig. 7).
+  s.touch(kTaskTableVa + (req.task % 64) * 32, /*write=*/false);
+  s.insns(costs_.insns_validate);
 
   nova::ProtectionDomain* client = kernel_.pd_by_id(req.client);
   if (client == nullptr) return HcStatus::kInvalidArg;
@@ -626,24 +603,11 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
   // growth point below, not before selection.
   const u32 quota = effective_quota(req.client);
   const bool at_quota = quota > 0 && grants_in_use(req.client) >= quota;
-
-  // Stage 2: PRR selection.
-  bool needs_reconfig = false;
-  bool quarantine_blocked = false;
-  const int prr =
-      select_prr(ctx, *info, req.client, needs_reconfig, quarantine_blocked);
-  if (prr < 0) {
-    if (quarantine_blocked) {
-      // Every idle compatible region is quarantined: rather than stalling
-      // the client behind the cooldown, grant the task in software.
-      ++stats_.sw_grants;
-      c_sw_grants_.inc();
-      abandon_stale_reconfig(req.client, 0xFFFF'FFFFu);
-      pending_[req.client] = PendingReconfig{req.task, 0xFFFF'FFFFu, 0,
-                                             ReconfigOutcome::kFallback};
-      result_flags = nova::kHwGrantSoftware;
-      return HcStatus::kSuccess;
-    }
+  // No grant now: park the request while the admission queue has room, else
+  // Busy (true saturation: the applicant retries, §IV.E). Parking always
+  // adds a wait entry on top of whatever the client owns, so the quota gate
+  // is unconditional here.
+  const auto park_or_busy = [&] {
     if (at_quota) {
       ++stats_.quota_rejections;
       return HcStatus::kBusy;
@@ -654,9 +618,27 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
       return HcStatus::kSuccess;
     }
     ++stats_.busy_rejections;
-    return HcStatus::kBusy;  // true saturation: applicant retries (§IV.E)
+    return HcStatus::kBusy;
+  };
+
+  // Stage 2: PRR selection.
+  bool needs_reconfig = false;
+  bool quarantine_blocked = false;
+  const int sel =
+      select_prr(s, *info, req.client, needs_reconfig, quarantine_blocked);
+  if (sel < 0) {
+    if (!quarantine_blocked) return park_or_busy();
+    // Every idle compatible region is quarantined: rather than stalling the
+    // client behind the cooldown, grant the task in software.
+    ++stats_.sw_grants;
+    abandon_stale_reconfig(req.client, 0xFFFF'FFFFu);
+    pending_[req.client] = PendingReconfig{req.task, 0xFFFF'FFFFu, 0,
+                                           ReconfigOutcome::kFallback};
+    result_flags = nova::kHwGrantSoftware;
+    return HcStatus::kSuccess;
   }
-  PrrTableEntry& entry = prr_table_[u32(prr)];
+  const u32 prr = u32(sel);
+  PrrTableEntry& entry = prr_table_[prr];
 
   // The chosen region decides whether this grant is net-new: replacing a
   // region the client already owns never grows its count.
@@ -664,140 +646,55 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
     ++stats_.quota_rejections;
     return HcStatus::kBusy;
   }
-
   // When a PCAP transfer would be needed but the port is streaming another
-  // bitstream, park the request (queueing on) or report Busy rather than
-  // blocking the service.
+  // bitstream, park the request or report Busy rather than blocking.
   if (needs_reconfig && entry.task != req.task &&
-      kernel_.platform().pcap().busy()) {
-    // Parking always adds a wait entry on top of whatever the client owns
-    // (even when the chosen region is its own), so the gate is unconditional.
-    if (at_quota) {
-      ++stats_.quota_rejections;
-      return HcStatus::kBusy;
-    }
-    if (sched_queueing() && wait_queue_.size() < sched_.queue_depth) {
-      enqueue_request(req);
-      result_flags = nova::kHwGrantQueued;
-      return HcStatus::kSuccess;
-    }
-    ++stats_.busy_rejections;
-    return HcStatus::kBusy;
-  }
+      kernel_.platform().pcap().busy())
+    return park_or_busy();
 
   // Consistency protocol when another client owns the region (§IV.C). With
   // priorities on this is a preemption: the victim parks for a resume.
   if (entry.client != nova::kInvalidPd && entry.client != req.client) {
     if (sched_.priorities)
-      preempt_and_park(ctx, u32(prr));
+      preempt_and_park(s, prr);
     else
-      reclaim_from(ctx, u32(prr));
+      (void)reclaim_from(s, prr);
   }
 
-  // Stage 3: map the interface page into the client. The live (client, VA)
-  // -> PRR map decides whether the page table actually needs an update.
-  const paddr_t reg_pa =
-      kernel_.platform().prr_controller().reg_group_pa(u32(prr));
-  const auto key = std::make_pair(req.client, req.iface_va);
-  auto it = iface_map_.find(key);
-  bool fresh_map = false;
-  if (it == iface_map_.end() || it->second != u32(prr)) {
-    const HcStatus map_status =
-        kernel_.svc_map_into(*pd_, req.client, req.iface_va, reg_pa);
-    if (map_status != HcStatus::kSuccess) return map_status;
-    iface_map_[key] = u32(prr);
-    fresh_map = true;
+  // The table may claim the task is present while the fabric is still dark
+  // (first use of a region): verify against the static logic too.
+  const bool needs_pcap =
+      entry.task != req.task ||
+      kernel_.platform().prr_controller().prr(prr).loaded_task != req.task;
+  const HcStatus st =
+      grant(s, *client, prr, req.task, req.iface_va, needs_pcap, nullptr);
+  if (st != HcStatus::kSuccess) {
+    if (st == HcStatus::kBusy) ++stats_.busy_rejections;
+    return st;
   }
-
-  // Stage 4: load the hwMMU with the client's data section.
-  program_hwmmu(ctx, u32(prr), client->hw_data_pa, client->hw_data_size);
-
-  // PL interrupt plumbing (§IV.D): allocate a source and register it in the
-  // client's vGIC.
-  const u32 irq_idx = ensure_pl_irq(ctx, u32(prr));
-  if (irq_idx < mem::kNumPlIrqs)
-    kernel_.svc_assign_pl_irq(*pd_, req.client, mem::pl_irq_to_gic(irq_idx));
-
-  // Stage 5: reconfigure if the task is not already in the region.
-  result_flags = nova::kHwGrantReady;
-  if (entry.task != req.task || needs_reconfig_forces_pcap(u32(prr), req.task)) {
-    kernel_.svc_set_pcap_owner(*pd_, req.client);
-    if (!launch_pcap(ctx, u32(prr), req.task)) {
-      // The grant dies here without reaching stage 6, so the PRR table never
-      // records this client — the interface page mapped in stage 3 must not
-      // survive, or a Busy-rejected applicant keeps reaching a register
-      // group the table says is free (and a later grant of the same region
-      // to another VM would share it). The client's old pending record is
-      // untouched: a backoff retry it may have scheduled stays live.
-      if (fresh_map) {
-        kernel_.svc_unmap_from(*pd_, req.client, req.iface_va);
-        iface_map_.erase(key);
-      }
-      ++stats_.busy_rejections;
-      return HcStatus::kBusy;
+  result_flags = needs_pcap ? nova::kHwGrantReconfig : nova::kHwGrantReady;
+  if (needs_pcap && blocking_reconfig_) {
+    // Ablation: poll the PCAP to completion inside the service. The paper's
+    // design explicitly avoids this ("the manager service does not check
+    // the completion of the PCAP transfer").
+    auto& plat = kernel_.platform();
+    while (query_reconfig(req.client) == nova::kReconfigInFlight) {
+      (void)s.pcap_read(pl::kPcapStatus);
+      plat.idle_until_next_event(plat.clock().now() +
+                                 plat.clock().us_to_cycles(50));
     }
-    // The grant is committed: only now may it supersede the old outcome
-    // record (erasing earlier would kill a scheduled retry, stranding its
-    // region, on the Busy path above).
-    abandon_stale_reconfig(req.client, u32(prr));
-    pending_.erase(req.client);
-    result_flags = nova::kHwGrantReconfig;
-    ++stats_.grants_with_reconfig;
-    pending_[req.client] = PendingReconfig{req.task, u32(prr), 1,
-                                           ReconfigOutcome::kInFlight};
-    inflight_client_ = req.client;
-    if (blocking_reconfig_) {
-      // Ablation: poll the PCAP to completion inside the service. The
-      // paper's design explicitly avoids this ("the manager service does
-      // not check the completion of the PCAP transfer").
-      auto& plat = kernel_.platform();
-      while (query_reconfig(req.client) == nova::kReconfigInFlight) {
-        (void)ctx.read32(nova::manager_pcap_va() + pl::kPcapStatus);
-        plat.idle_until_next_event(plat.clock().now() +
-                                   plat.clock().us_to_cycles(50));
-      }
-      // Configured (or degraded to software) before returning.
-      if (query_reconfig(req.client) == nova::kReconfigFallback) {
-        // declare_fallback already unbound the region; skip stage 6.
-        result_flags = nova::kHwGrantSoftware;
-        return HcStatus::kSuccess;
-      }
-      result_flags = nova::kHwGrantReady;
+    // Configured (or degraded to software) before returning.
+    if (query_reconfig(req.client) == nova::kReconfigFallback) {
+      // declare_fallback already unbound the region; skip stage 6.
+      result_flags = nova::kHwGrantSoftware;
+      return HcStatus::kSuccess;
     }
-  } else {
-    // No transfer needed: the grant commits here, superseding any old
-    // outcome (and unbinding a region stranded by a dead retry).
-    abandon_stale_reconfig(req.client, u32(prr));
-    pending_.erase(req.client);
-    ++stats_.grants_no_reconfig;
+    result_flags = nova::kHwGrantReady;
   }
-
-  // Mark the client's own consistency record as consistent. Any outstanding
-  // preemption save is superseded by the fresh grant.
-  const std::array<u32, 2> ok_record{kStateConsistent, req.task};
-  kernel_.svc_write_client_data(*pd_, req.client,
-                                consistency_offset(client->hw_data_size),
-                                ok_record);
-  save_outstanding_.erase(req.client);
 
   // Stage 6: update the PRR table and return without waiting for PCAP.
-  entry.client = req.client;
-  entry.task = req.task;
-  entry.client_iface_va = req.iface_va;
-  entry.reconfiguring = result_flags != 0;
-  entry.last_grant_seq = ++grant_seq_;
-  ledger_[u32(prr)] = LedgerEntry{req.client, req.task};
-  touch_prr_table(ctx, u32(prr), /*write=*/true);
-  ctx.spend_insns(costs_.insns_table_update);
+  commit(s, *client, prr, req.task, req.iface_va, result_flags != 0);
   return HcStatus::kSuccess;
-}
-
-bool ManagerService::needs_reconfig_forces_pcap(u32 prr_idx,
-                                                hwtask::TaskId task) {
-  // The table may claim the task is present while the fabric is still dark
-  // (first use of a region): verify against the static logic.
-  const auto& hw = kernel_.platform().prr_controller().prr(prr_idx);
-  return hw.loaded_task != task;
 }
 
 // ---- retry / quarantine / fallback (DESIGN.md §8) ---------------------------
@@ -839,14 +736,12 @@ void ManagerService::on_pcap_complete(u32 prr, u32 task, bool ok) {
     entry.health = PrrHealth::kHealthy;
     entry.fail_streak = 0;
     p.outcome = ReconfigOutcome::kReady;
-    c_reconfig_success_.inc();
     // The region is settled: parked requests may now preempt or reuse it.
     if (!wait_queue_.empty()) pump_wait_queue();
     return;
   }
 
   ++stats_.pcap_failures;
-  c_pcap_failures_.inc();
   ++entry.fail_streak;
   log_.debug("PCAP failure %u/%u for client %u on PRR%u (streak %u)",
              p.attempts, retry_.max_attempts, client, prr, entry.fail_streak);
@@ -895,37 +790,14 @@ void ManagerService::retry_reconfig(PdId client) {
     return;
   }
   kernel_.svc_set_pcap_owner(*pd_, client);
-  if (!launch_pcap_phys(p.prr, p.task)) {
+  if (!launch_pcap(sink(nullptr), p.prr, p.task)) {
     declare_fallback(client);
     return;
   }
   ++p.attempts;
   ++stats_.retries;
-  c_retries_.inc();
   entry.reconfiguring = true;
   inflight_client_ = client;
-}
-
-bool ManagerService::launch_pcap_phys(u32 prr_idx, hwtask::TaskId task) {
-  // Retries fire from the event queue, where no protection domain runs, so
-  // the devcfg registers are programmed through the physical bus instead of
-  // the manager's virtual window. The DMA re-program itself is charged as
-  // zero CPU time — the paper's overlap argument (§IV.E) applies doubly.
-  auto& bus = kernel_.platform().bus();
-  u32 status = 0;
-  (void)bus.read32(mem::kDevcfgBase + pl::kPcapStatus, status);
-  if (status & pl::kPcapStatusBusy) return false;
-  const auto bits = kernel_.find_bitstream(task);
-  u32 len = bits.len;
-  if (sched_.cache_capacity > 0) len = cache_transfer_len(task);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapSrcAddr, u32(bits.pa));
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapLen, len);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapTarget, prr_idx);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapTaskId, task);
-  (void)bus.write32(mem::kDevcfgBase + pl::kPcapCtrl, 1);
-  kernel_.platform().trace().emit(kernel_.platform().clock().now(),
-                                  sim::TraceKind::kPcapStart, task, prr_idx);
-  return true;
 }
 
 void ManagerService::declare_fallback(PdId client) {
@@ -933,26 +805,11 @@ void ManagerService::declare_fallback(PdId client) {
   if (it == pending_.end()) return;
   PendingReconfig& p = it->second;
   ++stats_.fallbacks;
-  c_fallbacks_.inc();
   log_.debug("client %u degraded to software for task %u", client, p.task);
   // Unbind the dark region so other grants can use it after recovery; the
   // client's interface page goes away with it (it points at dead logic).
-  if (p.prr < prr_table_.size() && prr_table_[p.prr].client == client) {
-    PrrTableEntry& entry = prr_table_[p.prr];
-    if (entry.client_iface_va != 0) {
-      const auto key = std::make_pair(client, entry.client_iface_va);
-      auto mit = iface_map_.find(key);
-      if (mit != iface_map_.end() && mit->second == p.prr) {
-        kernel_.svc_unmap_from(*pd_, client, entry.client_iface_va);
-        iface_map_.erase(mit);
-      }
-    }
-    entry.client = nova::kInvalidPd;
-    entry.task = hwtask::kInvalidTask;
-    entry.client_iface_va = 0;
-    entry.reconfiguring = false;
-    ledger_[p.prr] = LedgerEntry{};
-  }
+  if (p.prr < prr_table_.size() && prr_table_[p.prr].client == client)
+    unbind(p.prr, /*forget_task=*/true);
   // The outcome flips only after the table row is unbound: the unmap above
   // runs introspection mid-call, and the stale binding must still be
   // covered by the in-flight record while it is visible.
@@ -970,21 +827,8 @@ void ManagerService::abandon_stale_reconfig(PdId client, u32 keep_prr) {
   // The caller is about to erase this record, so the backoff retry for the
   // old region will never relaunch — its table row would claim a task the
   // fabric never received, forever. Unbind it like a fallback does.
-  PrrTableEntry& entry = prr_table_[p.prr];
-  if (entry.client != client) return;
-  if (entry.client_iface_va != 0) {
-    const auto key = std::make_pair(client, entry.client_iface_va);
-    auto mit = iface_map_.find(key);
-    if (mit != iface_map_.end() && mit->second == p.prr) {
-      kernel_.svc_unmap_from(*pd_, client, entry.client_iface_va);
-      iface_map_.erase(mit);
-    }
-  }
-  entry.client = nova::kInvalidPd;
-  entry.task = hwtask::kInvalidTask;
-  entry.client_iface_va = 0;
-  entry.reconfiguring = false;
-  ledger_[p.prr] = LedgerEntry{};
+  if (prr_table_[p.prr].client != client) return;
+  unbind(p.prr, /*forget_task=*/true);
   log_.debug("client %u abandoned failed reconfig on PRR%u", client, p.prr);
 }
 
@@ -993,7 +837,6 @@ void ManagerService::quarantine(u32 prr_idx) {
   if (entry.health == PrrHealth::kQuarantined) return;
   entry.health = PrrHealth::kQuarantined;
   ++stats_.quarantines;
-  c_quarantines_.inc();
   log_.info("PRR%u quarantined after %u consecutive PCAP failures", prr_idx,
             entry.fail_streak);
   auto& plat = kernel_.platform();
@@ -1008,7 +851,6 @@ void ManagerService::unquarantine(u32 prr_idx) {
   entry.health = PrrHealth::kSuspect;
   entry.fail_streak = 0;
   ++stats_.unquarantines;
-  c_unquarantines_.inc();
   log_.info("PRR%u back from quarantine (suspect)", prr_idx);
   // A usable region reappeared: let parked requests at it.
   if (!wait_queue_.empty()) pump_wait_queue();
@@ -1016,27 +858,18 @@ void ManagerService::unquarantine(u32 prr_idx) {
 
 HcStatus ManagerService::handle_release(GuestContext& ctx, PdId client,
                                         hwtask::TaskId task) {
-  ctx.exec(rg_release_);
-  ctx.spend_insns(costs_.insns_release);
+  const Sink s = sink(&ctx);
+  s.exec(rg_release_);
+  s.insns(costs_.insns_release);
   for (u32 prr = 0; prr < num_prrs(); ++prr) {
     PrrTableEntry& entry = prr_table_[prr];
     if (entry.client != client || entry.task != task) continue;
     if (kernel_.platform().prr_controller().prr(prr).busy)
       return HcStatus::kBusy;
-    if (entry.client_iface_va != 0) {
-      const auto key = std::make_pair(client, entry.client_iface_va);
-      auto it = iface_map_.find(key);
-      if (it != iface_map_.end() && it->second == prr) {
-        kernel_.svc_unmap_from(*pd_, client, entry.client_iface_va);
-        iface_map_.erase(it);
-      }
-    }
-    program_hwmmu(ctx, prr, 0, 0);
-    entry.client = nova::kInvalidPd;
-    entry.client_iface_va = 0;
-    ledger_[prr] = LedgerEntry{};
     // The configured task stays resident for cheap re-dispatch.
-    touch_prr_table(ctx, prr, /*write=*/true);
+    unbind(prr, /*forget_task=*/false);
+    program_hwmmu(s, prr, 0, 0);
+    s.touch(kPrrTableVa + prr * 32, /*write=*/true);
     ++stats_.releases;
     abandon_stale_reconfig(client, prr);
     pending_.erase(client);  // nothing left to report for this client
@@ -1057,31 +890,25 @@ HcStatus ManagerService::handle_release(GuestContext& ctx, PdId client,
 }
 
 void ManagerService::handle_client_destroyed(PdId client) {
-  auto& ctl = kernel_.platform().prr_controller();
-  const u32 glob = mem::kPrrMaxRegions * mem::kPrrRegGroupStride;
-  for (u32 prr = 0; prr < num_prrs(); ++prr) {
-    PrrTableEntry& entry = prr_table_[prr];
-    if (entry.client != client) continue;
-    // Clear the hwMMU window at the device: the client's physical slab can
-    // be handed to a future VM, and a stale window would let the region
-    // keep scribbling into it.
-    ctl.mmio_write(glob + pl::kGlobPrrSelect, prr);
-    ctl.mmio_write(glob + pl::kGlobHwmmuBase, 0);
-    ctl.mmio_write(glob + pl::kGlobHwmmuSize, 0);
-    entry.client = nova::kInvalidPd;
-    entry.client_iface_va = 0;
-    ledger_[prr] = LedgerEntry{};
-    // Like handle_release: the configured task stays resident so a future
-    // grant of the same task re-dispatches without a PCAP transfer.
-    log_.info("PRR%u reclaimed from destroyed client %u", prr, client);
-  }
   // Interface-page mappings died with the client's address space; no unmap
-  // hypercall is needed (or possible) — just drop the records.
+  // hypercall is needed (or possible) — drop the records first, so unbind
+  // below finds nothing to unmap.
   for (auto it = iface_map_.begin(); it != iface_map_.end();) {
     if (it->first.first == client)
       it = iface_map_.erase(it);
     else
       ++it;
+  }
+  for (u32 prr = 0; prr < num_prrs(); ++prr) {
+    if (prr_table_[prr].client != client) continue;
+    // Clear the hwMMU window at the device: the client's physical slab can
+    // be handed to a future VM, and a stale window would let the region
+    // keep scribbling into it.
+    program_hwmmu(sink(nullptr), prr, 0, 0);
+    // Like handle_release: the configured task stays resident so a future
+    // grant of the same task re-dispatches without a PCAP transfer.
+    unbind(prr, /*forget_task=*/false);
+    log_.info("PRR%u reclaimed from destroyed client %u", prr, client);
   }
   pending_.erase(client);
   if (inflight_client_ == client) inflight_client_ = nova::kInvalidPd;

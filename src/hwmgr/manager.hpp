@@ -303,12 +303,66 @@ class ManagerService final : public nova::HwService {
     ReconfigOutcome outcome = ReconfigOutcome::kInFlight;
   };
 
+  // Where a Fig. 7 step runs. Inside a guest hypercall `ctx` is the
+  // manager's context: every access goes through its virtual windows and is
+  // charged. From event context (PCAP completion, retry timer, wait-queue
+  // pump) `ctx` is null: device accesses go straight to the physical bus,
+  // and code, instructions and table traffic cost nothing (DESIGN.md §15.5).
+  class Sink {
+   public:
+    Sink(nova::GuestContext* ctx, mem::Bus& bus) : ctx_(ctx), bus_(bus) {}
+    void exec(const cpu::CodeRegion& r) const {
+      if (ctx_ != nullptr) ctx_->exec(r);
+    }
+    void insns(u64 n) const {
+      if (ctx_ != nullptr) ctx_->spend_insns(n);
+    }
+    // PL global control page and devcfg/PCAP registers.
+    u32 pl_read(u32 reg) const;
+    void pl_write(u32 reg, u32 v) const;
+    u32 pcap_read(u32 reg) const;
+    void pcap_write(u32 reg, u32 v) const;
+    // A PRR register read through the static logic: a physical bus read,
+    // charged as one uncached device access in hypercall context.
+    u32 fabric_read(paddr_t pa) const;
+    // Read or write one 8-word row of the manager's task/PRR tables.
+    void touch(vaddr_t row, bool write) const;
+
+   private:
+    u32 read(vaddr_t va, paddr_t pa) const;
+    void write(vaddr_t va, paddr_t pa, u32 v) const;
+    nova::GuestContext* ctx_;
+    mem::Bus& bus_;
+  };
+  Sink sink(nova::GuestContext* ctx) {
+    return Sink(ctx, kernel_.platform().bus());
+  }
+
   // Stage 2: pick a PRR for `task`; returns index or -1 when all busy.
   // `quarantine_blocked` reports that at least one idle compatible region
   // existed but was quarantined (caller grants software instead of Busy).
-  int select_prr(nova::GuestContext& ctx, const hwtask::TaskInfo& info,
+  int select_prr(const Sink& s, const hwtask::TaskInfo& info,
                  nova::PdId requester, bool& needs_reconfig,
                  bool& quarantine_blocked);
+  // Stages 3-5: map the interface page, load the hwMMU and PL IRQ, restore
+  // `restore` into the region when given, launch PCAP when `needs_pcap`,
+  // and replace the client's pending record. kBusy when the PCAP port is
+  // busy (the fresh mapping is undone, nothing else changed); a failed map
+  // returns its status.
+  nova::HcStatus grant(const Sink& s, nova::ProtectionDomain& client,
+                       u32 prr, hwtask::TaskId task, vaddr_t iface_va,
+                       bool needs_pcap, const std::array<u32, 8>* restore);
+  // Stage 6: the client's §IV.C record turns consistent (consuming any
+  // outstanding preemption save) and the PRR table and ledger record the
+  // grant.
+  void commit(const Sink& s, nova::ProtectionDomain& client, u32 prr,
+              hwtask::TaskId task, vaddr_t iface_va, bool reconfiguring);
+  // Unmap `client`'s interface page at `va`, but only while it still
+  // points at `prr` (a later grant may have retargeted it).
+  void unmap_iface(nova::PdId client, vaddr_t va, u32 prr);
+  // Clear `prr`'s owner (and its interface page and ledger entry); with
+  // `forget_task` the row also stops claiming a configured task.
+  void unbind(u32 prr, bool forget_task);
   // Retry/backoff/fallback machinery (observer-driven; see DESIGN.md §8).
   void on_pcap_complete(u32 prr, u32 task, bool ok);
   void retry_reconfig(nova::PdId client);
@@ -319,39 +373,20 @@ class ManagerService final : public nova::HwService {
   void abandon_stale_reconfig(nova::PdId client, u32 keep_prr);
   void quarantine(u32 prr_idx);
   void unquarantine(u32 prr_idx);
-
-  // `hwmgr.*` registry counters, interned once at construction.
-  sim::CounterHandle c_sw_grants_, c_reconfig_success_, c_pcap_failures_,
-      c_retries_, c_fallbacks_, c_quarantines_, c_unquarantines_,
-      c_preemptions_, c_resumes_, c_cache_hits_, c_cache_misses_,
-      c_cache_evicts_;
   cycles_t backoff_cycles(u32 attempts_made) const;
-  // Re-program the PCAP from an event context (no manager VA translation).
-  bool launch_pcap_phys(u32 prr_idx, hwtask::TaskId task);
-  // §IV.C consistency protocol when reclaiming from `old_client`. The
-  // register image it saved is kept for preempt_and_park to hand to the
-  // wait queue (valid only immediately after the call).
-  void reclaim_from(nova::GuestContext& ctx, u32 prr_idx);
-  std::array<u32, 8> last_reclaim_regs_{};
-  // Device programming helpers (PL global control page via the manager's
-  // mapped window).
-  void program_hwmmu(nova::GuestContext& ctx, u32 prr_idx, paddr_t base,
-                     u32 size);
-  u32 ensure_pl_irq(nova::GuestContext& ctx, u32 prr_idx);
-  bool launch_pcap(nova::GuestContext& ctx, u32 prr_idx, hwtask::TaskId task);
-  bool needs_reconfig_forces_pcap(u32 prr_idx, hwtask::TaskId task);
-  // Table traffic: charge reads/writes against the manager's own memory.
-  void touch_task_table(nova::GuestContext& ctx, hwtask::TaskId task);
-  void touch_prr_table(nova::GuestContext& ctx, u32 prr_idx, bool write);
+  // §IV.C consistency protocol when reclaiming a region from its owner:
+  // save the register group into the owner's record, unbind the region and
+  // return the saved registers.
+  std::array<u32, 8> reclaim_from(const Sink& s, u32 prr_idx);
+  void program_hwmmu(const Sink& s, u32 prr_idx, paddr_t base, u32 size);
+  u32 ensure_pl_irq(const Sink& s, u32 prr_idx);
+  bool launch_pcap(const Sink& s, u32 prr_idx, hwtask::TaskId task);
 
   // ---- scheduler internals (DESIGN.md §15) ----
   bool sched_queueing() const { return sched_.queue_depth > 0; }
-  // Preempt the region's owner (charged, from a request context): §IV.C
-  // save via reclaim_from, then park the victim for a resumed re-grant.
-  void preempt_and_park(nova::GuestContext& ctx, u32 prr_idx);
-  // Event-context preemption (no GuestContext; zero simulated charge, like
-  // the retry path): same save/park protocol over the physical bus.
-  void preempt_phys(u32 prr_idx);
+  // Preempt the region's owner: §IV.C save via reclaim_from, then park the
+  // victim for a resumed re-grant.
+  void preempt_and_park(const Sink& s, u32 prr_idx);
   void park_victim(nova::PdId victim, hwtask::TaskId task, vaddr_t iface_va,
                    const std::array<u32, 8>& regs);
   // Enqueue an admission-queued fresh request (no saved context).
@@ -361,7 +396,7 @@ class ManagerService final : public nova::HwService {
   // is being abandoned, not resumed).
   void drop_wait_entry(nova::PdId client, bool write_record);
   // Grant regions to parked requests, highest priority first. Runs from
-  // event/poll contexts over the physical bus; zero simulated charge.
+  // event/poll contexts; zero simulated charge.
   void pump_wait_queue();
   // Try to place one wait entry; true when it was granted (and removed).
   bool try_regrant(const WaitEntry& w);

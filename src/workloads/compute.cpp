@@ -1,14 +1,20 @@
 #include "workloads/compute.hpp"
 
 #include "nova/kernel.hpp"
+#include "util/fnv.hpp"
 
 namespace minova::workloads {
 
 using nova::GuestContext;
 using nova::StepExit;
 
+// The checksum starts at the FNV-1a offset basis, but its multiplier is not
+// the FNV prime (0x100'0000'01B3): every pinned compute digest was recorded
+// with this one.
+constexpr u64 kMul = 0x1000'0000'01B3ull;
+
 StreamComputeGuest::StreamComputeGuest(StreamComputeConfig cfg)
-    : cfg_(cfg), checksum_(0xCBF2'9CE4'8422'2325ull ^ cfg.seed) {
+    : cfg_(cfg), checksum_(util::kFnvOffset ^ cfg.seed) {
   if (cfg_.working_set_bytes < 64) cfg_.working_set_bytes = 64;
   if (cfg_.working_set_bytes > nova::kGuestHwDataSize)
     cfg_.working_set_bytes = nova::kGuestHwDataSize;
@@ -33,9 +39,9 @@ StepExit StreamComputeGuest::step(GuestContext& ctx, cycles_t budget) {
       (void)ctx.write32(va, u32(checksum_ >> 16));
     } else {
       const auto r = ctx.read32(va);
-      if (r.ok) checksum_ = (checksum_ ^ r.value) * 0x1000'0000'01B3ull;
+      if (r.ok) checksum_ = (checksum_ ^ r.value) * kMul;
     }
-    checksum_ = (checksum_ ^ pos_) * 0x1000'0000'01B3ull;
+    checksum_ = (checksum_ ^ pos_) * kMul;
     pos_ += 7;  // coprime with the power-of-two working set: full coverage
     ctx.spend_insns(cfg_.insns_per_access);
   }

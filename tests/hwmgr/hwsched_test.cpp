@@ -144,6 +144,11 @@ TEST_F(HwSchedTest, PreemptionRoundTripsInterfaceRegisters) {
       low0_->hw_data_pa + consistency_offset(low0_->hw_data_size);
   for (u32 w = 3; w < 6; ++w)
     EXPECT_EQ(platform_.dram().read32(rec + 8 + w * 4), 0xCAFE'0000u + w);
+  ASSERT_EQ(manager_.saved_contexts().count(low0_->id()), 1u);
+  const auto hypercall_save = manager_.saved_contexts().at(low0_->id());
+  std::array<u32, kConsistencyWords> hypercall_record{};
+  for (u32 w = 0; w < kConsistencyWords; ++w)
+    hypercall_record[w] = platform_.dram().read32(rec + w * 4);
   drain_events();
 
   // Resume: the saved image lands back in the re-granted region's group.
@@ -158,6 +163,30 @@ TEST_F(HwSchedTest, PreemptionRoundTripsInterfaceRegisters) {
     (void)platform_.bus().read32(rg2 + w * 4, v);
     EXPECT_EQ(v, 0xCAFE'0000u + w) << "register " << w;
   }
+
+  // Second leg: the same preemption from the wait-queue pump (event
+  // context, no charge) must write the same record. The latecomer queues at
+  // the owners' priority, is raised above them while parked, and the next
+  // query pumps the queue into a preemption of the resumed victim.
+  ASSERT_TRUE(query(*high_, nova::kHwQuerySetPrio, 1).ok());
+  ASSERT_EQ(request(*high_, hwtask::TaskLibrary::kFft1024).r1,
+            nova::kHwGrantQueued);
+  ASSERT_EQ(manager_.stats().preemptions, 1u);
+  ASSERT_TRUE(query(*high_, nova::kHwQuerySetPrio, 5).ok());
+  ASSERT_EQ(manager_.stats().preemptions, 1u);  // raising alone never pumps
+  (void)query(*high_, nova::kHwQueryReconfig);
+  ASSERT_EQ(manager_.stats().preemptions, 2u);
+  EXPECT_EQ(owned_prr(*high_), back);
+  EXPECT_EQ(record_flag(*low0_), kStateInconsistent);
+  for (u32 w = 0; w < kConsistencyWords; ++w)
+    EXPECT_EQ(platform_.dram().read32(rec + w * 4), hypercall_record[w])
+        << "record word " << w;
+  ASSERT_EQ(manager_.saved_contexts().count(low0_->id()), 1u);
+  const auto pump_save = manager_.saved_contexts().at(low0_->id());
+  EXPECT_EQ(pump_save.task, hypercall_save.task);
+  EXPECT_EQ(pump_save.regs, hypercall_save.regs);
+  for (u32 w = 3; w < 6; ++w)
+    EXPECT_EQ(pump_save.regs[w], 0xCAFE'0000u + w) << "register " << w;
 }
 
 TEST_F(HwSchedTest, EqualPriorityDoesNotPreemptButQueues) {

@@ -21,6 +21,7 @@
 #include "nova/inspector.hpp"
 #include "nova/kernel.hpp"
 #include "stub_guest.hpp"
+#include "util/fnv.hpp"
 #include "workloads/compute.hpp"
 
 namespace minova::nova {
@@ -56,16 +57,6 @@ std::vector<u32> thread_counts() {
   return out;
 }
 
-struct Fnv {
-  u64 h = 0xCBF2'9CE4'8422'2325ull;
-  void mix(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFFu;
-      h *= 0x0000'0100'0000'01B3ull;
-    }
-  }
-};
-
 // Run `cores` simulated cores, two stream-compute guests per core, for
 // `sim_ms`, and digest everything a caller could observe.
 u64 run_stream_digest(u32 cores, u32 threads, double sim_ms) {
@@ -86,7 +77,7 @@ u64 run_stream_digest(u32 cores, u32 threads, double sim_ms) {
   kernel.run_for_us(sim_ms * 1000.0);
 
   KernelInspector insp(kernel);
-  Fnv d;
+  util::Fnv1a d;
   d.mix(platform.clock().now());
   d.mix(insp.vm_switches());
   d.mix(insp.hypercalls());
@@ -159,7 +150,7 @@ u64 run_mixed_digest(u32 cores, u32 threads, double sim_ms) {
   kernel.run_for_us(sim_ms * 1000.0);
 
   KernelInspector insp(kernel);
-  Fnv d;
+  util::Fnv1a d;
   d.mix(platform.clock().now());
   d.mix(insp.vm_switches());
   d.mix(insp.hypercalls());
