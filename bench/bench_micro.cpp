@@ -10,6 +10,7 @@
 #include "nova/kernel.hpp"
 #include "sim/stats.hpp"
 #include "workloads/adpcm.hpp"
+#include "workloads/gsm.hpp"
 
 namespace {
 
@@ -133,6 +134,36 @@ void BM_AdpcmEncodeBlock(benchmark::State& state) {
   state.SetBytesProcessed(i64(state.iterations()) * i64(pcm.size() * 2));
 }
 BENCHMARK(BM_AdpcmEncodeBlock);
+
+// The guests' synthetic audio (DESIGN.md §10.5): rotation fast path with
+// the exact per-sample fallback, one noise draw per sample.
+void BM_AdpcmSynthBlock(benchmark::State& state) {
+  util::Xoshiro256 rng(5);
+  std::vector<i16> pcm(1024);
+  u32 phase = 0;
+  for (auto _ : state) {
+    workloads::AdpcmWorkload::synthesize(phase, rng, pcm);
+    benchmark::DoNotOptimize(pcm.data());
+    benchmark::ClobberMemory();
+    phase += u32(pcm.size());
+  }
+  state.SetItemsProcessed(i64(state.iterations()) * i64(pcm.size()));
+}
+BENCHMARK(BM_AdpcmSynthBlock);
+
+void BM_GsmSynthFrame(benchmark::State& state) {
+  util::Xoshiro256 rng(7);
+  std::array<i16, workloads::GsmEncoder::kFrameSamples> pcm{};
+  u32 phase = 0;
+  for (auto _ : state) {
+    workloads::GsmWorkload::synthesize(phase, rng, pcm);
+    benchmark::DoNotOptimize(pcm.data());
+    benchmark::ClobberMemory();
+    phase += u32(pcm.size());
+  }
+  state.SetItemsProcessed(i64(state.iterations()) * i64(pcm.size()));
+}
+BENCHMARK(BM_GsmSynthFrame);
 
 // ---- simulated fast-path latencies (reported in simulated us) ---------------
 

@@ -1,6 +1,9 @@
 #include "mem/phys_mem.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/fnv.hpp"
 
 namespace minova::mem {
 
@@ -92,6 +95,19 @@ void PhysMem::write_block(paddr_t pa, std::span<const u8> in) {
     std::memcpy(frame_for(cur) + off, in.data() + done, chunk);
     done += chunk;
   }
+}
+
+u64 PhysMem::content_digest() const {
+  constexpr u32 kWords = kFrameSize / sizeof(u64);
+  util::Fnv1a h;
+  for (std::size_t i = 0; i < frames_.size(); ++i) {
+    if (!frames_[i]) continue;
+    const u8* f = frames_[i].get();
+    if (std::all_of(f, f + kFrameSize, [](u8 b) { return b == 0; })) continue;
+    h.mix(u64(base_) + i * kFrameSize);
+    for (u32 w = 0; w < kWords; ++w) h.mix(load<u64>(f, w * sizeof(u64)));
+  }
+  return h.h;
 }
 
 std::size_t PhysMem::resident_frames() const {

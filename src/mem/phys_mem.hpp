@@ -44,6 +44,11 @@ class PhysMem {
   /// Frames actually materialized (for footprint reporting).
   std::size_t resident_frames() const;
 
+  /// FNV-1a over the address and bytes of every frame that holds a nonzero
+  /// byte: what the memory contains, independent of which zero frames a
+  /// read happened to materialize. Materializes nothing.
+  u64 content_digest() const;
+
   static constexpr u32 kFrameSize = 4096;
 
  private:

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cpu/code_region.hpp"
+#include "util/rng.hpp"
 #include "util/types.hpp"
 #include "workloads/services.hpp"
 
@@ -22,7 +23,10 @@ class AdpcmCodec {
     int step_index = 0;
   };
 
-  /// Encode 16-bit PCM into 4-bit IMA ADPCM nibbles (two per byte).
+  /// Encode 16-bit PCM into 4-bit IMA ADPCM nibbles (two per byte, low
+  /// nibble first) in `out`, which holds at least (pcm.size() + 1) / 2 B.
+  static void encode(std::span<const i16> pcm, State& state,
+                     std::span<u8> out);
   static std::vector<u8> encode(std::span<const i16> pcm, State& state);
   /// Decode back to PCM.
   static std::vector<i16> decode(std::span<const u8> adpcm, State& state,
@@ -36,7 +40,8 @@ class AdpcmCodec {
 /// Guest workload: continuous ADPCM compression of a synthetic audio feed.
 class AdpcmWorkload {
  public:
-  /// `buffer_va` points at a guest region of at least 3*block_samples*2 B.
+  /// `buffer_va` points at a guest region of at least 2.5 * block_samples
+  /// bytes: the PCM block (2 B per sample), then its ADPCM encoding.
   AdpcmWorkload(cpu::CodeRegion code, vaddr_t buffer_va,
                 u32 block_samples = 1024, u64 seed = 1);
 
@@ -44,6 +49,10 @@ class AdpcmWorkload {
   u32 run_unit(Services& svc);
 
   u64 blocks_done() const { return blocks_; }
+
+  /// The synthetic audio feed (two tones plus noise) for the phases phase,
+  /// phase + 1, ... (mod 2^32), one noise draw from `rng` per sample.
+  static void synthesize(u32 phase, util::Xoshiro256& rng, std::span<i16> out);
 
  private:
   cpu::CodeRegion code_;
@@ -53,6 +62,8 @@ class AdpcmWorkload {
   AdpcmCodec::State state_;
   u64 blocks_ = 0;
   u32 phase_ = 0;  // synthetic audio phase accumulator
+  std::vector<i16> pcm_;     // one block, reused
+  std::vector<u8> encoded_;  // its encoding, reused
 };
 
 }  // namespace minova::workloads

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <vector>
+
+#include "workloads/tone.hpp"
 
 namespace minova::workloads {
 
@@ -65,35 +65,63 @@ GsmEncoder::Frame GsmEncoder::encode_frame(
 GsmWorkload::GsmWorkload(cpu::CodeRegion code, vaddr_t buffer_va, u64 seed)
     : code_(code), buffer_va_(buffer_va), rng_(seed) {}
 
+namespace {
+constexpr double kFormantW = 0.08, kEnvelopeW = 0.009;
+}  // namespace
+
+void GsmWorkload::synthesize(u32 phase, util::Xoshiro256& rng,
+                             std::span<i16> out) {
+  auto mix = [](u32 p, double formant, double envelope, double noise) {
+    double v = 5000.0 * formant * envelope;
+    if (p % 64 < 4) v += 9000.0;  // glottal pulse
+    return v + noise;
+  };
+  // Built on first use, so processes that never synthesize never run libm.
+  static const Tone kFormantTone(kFormantW), kEnvelopeTone(kEnvelopeW);
+  for_each_phase_run(phase, out.size(), [&](u32 p0, u64 off, u64 n) {
+    Tone formant = kFormantTone, envelope = kEnvelopeTone;
+    formant.anchor(p0);
+    envelope.anchor(p0);
+    // |a'b' - ab| <= |a' - a| + |b' - b| + |a' - a||b' - b| for |a|, |b| <= 1;
+    // the last term is far below the slack.
+    const double guard =
+        5000.0 * (formant.bound(p0, n) + envelope.bound(p0, n)) + kSynthSlack;
+    for (u64 k = 0; k < n; ++k) {
+      const u32 p = p0 + u32(k);
+      const double noise = double(i64(rng.next_below(900)) - 450);
+      const double v = mix(p, formant.next(), envelope.next(), noise);
+      const i16 s = to_pcm(v - guard);
+      if (s == to_pcm(v + guard)) {
+        out[off + k] = s;
+      } else {
+        const double t = double(p);
+        out[off + k] = to_pcm(
+            mix(p, std::sin(t * kFormantW), std::sin(t * kEnvelopeW), noise));
+      }
+    }
+  });
+}
+
 u32 GsmWorkload::run_unit(Services& svc) {
   constexpr u32 kFramesPerUnit = 4;
   for (u32 fr = 0; fr < kFramesPerUnit; ++fr) {
-    // Synthetic voiced speech: pitch pulses + formant-ish tones + noise.
     std::array<i16, GsmEncoder::kFrameSamples> pcm{};
-    for (u32 i = 0; i < pcm.size(); ++i, ++phase_) {
-      const double t = double(phase_);
-      double v = 5000.0 * std::sin(t * 0.08) * std::sin(t * 0.009);
-      if (phase_ % 64 < 4) v += 9000.0;  // glottal pulse
-      v += double(i64(rng_.next_below(900)) - 450);
-      pcm[i] = i16(std::clamp(v, -32000.0, 32000.0));
-    }
-    std::vector<u8> raw(pcm.size() * 2);
-    std::memcpy(raw.data(), pcm.data(), raw.size());
+    synthesize(phase_, rng_, pcm);
+    phase_ += u32(pcm.size());
+    const std::span<u8> raw(reinterpret_cast<u8*>(pcm.data()),
+                            pcm.size() * sizeof(i16));
     if (!svc.write_block(buffer_va_, raw)) return fr;
 
     svc.exec(code_);
-    std::vector<u8> back(raw.size());
-    if (!svc.read_block(buffer_va_, back)) return fr;
-    std::array<i16, GsmEncoder::kFrameSamples> frame{};
-    std::memcpy(frame.data(), back.data(), back.size());
-    const auto encoded = enc_.encode_frame(frame);
+    if (!svc.read_block(buffer_va_, raw)) return fr;
+    const auto encoded = enc_.encode_frame(pcm);
     // Autocorrelation dominates: ~9 lags x 160 MACs + filters.
     svc.spend_insns(9 * 160 * 2 + 160 * 8);
     svc.use_vfp();  // the Schur recursion runs on the VFP
 
     // Store the LARs back into guest memory (the "bitstream").
-    std::vector<u8> lar_bytes(encoded.lar.size());
-    std::memcpy(lar_bytes.data(), encoded.lar.data(), lar_bytes.size());
+    const std::span<const u8> lar_bytes(
+        reinterpret_cast<const u8*>(encoded.lar.data()), encoded.lar.size());
     if (!svc.write_block(buffer_va_ + u32(raw.size()), lar_bytes)) return fr;
     ++frames_;
   }

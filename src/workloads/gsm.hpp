@@ -47,6 +47,11 @@ class GsmWorkload {
 
   u64 frames_done() const { return frames_; }
 
+  /// The synthetic voiced speech (pitch pulses, formant-ish tones, noise)
+  /// for the phases phase, phase + 1, ... (mod 2^32), one noise draw from
+  /// `rng` per sample.
+  static void synthesize(u32 phase, util::Xoshiro256& rng, std::span<i16> out);
+
  private:
   cpu::CodeRegion code_;
   vaddr_t buffer_va_;

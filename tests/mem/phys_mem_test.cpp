@@ -55,6 +55,27 @@ TEST(PhysMem, ResidentFramesGrowOnDemand) {
   EXPECT_EQ(m.resident_frames(), 2u);
 }
 
+TEST(PhysMem, ContentDigestSeesBytesNotResidency) {
+  PhysMem m(0x1000'0000u, 64 * kKiB);
+  const u64 empty = m.content_digest();
+  EXPECT_EQ(m.resident_frames(), 0u);  // the digest materializes nothing
+
+  (void)m.read32(0x1000'2000u);  // materializes an all-zero frame
+  EXPECT_EQ(m.resident_frames(), 1u);
+  EXPECT_EQ(m.content_digest(), empty);
+
+  m.write8(0x1000'3FFFu, 1);
+  const u64 one = m.content_digest();
+  EXPECT_NE(one, empty);
+  m.write8(0x1000'3FFFu, 0);
+  EXPECT_EQ(m.content_digest(), empty);
+
+  // Same bytes in another frame is different content.
+  m.write8(0x1000'4FFFu, 1);
+  EXPECT_NE(m.content_digest(), one);
+  EXPECT_NE(m.content_digest(), empty);
+}
+
 TEST(PhysMemDeath, OutOfWindowAborts) {
   PhysMem m(0, 64 * kKiB);
   EXPECT_DEATH(m.read32(64 * kKiB), "outside RAM window");
