@@ -8,6 +8,7 @@
 #include "hwtask/fft_core.hpp"
 #include "mmu/page_table.hpp"
 #include "nova/kernel.hpp"
+#include "nova/vgic.hpp"
 #include "sim/stats.hpp"
 #include "workloads/adpcm.hpp"
 #include "workloads/gsm.hpp"
@@ -164,6 +165,49 @@ void BM_GsmSynthFrame(benchmark::State& state) {
   state.SetItemsProcessed(i64(state.iterations()) * i64(pcm.size()));
 }
 BENCHMARK(BM_GsmSynthFrame);
+
+// ---- interrupt queries (host ns/op) ------------------------------------------
+
+// One distributor query (the kernel's per-slice poll) with `range(0)` of the
+// 96 interrupts enabled and pending, spread over both bitmap words.
+void BM_GicHighestPending(benchmark::State& state) {
+  irq::Gic gic;
+  for (u32 i = 0; i < u32(state.range(0)); ++i) {
+    const u32 id = 5 + i * 11;
+    gic.set_priority(id, u8(0x80 - i));
+    gic.enable_irq(id);
+    gic.raise(id);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(gic.irq_asserted_for(0x1));
+}
+BENCHMARK(BM_GicHighestPending)->Arg(0)->Arg(1)->Arg(8);
+
+// Physical GIC reprogramming on VM switches (§III.B), there and back: per
+// switch the outgoing VM's four sources are masked and the incoming VM's
+// four unmasked, one of each four pending.
+void BM_VgicMaskUnmask(benchmark::State& state) {
+  Platform platform;
+  nova::KernelHeap heap(nova::kKernelHeapBase + 3 * kMiB, 2 * kMiB);
+  nova::VGic out(heap, platform.gic());
+  nova::VGic in(heap, platform.gic());
+  for (u32 i = 0; i < 4; ++i) {
+    out.register_irq(61 + i);
+    out.enable(61 + i);
+    in.register_irq(65 + i);
+    in.enable(65 + i);
+  }
+  platform.gic().raise(62);
+  platform.gic().raise(66);
+  auto& core = platform.cpu();
+  for (auto _ : state) {
+    out.mask_all_physical(core);
+    in.unmask_enabled_physical(core);
+    in.mask_all_physical(core);
+    out.unmask_enabled_physical(core);
+  }
+  state.SetItemsProcessed(i64(state.iterations()) * 2);  // two switches
+}
+BENCHMARK(BM_VgicMaskUnmask);
 
 // ---- simulated fast-path latencies (reported in simulated us) ---------------
 

@@ -1,22 +1,25 @@
 #include "irq/gic.hpp"
 
-#include <vector>
+#include <bit>
 
 #include "util/assert.hpp"
 
 namespace minova::irq {
 
-Gic::Gic(u32 num_irqs) { state_.resize(num_irqs); }
+Gic::Gic(u32 num_irqs)
+    : state_(num_irqs), candidates_((num_irqs + 63) / 64) {}
 
 void Gic::enable_irq(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].enabled = true;
+  refresh(id);
   update_line();
 }
 
 void Gic::disable_irq(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].enabled = false;
+  refresh(id);
   update_line();
 }
 
@@ -39,6 +42,7 @@ u8 Gic::priority(u32 id) const {
 void Gic::raise(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].pending = true;
+  refresh(id);
   ++raised_count_;
   update_line();
 }
@@ -51,6 +55,7 @@ bool Gic::is_pending(u32 id) const {
 void Gic::clear_pending(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].pending = false;
+  refresh(id);
   update_line();
 }
 
@@ -65,14 +70,28 @@ u8 Gic::target_mask(u32 id) const {
   return state_[id].targets;
 }
 
+void Gic::refresh(u32 id) {
+  const IrqState& s = state_[id];
+  const u64 bit = u64(1) << (id % 64);
+  if (s.enabled && s.pending && !s.active)
+    candidates_[id / 64] |= bit;
+  else
+    candidates_[id / 64] &= ~bit;
+}
+
+// Visits candidates in ascending ID order and keeps the first strictly best
+// priority, so ties go to the lowest ID exactly as a full scan would.
 int Gic::highest_pending(u8 cpu_mask) const {
   int best = -1;
-  for (u32 i = 0; i < state_.size(); ++i) {
-    const IrqState& s = state_[i];
-    if (!s.enabled || !s.pending || s.active) continue;
-    if ((s.targets & cpu_mask) == 0) continue;
-    if (s.prio >= priority_mask_) continue;
-    if (best < 0 || s.prio < state_[u32(best)].prio) best = int(i);
+  u8 best_prio = priority_mask_;
+  for (u32 w = 0; w < candidates_.size(); ++w) {
+    for (u64 bits = candidates_[w]; bits != 0; bits &= bits - 1) {
+      const u32 i = w * 64 + u32(std::countr_zero(bits));
+      const IrqState& s = state_[i];
+      if ((s.targets & cpu_mask) == 0 || s.prio >= best_prio) continue;
+      best = int(i);
+      best_prio = s.prio;
+    }
   }
   return best;
 }
@@ -89,6 +108,7 @@ u32 Gic::acknowledge_for(u8 cpu_mask) {
   IrqState& s = state_[u32(id)];
   s.pending = false;
   s.active = true;
+  refresh(u32(id));
   ++acked_count_;
   update_line();
   return u32(id);
@@ -97,6 +117,7 @@ u32 Gic::acknowledge_for(u8 cpu_mask) {
 void Gic::eoi(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].active = false;
+  refresh(id);
   update_line();
 }
 

@@ -63,6 +63,9 @@ class Gic {
   /// True when some enabled interrupt is pending above the mask (the state
   /// of the nIRQ line towards the core).
   bool irq_asserted() const;
+  /// The same value as last driven onto the line: every mutator re-derives
+  /// it, so reading it costs nothing.
+  bool line_asserted() const { return line_state_; }
   /// Per-CPU view of the same: pending, enabled, above the mask and
   /// targeted at a CPU in `cpu_mask`.
   bool irq_asserted_for(u8 cpu_mask) const;
@@ -83,9 +86,15 @@ class Gic {
   };
 
   int highest_pending(u8 cpu_mask) const;  // index or -1
+  /// Re-derive `id`'s bit in `candidates_` after its enable, pending or
+  /// active bit changed.
+  void refresh(u32 id);
   void update_line();
 
   std::vector<IrqState> state_;
+  /// Bit i set <=> interrupt i is enabled, pending and not active: the only
+  /// IDs a query visits (DESIGN.md §10.6).
+  std::vector<u64> candidates_;
   u8 priority_mask_ = 0xFF;  // 0xFF = no masking
   IrqLine irq_line_;
   bool line_state_ = false;

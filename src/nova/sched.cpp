@@ -82,27 +82,9 @@ void Scheduler::take(ProtectionDomain* pd) {
   }
 }
 
-ProtectionDomain* Scheduler::steal_candidate(
-    const std::function<bool(const ProtectionDomain*)>& eligible) const {
-  for (u32 p = kNumPriorities; p-- > 0;) {
-    for (auto it = levels_[p].rbegin(); it != levels_[p].rend(); ++it)
-      if (eligible(*it)) return *it;
-  }
-  return nullptr;
-}
-
 ProtectionDomain* Scheduler::pick() {
   for (u32 p = kNumPriorities; p-- > 0;) {
     if (!levels_[p].empty()) return levels_[p].front();
-  }
-  return nullptr;
-}
-
-ProtectionDomain* Scheduler::pick_eligible(
-    const std::function<bool(const ProtectionDomain*)>& eligible) {
-  for (u32 p = kNumPriorities; p-- > 0;) {
-    for (ProtectionDomain* pd : levels_[p])
-      if (eligible(pd)) return pd;
   }
   return nullptr;
 }

@@ -10,7 +10,6 @@
 // suspend queue and are enqueued only when invoked.
 #pragma once
 
-#include <functional>
 #include <list>
 #include <vector>
 
@@ -48,15 +47,25 @@ class Scheduler {
   /// down, from the *back* of each level (the coldest entries — the ones
   /// farthest from dispatch on this core). Returns nullptr when nothing
   /// eligible is queued. Does not modify the queue.
-  ProtectionDomain* steal_candidate(
-      const std::function<bool(const ProtectionDomain*)>& eligible) const;
+  template <typename Eligible>
+  ProtectionDomain* steal_candidate(Eligible eligible) const {
+    for (u32 p = kNumPriorities; p-- > 0;)
+      for (auto it = levels_[p].rbegin(); it != levels_[p].rend(); ++it)
+        if (eligible(*it)) return *it;
+    return nullptr;
+  }
 
   /// Highest-priority runnable PD, or nullptr. Does not rotate.
   ProtectionDomain* pick();
 
   /// Highest-priority runnable PD satisfying `eligible`, or nullptr.
-  ProtectionDomain* pick_eligible(
-      const std::function<bool(const ProtectionDomain*)>& eligible);
+  template <typename Eligible>
+  ProtectionDomain* pick_eligible(Eligible eligible) const {
+    for (u32 p = kNumPriorities; p-- > 0;)
+      for (ProtectionDomain* pd : levels_[p])
+        if (eligible(pd)) return pd;
+    return nullptr;
+  }
 
   /// Quantum of `pd` expired: re-arm and rotate its level.
   void rotate(ProtectionDomain* pd);
