@@ -36,7 +36,7 @@ Result run(bool lazy, double sim_ms) {
   Result r{};
   r.vm_switches = sys.kernel().vm_switch_count();
   r.vfp_transfers =
-      lazy ? sys.platform().stats().counter_value("kernel.vfp_lazy_switches")
+      lazy ? sys.platform().stats().counter_value("kernel.trap.vfp_switch")
            : 2 * sys.kernel().vm_switch_count();  // save + restore each time
   auto& lat = sys.kernel().hwmgr_latencies();
   r.entry_us = lat.entry_us.count() ? lat.entry_us.mean() : 0.0;

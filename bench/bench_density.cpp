@@ -1,9 +1,7 @@
 // VM density at production scale: sweeps 8 -> 1024 VMs and prints the
 // VMs-vs-switch-latency curve, then runs the create/destroy churn loop.
-//
-// Exit status is 0 only when both density claims hold:
-//   * the simulated switch cost stays flat (within 10%) across the sweep;
-//   * churn cycles leave the kernel heap byte-identical (zero growth).
+// The density claims (flat switch cost, zero heap growth under churn) are
+// gated once, by check_table3.py on run_all's `density` section.
 //
 // Usage: bench_density [rotations] [churn_vms] [churn_cycles]
 #include <algorithm>
@@ -41,10 +39,8 @@ int main(int argc, char** argv) {
     hi = std::max(hi, p.sim_cycles_per_switch);
   }
   std::fputs(t.to_string().c_str(), stdout);
-
-  const double spread = lo > 0 ? hi / lo - 1.0 : 1.0;
-  std::printf("\nswitch-cost spread across sweep: %.2f%% (claim: <10%%)\n",
-              spread * 100.0);
+  std::printf("\nswitch-cost spread across sweep: %.2f%%\n",
+              lo > 0 ? (hi / lo - 1.0) * 100.0 : 100.0);
 
   std::printf("\n=== churn: %u VMs x %u create/destroy cycles ===\n",
               churn_vms, churn_cycles);
@@ -53,15 +49,5 @@ int main(int argc, char** argv) {
               (unsigned long long)churn.vms_destroyed, churn.asid_generation,
               churn.heap_flat ? "flat (zero growth between cycles)"
                               : "GREW — pool leak");
-
-  int rc = 0;
-  if (spread >= 0.10) {
-    std::printf("FAIL: switch cost is not flat across the density sweep\n");
-    rc = 1;
-  }
-  if (!churn.heap_flat) {
-    std::printf("FAIL: churn cycles grew the kernel heap\n");
-    rc = 1;
-  }
-  return rc;
+  return 0;
 }

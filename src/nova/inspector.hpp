@@ -114,8 +114,8 @@ class KernelInspector {
   // bits, TLB entry array, PRR state); nothing here charges cycles.
   Platform& platform() const { return k_.platform_; }
 
-  u64 vm_switches() const { return k_.vm_switches_; }
-  u64 hypercalls() const { return k_.hypercalls_; }
+  u64 vm_switches() const { return k_.vm_switch_count(); }
+  u64 hypercalls() const { return k_.hypercall_count(); }
 
   /// Kernel-heap accounting (slab pools): the object-leak oracle compares
   /// live bytes across VM create/destroy cycles.

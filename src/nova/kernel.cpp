@@ -85,13 +85,7 @@ void KernelOps::tlb_sync_asid(u32 asid) {
   kernel_.tlb_shootdown(0);
 }
 bool KernelOps::irq_live_on_sibling(u32 irq) {
-  for (const auto& cc : kernel_.cores_) {
-    if (cc.id == kernel_.active_core_ || cc.current == nullptr) continue;
-    if (cc.current->vgic().is_registered(irq) &&
-        cc.current->vgic().is_enabled(irq))
-      return true;
-  }
-  return false;
+  return kernel_.irq_live_on_sibling(irq, kernel_.active_core_);
 }
 void KernelOps::vtimer_armed_changed(bool was_enabled, bool now_enabled) {
   if (was_enabled == now_enabled) return;
@@ -250,14 +244,7 @@ ProtectionDomain& Kernel::create_vm(std::string name, u32 priority,
                      "VM physical slabs exhausted (eager boot)");
     space = space_builder_.build_vm_space(vm_index);
   }
-  PdId id;
-  if (!free_pd_slots_.empty()) {
-    id = free_pd_slots_.back();
-    free_pd_slots_.pop_back();
-  } else {
-    id = PdId(pds_.size());
-    pds_.emplace_back();
-  }
+  const PdId id = alloc_pd_slot();
   const AsidTag tag = alloc_asid();
   auto pd = std::make_unique<ProtectionDomain>(
       id, std::move(name), priority, heap_, platform_.gic(), tag.asid,
@@ -289,14 +276,7 @@ ProtectionDomain& Kernel::create_vm(std::string name, u32 priority,
 ProtectionDomain& Kernel::create_manager(std::string name, u32 priority,
                                          HwService& service) {
   MINOVA_CHECK_MSG(manager_pd_ == nullptr, "manager already exists");
-  PdId id;
-  if (!free_pd_slots_.empty()) {
-    id = free_pd_slots_.back();
-    free_pd_slots_.pop_back();
-  } else {
-    id = PdId(pds_.size());
-    pds_.emplace_back();
-  }
+  const PdId id = alloc_pd_slot();
   auto space = space_builder_.build_manager_space();
   const AsidTag tag = alloc_asid();
   auto pd = std::make_unique<ProtectionDomain>(
@@ -316,6 +296,26 @@ ProtectionDomain& Kernel::create_manager(std::string name, u32 priority,
   return *manager_pd_;
 }
 
+PdId Kernel::alloc_pd_slot() {
+  if (free_pd_slots_.empty()) {
+    pds_.emplace_back();
+    return PdId(pds_.size() - 1);
+  }
+  const PdId id = free_pd_slots_.back();
+  free_pd_slots_.pop_back();
+  return id;
+}
+
+bool Kernel::irq_live_on_sibling(u32 irq, u32 self) const {
+  for (const auto& cc : cores_) {
+    if (cc.id == self || cc.current == nullptr) continue;
+    if (cc.current->vgic().is_registered(irq) &&
+        cc.current->vgic().is_enabled(irq))
+      return true;
+  }
+  return false;
+}
+
 bool Kernel::destroy_vm(PdId id) {
   ProtectionDomain* pd = pd_by_id(id);
   // Only VMs are destroyable; the manager service (no guest) is not.
@@ -330,8 +330,11 @@ bool Kernel::destroy_vm(PdId id) {
   for (auto& cc : cores_) {
     if (cc.current != pd) continue;
     // The current VM's enabled sources are unmasked at the distributor;
-    // nothing would ever mask them once the vGIC is gone.
-    pd->vgic().mask_all_physical(platform_.cpu());
+    // nothing would ever mask them once the vGIC is gone. The masking rule
+    // is judged from the dying VM's core, which may not be the active one.
+    pd->vgic().mask_all_physical(platform_.cpu(), [&](u32 irq) {
+      return irq_live_on_sibling(irq, cc.id);
+    });
     // Never leave TTBR pointing at tables about to be recycled: fall back
     // to the kernel-only space until the next dispatch. The destroying
     // core flushes its micro-TLB via set_*; a remote lane's context is
@@ -456,16 +459,7 @@ bool Kernel::migrate_vm(PdId id, u32 target_core) {
   const bool runnable = from.sched.is_runnable(pd);
   const bool susp = from.sched.is_suspended(pd);
   from.sched.take(pd);
-  // Write back lazily-switched state left in the source lane's banks
-  // (charged to the migrating caller, like the steal path).
-  if (vfp_owner_[from.id] == pd->id()) {
-    pd->vcpu().save_vfp(platform_.lane(from.id));
-    vfp_owner_[from.id] = kInvalidPd;
-  }
-  if (l2ctrl_owner_[from.id] == pd->id()) {
-    pd->vcpu().save_l2ctrl(platform_.lane(from.id));
-    l2ctrl_owner_[from.id] = kInvalidPd;
-  }
+  write_back_lazy_state(*pd, from.id);
   // enqueue() preserves a nonzero remaining quantum; the vCPU, VFP bank and
   // vGIC records live in the PD and cross untouched.
   if (runnable)
@@ -527,27 +521,14 @@ bool Kernel::lazy_fault_fixup(ProtectionDomain& pd, vaddr_t va) {
   // contiguous from VA 0; anything beyond is a real fault even on first
   // touch (e.g. unmapped scratch pages).
   if (va >= kGuestHwDataVa + kGuestHwDataSize) return false;
-  MINOVA_CHECK_MSG(pd.vm_index < kVmMaxSlots,
-                   "lazy VM beyond the physical slab window touched memory");
-  auto& core = platform_.cpu();
   {
     // First-touch materialization, charged as one abort-class kernel trap;
     // table construction itself is host-side, exactly as in eager boot.
-    TrapGuard trap(core, trap_counters_, cpu::Exception::kDataAbort,
+    TrapGuard trap(platform_.cpu(), trap_counters_, cpu::Exception::kDataAbort,
                    rg_vector_, TrapKind::kGuestFault);
     trap.exec(rg_abt_);
-    pd.set_space(space_builder_.build_vm_space(pd.vm_index));
-    // Preserve the live DACR: the guest may have dropped to user mode
-    // before its first touch.
-    pd.vcpu().set_mmu_context(pd.space().root(), pd.vcpu().dacr());
-    if (cur_core().current == &pd) core.mmu().set_ttbr0(pd.space().root());
-    for (auto& cc : cores_)
-      if (cc.id != active_core_ && cc.current == &pd) {
-        auto& lm = platform_.lane(cc.id).mmu();
-        lm.restore_context(pd.space().root(), lm.dacr(), lm.asid());
-      }
+    ensure_space(pd);
   }
-  ++lazy_space_faults_;
   c_lazy_space_faults_.inc();
   // No introspection notification here: a first touch can fire *inside* a
   // hypercall gate (a handler reading guest memory), where the live DACR is
@@ -556,11 +537,24 @@ bool Kernel::lazy_fault_fixup(ProtectionDomain& pd, vaddr_t va) {
   return true;
 }
 
+void Kernel::write_back_lazy_state(ProtectionDomain& pd, u32 core_id) {
+  if (vfp_owner_[core_id] == pd.id()) {
+    pd.vcpu().save_vfp(platform_.lane(core_id));
+    vfp_owner_[core_id] = kInvalidPd;
+  }
+  if (l2ctrl_owner_[core_id] == pd.id()) {
+    pd.vcpu().save_l2ctrl(platform_.lane(core_id));
+    l2ctrl_owner_[core_id] = kInvalidPd;
+  }
+}
+
 void Kernel::ensure_space(ProtectionDomain& pd) {
   if (pd.has_space()) return;
   MINOVA_CHECK_MSG(pd.vm_index < kVmMaxSlots,
                    "lazy VM beyond the physical slab window needs a space");
   pd.set_space(space_builder_.build_vm_space(pd.vm_index));
+  // Preserve the live DACR: the guest may have dropped to user mode before
+  // its first touch.
   pd.vcpu().set_mmu_context(pd.space().root(), pd.vcpu().dacr());
   if (cur_core().current == &pd)
     platform_.cpu().mmu().set_ttbr0(pd.space().root());
@@ -587,40 +581,41 @@ ProtectionDomain* Kernel::pd_by_id(PdId id) {
 
 // ---- guest fault forwarding --------------------------------------------------
 
-u64 Kernel::forward_guest_fault(ProtectionDomain& pd,
-                                const mmu::Fault& fault) {
-  // Compute steps must not fault (GuestOs::next_step_is_compute contract).
-  MINOVA_CHECK(!in_parallel_batch_);
-  auto& core = platform_.cpu();
-  ++guest_faults_;
+void Kernel::guest_trap(ProtectionDomain& pd, cpu::Exception exc, u32 fsr,
+                        u32 far, bool inject) {
   {
-    // ABT entry: vector fetch + kernel abort handler (reads FSR/FAR,
-    // decides the fault belongs to the guest), then the guest's own
-    // handler runs.
-    TrapGuard trap(core, trap_counters_,
-                   fault.instruction ? cpu::Exception::kPrefetchAbort
-                                     : cpu::Exception::kDataAbort,
-                   rg_vector_, TrapKind::kGuestFault);
+    // Vector fetch + kernel abort handler (reads FSR/FAR and attributes
+    // the fault to the guest).
+    TrapGuard trap(platform_.cpu(), trap_counters_, exc, rg_vector_,
+                   TrapKind::kGuestFault);
     trap.exec(rg_abt_);
     // Emulated FSR/FAR pair exposed through the PD's register file so the
     // guest's service can inspect the cause (paper: "trapped in a page
     // fault exception and handled by the guest OS' interrupt service").
-    pd.sysregs[6] = fault.fsr_status();
-    pd.sysregs[7] = fault.address;
-    trap.exec(rg_inject_);  // forced jump to the guest handler
+    pd.sysregs[6] = fsr;
+    pd.sysregs[7] = far;
+    if (inject) trap.exec(rg_inject_);  // forced jump to the guest handler
   }
   c_guest_faults_.inc();
+  platform_.trace().emit(platform_.clock().now(), sim::TraceKind::kGuestFault,
+                         fsr, pd.id());
+  notify_introspection(KernelEvent::kTrapExit, TrapKind::kGuestFault);
+}
+
+void Kernel::forward_guest_fault(ProtectionDomain& pd,
+                                 const mmu::Fault& fault) {
+  // Compute steps must not fault (GuestOs::next_step_is_compute contract).
+  MINOVA_CHECK(!in_parallel_batch_);
   if (sup_ != nullptr) {
-    // A forwarded fault is progress (the guest's handler ran), so it pets
+    // A forwarded fault is progress (the guest's handler runs), so it pets
     // the watchdog — but it also feeds the degrade counter.
     sup_->pet(pd.id());
     sup_->on_forwarded_fault(pd.id());
   }
-  platform_.trace().emit(platform_.clock().now(),
-                         sim::TraceKind::kGuestFault, fault.fsr_status(),
-                         pd.id());
-  notify_introspection(KernelEvent::kTrapExit, TrapKind::kGuestFault);
-  return guest_faults_;
+  guest_trap(pd,
+             fault.instruction ? cpu::Exception::kPrefetchAbort
+                               : cpu::Exception::kDataAbort,
+             fault.fsr_status(), fault.address, /*inject=*/true);
 }
 
 // ---- fatal guest traps (DESIGN.md §16) --------------------------------------
@@ -630,30 +625,17 @@ bool Kernel::guest_fatal(ProtectionDomain& pd, FatalKind kind) {
   // Containment verdict first: with a supervisor watching this PD the VM is
   // condemned here and the run loop reaps it once the step returns.
   const bool contained = sup_ != nullptr && sup_->on_fatal(pd.id(), kind);
-  auto& core = platform_.cpu();
-  ++guest_faults_;
-  {
-    cpu::Exception exc = cpu::Exception::kDataAbort;
-    if (kind == FatalKind::kUndefinedInsn)
-      exc = cpu::Exception::kUndefined;
-    else if (kind == FatalKind::kPrefetchAbort)
-      exc = cpu::Exception::kPrefetchAbort;
-    TrapGuard trap(core, trap_counters_, exc, rg_vector_,
-                   TrapKind::kGuestFault);
-    trap.exec(rg_abt_);
-    // Synthetic FSR marking the fault fatal (no guest handler): the high
-    // half tags the class, the low bits carry the FatalKind.
-    pd.sysregs[6] = 0xFA7A'0000u | u32(kind);
-    pd.sysregs[7] = 0;
-    // Without a supervisor the kernel has nowhere to contain the trap:
-    // degrade to the legacy forwarding path (inject into the guest's
-    // registered entry) and let the guest continue.
-    if (!contained) trap.exec(rg_inject_);
-  }
-  c_guest_faults_.inc();
-  platform_.trace().emit(platform_.clock().now(), sim::TraceKind::kGuestFault,
-                         0xFA7A'0000u | u32(kind), pd.id());
-  notify_introspection(KernelEvent::kTrapExit, TrapKind::kGuestFault);
+  cpu::Exception exc = cpu::Exception::kDataAbort;
+  if (kind == FatalKind::kUndefinedInsn)
+    exc = cpu::Exception::kUndefined;
+  else if (kind == FatalKind::kPrefetchAbort)
+    exc = cpu::Exception::kPrefetchAbort;
+  // Synthetic FSR marking the fault fatal (no guest handler): the high half
+  // tags the class, the low bits carry the FatalKind. Without a supervisor
+  // the kernel has nowhere to contain the trap: it degrades to the legacy
+  // forwarding path (inject into the guest's registered entry) and the
+  // guest continues.
+  guest_trap(pd, exc, 0xFA7A'0000u | u32(kind), 0, /*inject=*/!contained);
   return contained;
 }
 
@@ -677,7 +659,6 @@ void Kernel::vfp_access(ProtectionDomain& pd) {
     pd.vcpu().restore_vfp(core);
     owner = pd.id();
   }
-  c_vfp_lazy_.inc();
   notify_introspection(KernelEvent::kTrapExit, TrapKind::kVfpSwitch);
 }
 
@@ -688,7 +669,6 @@ HypercallResult Kernel::hypercall_gate(ProtectionDomain& caller,
   // Compute steps must not hypercall (GuestOs::next_step_is_compute
   // contract): the gate touches global kernel state and the global clock.
   MINOVA_CHECK(!in_parallel_batch_);
-  ++hypercalls_;
   platform_.trace().emit(platform_.clock().now(), sim::TraceKind::kHypercall,
                          u32(args.number), caller.id());
   auto& core = platform_.cpu();

@@ -246,11 +246,9 @@ class Kernel {
   /// A de-privileged guest access faulted (e.g. a demapped hardware-task
   /// interface page). Charges the ABT exception entry, the kernel abort
   /// handler that attributes the fault, the forwarding to the guest's
-  /// registered handler, and the return. Returns the count of faults this
-  /// PD has taken (also kept in `pd.sysregs[7]` as an emulated FSR/FAR
-  /// acknowledgement the guest can read).
-  u64 forward_guest_fault(ProtectionDomain& pd, const mmu::Fault& fault);
-  u64 guest_faults_forwarded() const { return guest_faults_; }
+  /// registered handler, and the return. The emulated FSR/FAR pair lands in
+  /// `pd.sysregs[6..7]`, where the guest can read it.
+  void forward_guest_fault(ProtectionDomain& pd, const mmu::Fault& fault);
 
   // ---- fatal guest traps (DESIGN.md §16) ----
   /// A guest raised a trap it has no handler for (GuestContext::
@@ -275,7 +273,7 @@ class Kernel {
   /// anything (hypercall handlers that operate *on* the space call this
   /// before touching it; the cost is carried by the handler's own model).
   void ensure_space(ProtectionDomain& pd);
-  u64 lazy_space_faults() const { return lazy_space_faults_; }
+  u64 lazy_space_faults() const { return c_lazy_space_faults_.value(); }
 
   // ---- ASID generations (density) ----
   u32 asid_generation() const { return asid_alloc_.generation(); }
@@ -322,9 +320,16 @@ class Kernel {
   const std::string& console() const { return console_; }
   double now_us() const { return platform_.clock().now_us(); }
 
-  /// Count of VM switches performed (tests / benches).
-  u64 vm_switch_count() const { return vm_switches_; }
-  u64 hypercall_count() const { return hypercalls_; }
+  /// Count of VM switches performed (tests / benches): the per-core
+  /// counters summed.
+  u64 vm_switch_count() const {
+    u64 n = 0;
+    for (const auto& cc : cores_) n += cc.vm_switches;
+    return n;
+  }
+  u64 hypercall_count() const {
+    return trap_counters_.count(TrapKind::kHypercall);
+  }
 
   /// Install (or clear, with an empty function) the introspection hook.
   void set_introspection_hook(IntrospectionHook hook) {
@@ -352,6 +357,22 @@ class Kernel {
   /// switch-in: the lazy revalidation half of the rollover scheme).
   void ensure_asid_current(ProtectionDomain& pd);
   void set_parked(ProtectionDomain& pd, bool parked);
+  /// A free PdId: a recycled slot, else a new one at the end of `pds_`.
+  PdId alloc_pd_slot();
+  /// The one SMP masking rule (DESIGN.md §13.4): true when a core other
+  /// than `self` runs a VM that holds `irq` registered and virtually
+  /// enabled. `self` is the core of the VM whose sources are being masked,
+  /// which is not always the active core. Always false on a unicore kernel.
+  bool irq_live_on_sibling(u32 irq, u32 self) const;
+  /// Write back the VFP bank and L2 control registers `pd` left in core
+  /// `core_id`'s lane, before the PD runs on another core. Charged to the
+  /// active core, which performs the save.
+  void write_back_lazy_state(ProtectionDomain& pd, u32 core_id);
+  /// The ABT/UND-class trap a guest fault takes: vector, abort handler,
+  /// the emulated FSR/FAR pair in `pd.sysregs[6..7]`, and, with `inject`,
+  /// the forced jump to the guest's handler.
+  void guest_trap(ProtectionDomain& pd, cpu::Exception exc, u32 fsr,
+                  u32 far, bool inject);
   void stage_bitstreams();
   void handle_pending_irqs();
   void route_irq(u32 irq);
@@ -468,8 +489,6 @@ class Kernel {
   TrapCounters trap_counters_{platform_.stats()};
   sim::CounterHandle c_guest_faults_{platform_.stats().handle(
       "kernel.guest_faults")};
-  sim::CounterHandle c_vfp_lazy_{platform_.stats().handle(
-      "kernel.vfp_lazy_switches")};
   sim::CounterHandle c_portal_denied_{platform_.stats().handle(
       "kernel.portal_denied")};
   sim::CounterHandle c_unrouted_irq_{platform_.stats().handle(
@@ -488,9 +507,6 @@ class Kernel {
   sim::CounterHandle c_shootdown_acks_{platform_.stats().handle(
       "kernel.smp.shootdown_acks")};
   HwMgrLatencies hwmgr_lat_;
-  u64 vm_switches_ = 0;
-  u64 hypercalls_ = 0;
-  u64 guest_faults_ = 0;
   // Hardware-task request timestamps (valid while a request is in flight).
   cycles_t hw_req_t0_ = 0;
   cycles_t hw_entry_end_ = 0;
@@ -508,7 +524,6 @@ class Kernel {
   // thousand idle VMs cost nothing per tick.
   u32 parked_count_ = 0;
   u32 vtimers_enabled_ = 0;
-  u64 lazy_space_faults_ = 0;
   u64 asid_rollovers_ = 0;
   u64 vms_destroyed_ = 0;
   u64 vm_switch_cycles_ = 0;

@@ -319,14 +319,7 @@ ProtectionDomain* Kernel::try_steal(CoreContext& thief) {
     // written back before the PD can run elsewhere (a real kernel flushes
     // dirty FPU state on migration); the save is charged to the thief,
     // which performs it.
-    if (vfp_owner_[victim.id] == pd->id()) {
-      pd->vcpu().save_vfp(platform_.lane(victim.id));
-      vfp_owner_[victim.id] = kInvalidPd;
-    }
-    if (l2ctrl_owner_[victim.id] == pd->id()) {
-      pd->vcpu().save_l2ctrl(platform_.lane(victim.id));
-      l2ctrl_owner_[victim.id] = kInvalidPd;
-    }
+    write_back_lazy_state(*pd, victim.id);
     thief.sched.enqueue(pd);  // keeps the remaining quantum (§III.D)
     pd->run_core = thief.id;
     ++pd->migrations;
@@ -473,23 +466,13 @@ void Kernel::vm_switch(ProtectionDomain* to) {
   core.exec_code(rg_vm_switch_);
   if (cur != nullptr) {
     cur->vcpu().save_active(core);
-    if (cores_.size() > 1) {
-      // SMP masking rule: switching this core must not mask a source that a
-      // sibling core's current VM has registered and enabled — that VM is
-      // on-CPU and entitled to its interrupts. Per-IRQ targeting keeps the
-      // source from firing here, so leaving it enabled is safe.
-      cur->vgic().mask_all_physical(core, [&](u32 irq) {
-        for (const auto& cc : cores_) {
-          if (cc.id == active_core_ || cc.current == nullptr) continue;
-          if (cc.current->vgic().is_registered(irq) &&
-              cc.current->vgic().is_enabled(irq))
-            return true;
-        }
-        return false;
-      });
-    } else {
-      cur->vgic().mask_all_physical(core);
-    }
+    // Switching this core must not mask a source that a sibling core's
+    // current VM has registered and enabled — that VM is on-CPU and
+    // entitled to its interrupts. Per-IRQ targeting keeps the source from
+    // firing here, so leaving it enabled is safe.
+    cur->vgic().mask_all_physical(core, [this](u32 irq) {
+      return irq_live_on_sibling(irq, active_core_);
+    });
     if (!cfg_.lazy_vfp) cur->vcpu().save_vfp(core);
     if (!cfg_.lazy_l2ctrl) cur->vcpu().save_l2ctrl(core);
   }
@@ -506,7 +489,6 @@ void Kernel::vm_switch(ProtectionDomain* to) {
   if (!cfg_.lazy_l2ctrl) to->vcpu().restore_l2ctrl(core);
   to->vgic().unmask_enabled_physical(core);
   cur = to;
-  ++vm_switches_;
   ++cur_core().vm_switches;
   vm_switch_cycles_ += core.clock().now() - sw_t0;
   notify_introspection(KernelEvent::kVmSwitch, TrapKind::kCount);

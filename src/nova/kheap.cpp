@@ -40,7 +40,6 @@ paddr_t KernelHeap::pool_alloc(u32 bytes, u32 align, bool abort_on_exhaustion) {
   bytes_live_ += cls;
   ++live_blocks_;
   ++alloc_count_;
-  if (bytes_used() > high_water_) high_water_ = bytes_used();
   return start;
 }
 
@@ -103,8 +102,6 @@ paddr_t KernelHeap::alloc_ctrl(u32 bytes) {
   ctrl_bytes_live_ += cls;
   ++ctrl_live_;
   ++alloc_count_;
-  const u32 depth = u32(base_ + size_ - ctrl_next_);
-  if (depth > ctrl_high_water_) ctrl_high_water_ = depth;
   return ctrl_next_;
 }
 

@@ -73,10 +73,11 @@ class KernelHeap {
   u32 bytes_live() const { return bytes_live_ + ctrl_bytes_live_; }
   u32 live_blocks() const { return live_blocks_; }
   u32 ctrl_live() const { return ctrl_live_; }
-  /// High-water mark of the upward bump pointer (never decreases; churn
-  /// with recycling keeps it flat).
-  u32 high_water() const { return high_water_; }
-  u32 ctrl_high_water() const { return ctrl_high_water_; }
+  /// High-water marks of the two bump pointers. Neither pointer ever
+  /// retreats (frees recycle into the pools), so each mark is the pointer's
+  /// current extent; churn with recycling keeps both flat.
+  u32 high_water() const { return bytes_used(); }
+  u32 ctrl_high_water() const { return u32(base_ + size_ - ctrl_next_); }
   u64 alloc_count() const { return alloc_count_; }
   u64 free_count() const { return free_count_; }
   u64 recycle_count() const { return recycle_count_; }
@@ -116,8 +117,6 @@ class KernelHeap {
   u32 ctrl_bytes_live_ = 0;
   u32 live_blocks_ = 0;
   u32 ctrl_live_ = 0;
-  u32 high_water_ = 0;
-  u32 ctrl_high_water_ = 0;
   u64 alloc_count_ = 0;
   u64 free_count_ = 0;
   u64 recycle_count_ = 0;

@@ -83,7 +83,6 @@ void Supervisor::on_guest_ran(PdId pd, cycles_t used) {
   r->cpu_since_pet += used;
   if (r->cpu_since_pet > r->policy.watchdog_cycles) {
     ++r->watchdog_fires;
-    ++stats_.watchdog_fires;
     c_watchdog_.inc();
     condemn(*r);
   }
@@ -104,7 +103,6 @@ bool Supervisor::on_fatal(PdId pd, FatalKind kind) {
   if (r == nullptr) return false;
   ++r->fatal_faults;
   if (!r->condemned) {
-    ++stats_.crashes;
     c_crashes_.inc();
     condemn(*r);
   }
@@ -153,7 +151,6 @@ void Supervisor::reap(ProtectionDomain& pd) {
   r->cpu_since_pet = 0;
   if (quarantine) {
     r->health = VmHealth::kQuarantined;
-    ++stats_.quarantines;
     c_quarantines_.inc();
   } else {
     r->health = VmHealth::kCrashed;
@@ -198,7 +195,6 @@ void Supervisor::poll() {
     r.cpu_since_pet = 0;
     r.forwarded_faults = 0;
     r.restart_at = 0;
-    ++stats_.restarts;
     c_restarts_.inc();
     --crashed_count_;
     if (observer_) observer_(u32(&r - records_.data()), r.health, r.pd, raw);
@@ -215,7 +211,7 @@ void Supervisor::sabotage_for_test(u32 kind) {
         }
       break;
     case 2:  // sv-restart-ledger: forge the restart accounting
-      stats_.restarts += 3;
+      c_restarts_.inc(3);
       break;
     case 3:  // sv-quarantine: a quarantined record that is still live
       for (auto& r : records_)

@@ -168,7 +168,11 @@ class Supervisor {
   const VmRecord& record(u32 slot) const { return records_[slot]; }
   /// Record backing a live PdId, or nullptr when the id is unwatched.
   const VmRecord* record_for(PdId pd) const;
-  const Stats& stats() const { return stats_; }
+  /// Read back from the kernel.supervisor.* counters.
+  Stats stats() const {
+    return {c_crashes_.value(), c_watchdog_.value(), c_restarts_.value(),
+            c_quarantines_.value()};
+  }
 
   /// Deliberately corrupt supervisor state so the fuzzer's sv-* oracles can
   /// prove they fire (mutation checks ONLY): 1 = live record names a bogus
@@ -184,11 +188,11 @@ class Supervisor {
   SupervisorPolicy default_policy_;
   HealthObserver observer_;
   std::vector<VmRecord> records_;
-  Stats stats_;
   u32 condemned_count_ = 0;  // fast-path gate for condemned()
   u32 crashed_count_ = 0;    // fast-path gate for poll()
 
-  // kernel.supervisor.* counters, interned once (PR 3 stats idiom).
+  // kernel.supervisor.* counters, interned once: the one count of each
+  // supervisor event.
   sim::CounterHandle c_crashes_;
   sim::CounterHandle c_watchdog_;
   sim::CounterHandle c_restarts_;

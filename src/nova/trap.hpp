@@ -56,6 +56,7 @@ class TrapCounters {
   sim::CounterHandle& operator[](TrapKind kind) {
     return by_kind_[u32(kind)];
   }
+  u64 count(TrapKind kind) const { return by_kind_[u32(kind)].value(); }
 
  private:
   std::array<sim::CounterHandle, u32(TrapKind::kCount)> by_kind_;

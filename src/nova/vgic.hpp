@@ -76,10 +76,10 @@ class VGic {
 
   /// Physical GIC reprogramming on VM switch (charges one device access
   /// per touched source plus the record-list walk in kernel memory).
-  /// `skip` exempts a source from the mask sweep — the SMP kernel passes
-  /// the "registered + enabled by another core's current VM" predicate so
-  /// switching one core never clobbers a source live on a sibling core;
-  /// the unicore kernel passes nothing and the sweep is unchanged.
+  /// `skip` exempts a source from the mask sweep — the kernel passes its
+  /// one masking rule, Kernel::irq_live_on_sibling, so switching one core
+  /// never clobbers a source live on a sibling core (on one core it never
+  /// skips).
   void mask_all_physical(cpu::Core& core,
                          const std::function<bool(u32)>& skip = {});
   void unmask_enabled_physical(cpu::Core& core);

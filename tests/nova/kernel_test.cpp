@@ -273,11 +273,11 @@ TEST_F(KernelTest, LazyVfpSwitchesOnlyOnCrossVmUse) {
   GuestContext c0(kernel_, *pd0, platform_.cpu());
   GuestContext c1(kernel_, *pd1, platform_.cpu());
   c0.use_vfp();
-  EXPECT_EQ(stats.counter_value("kernel.vfp_lazy_switches"), 1u);
+  EXPECT_EQ(stats.counter_value("kernel.trap.vfp_switch"), 1u);
   c0.use_vfp();  // same owner: free
-  EXPECT_EQ(stats.counter_value("kernel.vfp_lazy_switches"), 1u);
+  EXPECT_EQ(stats.counter_value("kernel.trap.vfp_switch"), 1u);
   c1.use_vfp();  // ownership moves
-  EXPECT_EQ(stats.counter_value("kernel.vfp_lazy_switches"), 2u);
+  EXPECT_EQ(stats.counter_value("kernel.trap.vfp_switch"), 2u);
 }
 
 TEST_F(KernelTest, TlbSurvivesVmSwitchWithAsids) {

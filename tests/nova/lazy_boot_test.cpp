@@ -101,7 +101,8 @@ RunDigest run_workload(bool lazy) {
   d.console = kernel.console();
   d.hypercalls = kernel.hypercall_count();
   d.vm_switches = kernel.vm_switch_count();
-  d.guest_faults_forwarded = kernel.guest_faults_forwarded();
+  d.guest_faults_forwarded =
+      platform.stats().counter_value("kernel.guest_faults");
   d.virq_injected = platform.stats().counter_value("kernel.virq_injected");
   d.trap_guest_fault = platform.stats().counter_value("kernel.trap.guest_fault");
   d.lazy_space_faults = kernel.lazy_space_faults();

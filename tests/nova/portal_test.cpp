@@ -161,7 +161,7 @@ TEST(TrapAccountingTest, TrapCountersTrackEachKernelEntryKind) {
 
   const u64 flt0 = stats.counter("kernel.trap.guest_fault");
   const auto bad = platform.cpu().vread32(0x0F00'0000u);
-  (void)kernel.forward_guest_fault(vm0, bad.fault);
+  kernel.forward_guest_fault(vm0, bad.fault);
   EXPECT_EQ(stats.counter("kernel.trap.guest_fault"), flt0 + 1);
 
   const u64 vfp0 = stats.counter("kernel.trap.vfp_switch");
@@ -207,9 +207,9 @@ TEST(TrapAccountingTest, TrapGuardChargesIdenticalCyclesToPreRefactorPaths) {
 
   // Guest-fault forwarding (ABT path), steady state.
   const auto bad = platform.cpu().vread32(0x0F00'0000u);
-  (void)kernel.forward_guest_fault(vm0, bad.fault);
+  kernel.forward_guest_fault(vm0, bad.fault);
   EXPECT_EQ(
-      measure([&] { (void)kernel.forward_guest_fault(vm0, bad.fault); }),
+      measure([&] { kernel.forward_guest_fault(vm0, bad.fault); }),
       174u);
 
   // Lazy-VFP UND trap: ownership ping-pong, measure steady-state switch.

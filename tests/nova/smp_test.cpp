@@ -4,6 +4,7 @@
 // MININOVA_TEST_CORES sweep (CI runs the suite at 1, 2 and 4 cores).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -204,6 +205,57 @@ TEST(SmpGicTest, MigratedOwnerGetsCrossCoreRouting) {
   kernel.run_for_us(20'000);
   EXPECT_GT(platform.stats().counter_value("kernel.irq.cross_core"), 0u);
   EXPECT_GT(platform.stats().counter_value("kernel.ipi.sent"), 0u);
+}
+
+// destroy_vm masks the dying VM's sources under the same rule as the
+// switch-out path (DESIGN.md §13.4): a source that another core's current
+// VM holds enabled stays unmasked at the shared distributor.
+TEST(SmpGicTest, DestroyKeepsSourceLiveOnSiblingUnmasked) {
+  Platform platform;
+  Kernel kernel(platform, smp_cfg(2));
+  KernelInspector insp(kernel);
+  constexpr u32 kPlIrq = 61;
+  ProtectionDomain& vm0 =
+      kernel.create_vm("vm0", 1, std::make_unique<StubGuest>(burn_step()));
+  ProtectionDomain& vm1 =
+      kernel.create_vm("vm1", 1, std::make_unique<StubGuest>(burn_step()));
+  for (ProtectionDomain* vm : {&vm0, &vm1}) {
+    ASSERT_TRUE(vm->vgic().register_irq(kPlIrq));
+    vm->vgic().enable(kPlIrq);
+  }
+  kernel.run_for_us(5'000);
+  ASSERT_EQ(insp.core(0).current_vm(), &vm0);
+  ASSERT_EQ(insp.core(1).current_vm(), &vm1);
+  ASSERT_TRUE(platform.gic().is_enabled(kPlIrq));
+
+  ASSERT_TRUE(kernel.destroy_vm(vm1.id()));
+  EXPECT_TRUE(platform.gic().is_enabled(kPlIrq))
+      << "destroying core 1's VM masked a source core 0's VM holds enabled";
+}
+
+// The rule is judged from the dying VM's core, not the active one: a VM
+// current on a remote core must not count as its own sibling.
+TEST(SmpGicTest, DestroyMasksRemoteCurrentVmSources) {
+  Platform platform;
+  Kernel kernel(platform, smp_cfg(2));
+  KernelInspector insp(kernel);
+  const std::array<u32, 2> irqs = {61, 62};  // one private source per VM
+  std::array<ProtectionDomain*, 2> vms{};
+  for (u32 i = 0; i < 2; ++i) {
+    vms[i] = &kernel.create_vm("vm" + std::to_string(i), 1,
+                               std::make_unique<StubGuest>(burn_step()));
+    ASSERT_TRUE(vms[i]->vgic().register_irq(irqs[i]));
+    vms[i]->vgic().enable(irqs[i]);
+  }
+  kernel.run_for_us(5'000);
+  const u32 remote = 1 - kernel.active_core();
+  ASSERT_EQ(insp.core(remote).current_vm(), vms[remote]);
+  ASSERT_TRUE(platform.gic().is_enabled(irqs[remote]));
+
+  ASSERT_TRUE(kernel.destroy_vm(vms[remote]->id()));
+  EXPECT_FALSE(platform.gic().is_enabled(irqs[remote]))
+      << "the dead VM's source stayed unmasked";
+  EXPECT_TRUE(platform.gic().is_enabled(irqs[1 - remote]));
 }
 
 TEST(SmpMigrateTest, MigrationPreservesVcpuVgicStateBitForBit) {

@@ -61,7 +61,7 @@ TEST_F(VmLifecycleTest, ReissuedPdIdDoesNotInheritVfpOwnership) {
   GuestContext c0(kernel_, *vm0, platform_.cpu());
   c0.use_vfp();
   auto& stats = platform_.stats();
-  ASSERT_EQ(stats.counter_value("kernel.vfp_lazy_switches"), 1u);
+  ASSERT_EQ(stats.counter_value("kernel.trap.vfp_switch"), 1u);
 
   ASSERT_TRUE(kernel_.destroy_vm(id));
   ProtectionDomain* vm1 = make_vm("vm1");
@@ -71,7 +71,7 @@ TEST_F(VmLifecycleTest, ReissuedPdIdDoesNotInheritVfpOwnership) {
   // would look like the owner and this access would be treated as free.
   GuestContext c1(kernel_, *vm1, platform_.cpu());
   c1.use_vfp();
-  EXPECT_EQ(stats.counter_value("kernel.vfp_lazy_switches"), 2u);
+  EXPECT_EQ(stats.counter_value("kernel.trap.vfp_switch"), 2u);
 }
 
 TEST_F(VmLifecycleTest, DestroyingTheRunningVmFallsBackSafely) {
