@@ -68,7 +68,7 @@ inline void collect_memory_rates(Measurement& m, cpu::Core& core) {
 }  // namespace detail
 
 inline Measurement run_native(double sim_ms, u64 seed,
-                              ucos::NativeConfig cfg = {}) {
+                              ucos::GuestConfig cfg = {}) {
   Platform platform;
   cfg.seed = seed;
   ucos::NativeSystem sys(platform, cfg);

@@ -2,25 +2,29 @@
 
 namespace minova::cache {
 
+namespace {
+constexpr u32 kWritebackCycles = 8;  // posted write charged to the evictor
+}  // namespace
+
 MemHierarchy::MemHierarchy(const HierarchyConfig& cfg)
     : cfg_(cfg), l1i_(cfg.l1i), l1d_(cfg.l1d), l2_(cfg.l2) {}
 
 cycles_t MemHierarchy::access_through(Cache& l1, paddr_t pa, bool write) {
-  if (!cfg_.enabled) return cfg_.dram_cycles;
+  if (!cfg_.enabled) return kDramCycles;
 
   cycles_t cost = l1.config().hit_cycles;
   const auto r1 = l1.access(pa, write);
   if (r1.hit) return cost;
   if (r1.writeback) {
     // Dirty L1 victim is written back into L2.
-    cost += cfg_.writeback_cycles;
+    cost += kWritebackCycles;
     l2_.access(r1.victim_line, /*write=*/true);
   }
   cost += l2_.config().hit_cycles;
   const auto r2 = l2_.access(pa, /*write=*/false);  // fill, dirtied on wb only
   if (r2.hit) return cost;
-  if (r2.writeback) cost += cfg_.writeback_cycles;
-  cost += cfg_.dram_cycles;
+  if (r2.writeback) cost += kWritebackCycles;
+  cost += kDramCycles;
   return cost;
 }
 
@@ -33,12 +37,12 @@ cycles_t MemHierarchy::access_ifetch(paddr_t pa) {
 }
 
 cycles_t MemHierarchy::access_walk(paddr_t pa) {
-  if (!cfg_.enabled) return cfg_.dram_cycles;
+  if (!cfg_.enabled) return kDramCycles;
   cycles_t cost = l2_.config().hit_cycles;
   const auto r = l2_.access(pa, /*write=*/false);
   if (!r.hit) {
-    if (r.writeback) cost += cfg_.writeback_cycles;
-    cost += cfg_.dram_cycles;
+    if (r.writeback) cost += kWritebackCycles;
+    cost += kDramCycles;
   }
   return cost;
 }
@@ -52,7 +56,7 @@ cycles_t MemHierarchy::flush_all() {
   const u32 tag_walk = l1d_.config().size_bytes / l1d_.config().line_bytes +
                        l1i_.config().size_bytes / l1i_.config().line_bytes +
                        l2_.config().size_bytes / l2_.config().line_bytes;
-  return cycles_t(tag_walk) / 8 + cycles_t(d1 + d2) * cfg_.writeback_cycles;
+  return cycles_t(tag_walk) / 8 + cycles_t(d1 + d2) * kWritebackCycles;
 }
 
 cycles_t MemHierarchy::invalidate_icache() {

@@ -12,6 +12,9 @@
 
 namespace minova::cache {
 
+inline constexpr u32 kDramCycles = 60;    // L2 miss penalty to DDR
+inline constexpr u32 kDeviceCycles = 35;  // uncached MMIO round trip (PS AXI)
+
 struct HierarchyConfig {
   CacheConfig l1i{.name = "L1I", .size_bytes = 32 * kKiB, .line_bytes = 32,
                   .ways = 4, .hit_cycles = 1};
@@ -19,10 +22,7 @@ struct HierarchyConfig {
                   .ways = 4, .hit_cycles = 1};
   CacheConfig l2{.name = "L2", .size_bytes = 512 * kKiB, .line_bytes = 32,
                  .ways = 8, .hit_cycles = 8};
-  u32 dram_cycles = 60;       // L2 miss penalty to DDR
-  u32 device_cycles = 35;     // uncached MMIO round trip on the PS AXI
-  u32 writeback_cycles = 8;   // posted write cost charged to the evictor
-  bool enabled = true;        // caches off => every access pays DRAM cost
+  bool enabled = true;  // caches off => every access pays DRAM cost
 };
 
 /// Pure timing/tag model; data movement happens in PhysMem independently.
@@ -37,7 +37,7 @@ class MemHierarchy {
   cycles_t access_ifetch(paddr_t pa);
 
   /// Cost of an uncached device access.
-  cycles_t access_device() const { return cfg_.device_cycles; }
+  cycles_t access_device() const { return kDeviceCycles; }
 
   /// Cost of a page-table-walk descriptor fetch. Cortex-A9 walks bypass L1
   /// but may hit in the outer (L2) cache, which is how TLB-miss costs stay

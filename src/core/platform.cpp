@@ -4,8 +4,7 @@ namespace minova {
 
 Platform::Platform(const PlatformConfig& cfg)
     : cfg_(cfg),
-      clock_(cfg.cpu_freq_hz),
-      dram_(mem::kDdrBase, cfg.dram_bytes),
+      dram_(mem::kDdrBase, mem::kDdrSize),
       ocm_(mem::kOcmBase, mem::kOcmSize),
       gic_(mem::kNumIrqs),
       cpu_(clock_, dram_, bus_, cfg.core),
@@ -16,9 +15,8 @@ Platform::Platform(const PlatformConfig& cfg)
                                                    cfg.small_prrs)),
       fault_(clock_, stats_, cfg.fault),
       prrctl_(clock_, events_, gic_, bus_, library_,
-              pl::make_floorplan(cfg.large_prrs, cfg.small_prrs),
-              cfg.prr_ctl),
-      pcap_(clock_, events_, gic_, prrctl_, cfg.pcap),
+              pl::make_floorplan(cfg.large_prrs, cfg.small_prrs)),
+      pcap_(clock_, events_, gic_, prrctl_),
       uart0_(clock_, events_, gic_) {
   lanes_.push_back(&cpu_);
   bus_.add_ram(&dram_);

@@ -31,11 +31,7 @@
 namespace minova {
 
 struct PlatformConfig {
-  u64 cpu_freq_hz = sim::Clock::kDefaultFreqHz;  // 660 MHz
-  u32 dram_bytes = 512 * kMiB;
   cpu::CoreConfig core{};
-  pl::PrrControllerConfig prr_ctl{};
-  pl::PcapConfig pcap{};
   sim::FaultConfig fault{};  // disabled by default: bit-identical baseline
   // Floorplan: paper default is 2 large (FFT-capable) + 2 small regions.
   // The task library's PRR-compatibility lists are derived from the same

@@ -1,8 +1,15 @@
 #include "cpu/core.hpp"
 
+#include <type_traits>
+
 #include "util/assert.hpp"
 
 namespace minova::cpu {
+
+namespace {
+constexpr u32 kExceptionEntryCycles = 18;  // pipeline flush + mode switch
+constexpr u32 kExceptionReturnCycles = 12;
+}  // namespace
 
 Core::Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus,
            const CoreConfig& cfg)
@@ -11,7 +18,6 @@ Core::Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus,
       bus_(bus),
       cfg_(cfg),
       hierarchy_(cfg.hierarchy),
-      tlb_(cfg.tlb_entries),
       mmu_(dram, hierarchy_, tlb_) {
   cpsr_.mode = Mode::kSvc;  // reset enters SVC with IRQs masked
   cpsr_.irq_masked = true;
@@ -110,23 +116,26 @@ Core::MemResult Core::vwrite8(vaddr_t va, u8 value) {
   return data_access(va, mmu::AccessKind::kWrite, nullptr, value, 1);
 }
 
-Core::MemResult Core::vread_block(vaddr_t va, std::span<u8> out) {
+template <typename Byte>
+Core::MemResult Core::block_access(vaddr_t va, std::span<Byte> data) {
   // Timing: one L1D access per cache line touched; data: copied through the
   // translation so VA->PA mapping (and faults) behave exactly like the
   // per-word path.
+  constexpr bool kWrite = std::is_const_v<Byte>;
+  const auto kind = kWrite ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead;
   const u32 line = hierarchy_.config().l1d.line_bytes;
   std::size_t done = 0;
-  while (done < out.size()) {
+  while (done < data.size()) {
     const vaddr_t cur = va + vaddr_t(done);
-    auto tr = mmu_.translate(cur, mmu::AccessKind::kRead, privileged());
+    auto tr = mmu_.translate(cur, kind, privileged());
     clock_->advance(tr.cost);
     if (!tr.ok()) return MemResult{.ok = false, .fault = tr.fault, .value = 0};
     // Stay within this page and this cache line for the chunk.
     const u32 line_off = tr.pa % line;
     const u32 page_left = mmu::kPageSize - (cur % mmu::kPageSize);
     const std::size_t chunk = std::min<std::size_t>(
-        {line - line_off, page_left, out.size() - done});
-    clock_->advance(hierarchy_.access_data(tr.pa, /*write=*/false));
+        {line - line_off, page_left, data.size() - done});
+    clock_->advance(hierarchy_.access_data(tr.pa, kWrite));
     mem::PhysMem* ram = bus_.ram_at(tr.pa, u32(chunk));
     if (ram == nullptr) {
       return MemResult{
@@ -134,44 +143,25 @@ Core::MemResult Core::vread_block(vaddr_t va, std::span<u8> out) {
           .fault = mmu::Fault{.type = mmu::FaultType::kExternalAbort,
                               .address = cur,
                               .domain = 0,
-                              .write = false,
+                              .write = kWrite,
                               .instruction = false},
           .value = 0};
     }
-    ram->read_block(tr.pa, out.subspan(done, chunk));
+    if constexpr (kWrite)
+      ram->write_block(tr.pa, data.subspan(done, chunk));
+    else
+      ram->read_block(tr.pa, data.subspan(done, chunk));
     done += chunk;
   }
   return MemResult{};
 }
 
+Core::MemResult Core::vread_block(vaddr_t va, std::span<u8> out) {
+  return block_access(va, out);
+}
+
 Core::MemResult Core::vwrite_block(vaddr_t va, std::span<const u8> in) {
-  const u32 line = hierarchy_.config().l1d.line_bytes;
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const vaddr_t cur = va + vaddr_t(done);
-    auto tr = mmu_.translate(cur, mmu::AccessKind::kWrite, privileged());
-    clock_->advance(tr.cost);
-    if (!tr.ok()) return MemResult{.ok = false, .fault = tr.fault, .value = 0};
-    const u32 line_off = tr.pa % line;
-    const u32 page_left = mmu::kPageSize - (cur % mmu::kPageSize);
-    const std::size_t chunk = std::min<std::size_t>(
-        {line - line_off, page_left, in.size() - done});
-    clock_->advance(hierarchy_.access_data(tr.pa, /*write=*/true));
-    mem::PhysMem* ram = bus_.ram_at(tr.pa, u32(chunk));
-    if (ram == nullptr) {
-      return MemResult{
-          .ok = false,
-          .fault = mmu::Fault{.type = mmu::FaultType::kExternalAbort,
-                              .address = cur,
-                              .domain = 0,
-                              .write = true,
-                              .instruction = false},
-          .value = 0};
-    }
-    ram->write_block(tr.pa, in.subspan(done, chunk));
-    done += chunk;
-  }
-  return MemResult{};
+  return block_access(va, in);
 }
 
 mmu::TranslateResult Core::probe(vaddr_t va, mmu::AccessKind kind) {
@@ -186,13 +176,13 @@ void Core::exception_enter(Exception exc) {
   cpsr_.mode = target;
   cpsr_.irq_masked = true;  // IRQs masked on any exception entry
   if (exc == Exception::kFiq) cpsr_.fiq_masked = true;
-  clock_->advance(cfg_.exception_entry_cycles);
+  clock_->advance(kExceptionEntryCycles);
 }
 
 void Core::exception_return(Mode resume_mode) {
   cpsr_ = spsr(cpsr_.mode);
   cpsr_.mode = resume_mode;
-  clock_->advance(cfg_.exception_return_cycles);
+  clock_->advance(kExceptionReturnCycles);
 }
 
 }  // namespace minova::cpu

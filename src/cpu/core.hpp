@@ -30,9 +30,6 @@ namespace minova::cpu {
 
 struct CoreConfig {
   cache::HierarchyConfig hierarchy{};
-  u32 tlb_entries = 128;
-  u32 exception_entry_cycles = 18;  // pipeline flush + mode switch + vector
-  u32 exception_return_cycles = 12;
   double ipc = 1.0;  // modeled instructions per cycle for `spend`
 };
 
@@ -113,6 +110,9 @@ class Core {
  private:
   MemResult data_access(vaddr_t va, mmu::AccessKind kind, u32* read_out,
                         u32 write_val, unsigned size_bytes);
+  /// The one body of vread_block/vwrite_block: a const `Byte` writes.
+  template <typename Byte>
+  MemResult block_access(vaddr_t va, std::span<Byte> data);
 
   sim::Clock* clock_;
   mem::PhysMem& dram_;

@@ -21,6 +21,7 @@
 namespace {
 
 using minova::fuzz::FuzzResult;
+using minova::fuzz::Oracle;
 using minova::fuzz::ScenarioOptions;
 
 struct Args {
@@ -31,9 +32,7 @@ struct Args {
   minova::u64 steps = 5000;
   minova::u64 heavy = 64;
   minova::u64 sabotage = 0;
-  minova::u32 sabotage_smp = 0;
-  minova::u32 sabotage_hw = 0;
-  minova::u32 sabotage_sv = 0;
+  Oracle sabotage_oracle = Oracle::kQuantumBound;
   bool hw_sched = false;
   bool supervisor = false;
   minova::u32 cores = 1;
@@ -66,26 +65,23 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (arg == "--heavy") {
       if (const char* v = val()) a.heavy = std::strtoull(v, nullptr, 0);
     } else if (arg == "--sabotage") {
-      // Corrupt scheduler state at the given step: a self-test hook that
-      // demonstrates detection, replay, and shrinking on a known-bad run.
+      // Corrupt state at the given step: a self-test hook that demonstrates
+      // detection, replay, and shrinking on a known-bad run.
       if (const char* v = val()) a.sabotage = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--sabotage-smp") {
-      // SMP corruption kind injected at --sabotage's step (1 = core
-      // partition, 2 = shootdown accounting, 3 = core exclusivity).
-      if (const char* v = val())
-        a.sabotage_smp = minova::u32(std::strtoul(v, nullptr, 0));
-    } else if (arg == "--sabotage-hw") {
-      // PRR-scheduler corruption kind injected at --sabotage's step
-      // (1 = launch ledger, 2 = save/restore record, 3 = quota breach,
-      // 4 = cache validity).
-      if (const char* v = val())
-        a.sabotage_hw = minova::u32(std::strtoul(v, nullptr, 0));
-    } else if (arg == "--sabotage-sv") {
-      // Supervisor corruption kind injected at --sabotage's step
-      // (1 = containment, 2 = restart ledger, 3 = quarantine). Implies
-      // nothing by itself: pair with --supervisor.
-      if (const char* v = val())
-        a.sabotage_sv = minova::u32(std::strtoul(v, nullptr, 0));
+    } else if (arg == "--sabotage-oracle") {
+      // The oracle --sabotage's mutant must trip, by its report name
+      // (default quantum-bound; the sv-* mutants need --supervisor, the
+      // SMP ones --cores 2 or more).
+      const char* v = val();
+      a.sabotage_oracle = Oracle::kCount;
+      for (minova::u32 o = 0; v != nullptr && o < minova::fuzz::kNumOracles;
+           ++o)
+        if (std::strcmp(v, oracle_name(Oracle(o))) == 0)
+          a.sabotage_oracle = Oracle(o);
+      if (a.sabotage_oracle == Oracle::kCount) {
+        std::fprintf(stderr, "unknown oracle: %s\n", v != nullptr ? v : "");
+        return false;
+      }
     } else if (arg == "--supervisor") {
       // Supervisor shards: the VM supervisor watches every static chaos VM
       // (watchdog, fatal-trap containment, restart/quarantine policy) while
@@ -127,8 +123,8 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (arg == "--help" || arg == "-h") {
       std::puts(
           "mininova_fuzz [--seed-base N] [--seeds N] [--seed N] [--steps N]\n"
-          "              [--heavy N] [--sabotage STEP] [--sabotage-smp K]\n"
-          "              [--sabotage-hw K] [--sabotage-sv K] [--hw-sched]\n"
+          "              [--heavy N] [--sabotage STEP]\n"
+          "              [--sabotage-oracle NAME] [--hw-sched]\n"
           "              [--supervisor] [--cores N] [--threads N] [--compute]\n"
           "              [--mt-check] [--lifecycle] [--shrink] [--out DIR]\n"
           "              [--verbose]");
@@ -191,9 +187,7 @@ int main(int argc, char** argv) {
     opts.max_steps = a.steps;
     opts.heavy_interval = a.heavy;
     opts.sabotage_step = a.sabotage;
-    opts.sabotage_smp_kind = a.sabotage_smp;
-    opts.sabotage_hw_kind = a.sabotage_hw;
-    opts.sabotage_sv_kind = a.sabotage_sv;
+    opts.sabotage_oracle = a.sabotage_oracle;
     opts.hw_sched = a.hw_sched;
     opts.supervisor = a.supervisor;
     opts.num_cores = a.cores;

@@ -63,6 +63,30 @@ void fold_chaos(workloads::ChaosStats& acc, const workloads::ChaosStats& s) {
   acc.health_polls += s.health_polls;
 }
 
+/// The mutant that trips a sabotage target, as the kind number one
+/// component's `sabotage_for_test` hook takes (each hook numbers its
+/// mutants from 1 in oracle order). All zero selects the runner's own
+/// quantum-bound mutant.
+struct Mutant {
+  u32 smp = 0, hw = 0, sv = 0;
+};
+
+Mutant mutant_for(Oracle target) {
+  switch (target) {
+    case Oracle::kCorePartition: return {.smp = 1};
+    case Oracle::kShootdownComplete: return {.smp = 2};
+    case Oracle::kCoreExclusivity: return {.smp = 3};
+    case Oracle::kHwLaunchLedger: return {.hw = 1};
+    case Oracle::kHwSaveRestore: return {.hw = 2};
+    case Oracle::kHwQuota: return {.hw = 3};
+    case Oracle::kHwCacheValid: return {.hw = 4};
+    case Oracle::kSvContainment: return {.sv = 1};
+    case Oracle::kSvRestartLedger: return {.sv = 2};
+    case Oracle::kSvQuarantine: return {.sv = 3};
+    default: return {};
+  }
+}
+
 std::string fmt_trace_tail(Platform& platform, std::size_t max_events) {
   const auto events = platform.trace().snapshot();
   const std::size_t n = std::min(events.size(), max_events);
@@ -92,6 +116,7 @@ ScenarioOptions normalized(const ScenarioOptions& opts) {
 }
 
 std::string describe(const ScenarioOptions& opts) {
+  const Mutant m = mutant_for(opts.sabotage_oracle);
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "seed=%llu steps=%llu vms=%u mask=0x%02x faults=%d hwtask=%d "
@@ -104,8 +129,7 @@ std::string describe(const ScenarioOptions& opts) {
                 opts.num_cores, opts.host_threads, opts.compute ? 1 : 0,
                 opts.hw_sched ? 1 : 0, opts.supervisor ? 1 : 0,
                 (unsigned long long)opts.heavy_interval,
-                (unsigned long long)opts.sabotage_step, opts.sabotage_smp_kind,
-                opts.sabotage_hw_kind, opts.sabotage_sv_kind);
+                (unsigned long long)opts.sabotage_step, m.smp, m.hw, m.sv);
   return buf;
 }
 
@@ -279,12 +303,13 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
     if (done) return;
     ++step;
     if (opts.sabotage_step != 0 && step == opts.sabotage_step) {
-      if (opts.sabotage_sv_kind != 0 && kernel.supervisor() != nullptr)
-        kernel.supervisor()->sabotage_for_test(opts.sabotage_sv_kind);
-      else if (opts.sabotage_hw_kind != 0)
-        manager.sabotage_for_test(opts.sabotage_hw_kind);
-      else if (opts.sabotage_smp_kind != 0)
-        kernel.smp_sabotage_for_test(opts.sabotage_smp_kind);
+      const Mutant m = mutant_for(opts.sabotage_oracle);
+      if (m.sv != 0 && kernel.supervisor() != nullptr)
+        kernel.supervisor()->sabotage_for_test(m.sv);
+      else if (m.hw != 0)
+        manager.sabotage_for_test(m.hw);
+      else if (m.smp != 0)
+        kernel.smp_sabotage_for_test(m.smp);
       else if (!pds.empty())
         pds.front()->quantum_left =
             insp.scheduler().default_quantum() * 2 + 12345;

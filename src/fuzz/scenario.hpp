@@ -65,10 +65,16 @@ struct ScenarioOptions {
   bool compute = false;
 
   /// Self-test hook: at this step (1-based, 0 = never) the runner corrupts
-  /// a scheduler field from inside the introspection hook, so an invariant
-  /// failure is *guaranteed* at exactly that step — the mechanism behind
-  /// the injected-failure replay and shrink acceptance tests.
+  /// state from inside the introspection hook, so an invariant failure is
+  /// *guaranteed* at exactly that step — the mechanism behind the
+  /// injected-failure replay and shrink acceptance tests.
   u64 sabotage_step = 0;
+  /// The oracle the `sabotage_step` mutant must trip. kQuantumBound
+  /// corrupts a scheduler field; the SMP, PRR-scheduler and supervisor
+  /// oracles each have a component mutant (the SMP ones need num_cores >=
+  /// 2, the sv-* ones `supervisor`). Any other oracle, or an sv-* oracle
+  /// without a supervisor, falls back to the quantum-bound mutant.
+  Oracle sabotage_oracle = Oracle::kQuantumBound;
   /// PRR-scheduler shards: turn on the manager's opt-in scheduler
   /// (priorities + preemptive reclaim, bitstream cache with prefetch,
   /// per-VM quotas, admission queue) and give the chaos guests the
@@ -76,20 +82,6 @@ struct ScenarioOptions {
   /// differ from legacy runs of the same seed (but stay deterministic);
   /// off keeps every pre-scheduler digest bit-identical.
   bool hw_sched = false;
-  /// When nonzero, `sabotage_step` corrupts *manager scheduler* state
-  /// instead: 1 = launch ledger contradicts the PRR table, 2 = saved
-  /// context diverges from the §IV.C record, 3 = a client exceeds its
-  /// quota, 4 = cache entry names an unknown bitstream. Takes precedence
-  /// over `sabotage_smp_kind`.
-  u32 sabotage_hw_kind = 0;
-
-  /// When nonzero, `sabotage_step` injects an *SMP* corruption instead of
-  /// the scheduler-field one: 1 = double-enqueue a runnable PD on a second
-  /// core (core-partition), 2 = forge shootdown ack accounting
-  /// (shootdown-complete), 3 = duplicate a current PD onto another core
-  /// (core-exclusivity). Requires num_cores >= 2.
-  u32 sabotage_smp_kind = 0;
-
   /// Supervisor shards (DESIGN.md §16): run the kernel with the VM
   /// supervisor enabled, watch every static chaos VM (with a restart
   /// factory and IVC rebinding), and give the guests fault-seeking
@@ -99,12 +91,6 @@ struct ScenarioOptions {
   /// differ from legacy runs of the same seed (but stay deterministic);
   /// off keeps every pre-supervisor digest bit-identical.
   bool supervisor = false;
-  /// When nonzero, `sabotage_step` corrupts *supervisor* state instead:
-  /// 1 = a live record names a PD the kernel lacks (sv-containment),
-  /// 2 = forged restart ledger (sv-restart-ledger), 3 = a live record
-  /// marked quarantined (sv-quarantine). Requires `supervisor`. Takes
-  /// precedence over the hw/smp sabotage kinds.
-  u32 sabotage_sv_kind = 0;
 
   /// Simulated-time ceiling: a scenario whose guests go quiet ends here
   /// even if `max_steps` events never accumulate.

@@ -13,10 +13,8 @@ using nova::HcStatus;
 using nova::HwTaskRequest;
 using nova::PdId;
 
-ManagerService::ManagerService(nova::Kernel& kernel,
-                               const ManagerCostModel& costs)
+ManagerService::ManagerService(nova::Kernel& kernel)
     : kernel_(kernel),
-      costs_(costs),
       prr_table_(kernel.platform().prr_controller().num_prrs()),
       ledger_(kernel.platform().prr_controller().num_prrs()),
       code_(nova::kManagerBase + 0x10000 + 0x2c40, 64 * kKiB) {
@@ -110,7 +108,7 @@ int ManagerService::select_prr(const Sink& s, const hwtask::TaskInfo& info,
   for (u32 prr : info.compatible_prrs) {
     s.touch(kPrrTableVa + prr * 32, /*write=*/false);
     (void)s.fabric_read(prrctl.reg_group_pa(prr) + pl::kRegStatus);
-    s.insns(costs_.insns_select_per_prr);
+    s.insns(kInsnsSelectPerPrr);
     const auto& hw = prrctl.prr(prr);
     if (hw.busy || hw.reconfiguring) continue;
     if (prr_table_[prr].health == PrrHealth::kQuarantined) continue;
@@ -163,7 +161,7 @@ int ManagerService::select_prr(const Sink& s, const hwtask::TaskInfo& info,
 
 std::array<u32, 8> ManagerService::reclaim_from(const Sink& s, u32 prr_idx) {
   s.exec(rg_consistency_);
-  s.insns(costs_.insns_consistency);
+  s.insns(kInsnsConsistency);
   PrrTableEntry& entry = prr_table_[prr_idx];
   std::array<u32, 8> regs{};
   nova::ProtectionDomain* old_client = kernel_.pd_by_id(entry.client);
@@ -434,12 +432,15 @@ void ManagerService::cache_prefetch(hwtask::TaskId task) {
 }
 
 u32 ManagerService::cache_transfer_len(hwtask::TaskId task) {
+  // A cached bitstream only needs a header re-link + ICAP handoff, not the
+  // full transfer.
+  constexpr u32 kCacheHitLoadBytes = 1024;
   const auto bits = kernel_.find_bitstream(task);
   for (auto& e : cache_) {
     if (e.task != task) continue;
     e.stamp = ++cache_seq_;
     ++stats_.cache_hits;
-    return std::min(sched_.cache_hit_load_bytes, bits.len);
+    return std::min(kCacheHitLoadBytes, bits.len);
   }
   ++stats_.cache_misses;
   cache_insert(task, /*prefetched=*/false);
@@ -450,7 +451,7 @@ u32 ManagerService::cache_transfer_len(hwtask::TaskId task) {
 
 void ManagerService::program_hwmmu(const Sink& s, u32 prr_idx, paddr_t base,
                                    u32 size) {
-  s.insns(costs_.insns_hwmmu);
+  s.insns(kInsnsHwmmu);
   s.pl_write(pl::kGlobPrrSelect, prr_idx);
   s.pl_write(pl::kGlobHwmmuBase, base);
   s.pl_write(pl::kGlobHwmmuSize, size);
@@ -470,7 +471,7 @@ bool ManagerService::launch_pcap(const Sink& s, u32 prr_idx,
   // From event context (retries, the pump) the DMA re-program is charged as
   // zero CPU time — the paper's overlap argument (§IV.E) applies doubly.
   s.exec(rg_pcap_);
-  s.insns(costs_.insns_pcap);
+  s.insns(kInsnsPcap);
   if (s.pcap_read(pl::kPcapStatus) & pl::kPcapStatusBusy) return false;
   const auto bits = kernel_.find_bitstream(task);
   u32 len = bits.len;
@@ -560,7 +561,7 @@ void ManagerService::commit(const Sink& s, nova::ProtectionDomain& client,
   entry.last_grant_seq = ++grant_seq_;
   ledger_[prr] = LedgerEntry{client.id(), task};
   s.touch(kPrrTableVa + prr * 32, /*write=*/true);
-  s.insns(costs_.insns_table_update);
+  s.insns(kInsnsTableUpdate);
 }
 
 HcStatus ManagerService::handle_request(GuestContext& ctx,
@@ -577,7 +578,7 @@ HcStatus ManagerService::handle_request(GuestContext& ctx,
   if (info == nullptr) return HcStatus::kNotFound;
   // 8-word task-table row: bitstream addr/size, latency, PRR list (Fig. 7).
   s.touch(kTaskTableVa + (req.task % 64) * 32, /*write=*/false);
-  s.insns(costs_.insns_validate);
+  s.insns(kInsnsValidate);
 
   nova::ProtectionDomain* client = kernel_.pd_by_id(req.client);
   if (client == nullptr) return HcStatus::kInvalidArg;
@@ -860,7 +861,7 @@ HcStatus ManagerService::handle_release(GuestContext& ctx, PdId client,
                                         hwtask::TaskId task) {
   const Sink s = sink(&ctx);
   s.exec(rg_release_);
-  s.insns(costs_.insns_release);
+  s.insns(kInsnsRelease);
   for (u32 prr = 0; prr < num_prrs(); ++prr) {
     PrrTableEntry& entry = prr_table_[prr];
     if (entry.client != client || entry.task != task) continue;

@@ -55,20 +55,19 @@ enum class AllocPolicy : u8 {
   kLruRegion,          // least-recently-granted idle compatible region
 };
 
-/// Instruction-count model of the manager's allocation work, calibrated so
-/// the native execution time lands near the paper's 15 µs (Table III). The
-/// counts stand for the table validation, bitstream header parsing, PRR
-/// state evaluation, devcfg/PCAP driver work and bookkeeping a real
-/// allocator performs per request.
-struct ManagerCostModel {
-  u32 insns_validate = 3000;       // argument + task-table validation
-  u32 insns_select_per_prr = 700;  // per-PRR state evaluation
-  u32 insns_hwmmu = 700;           // window computation + programming
-  u32 insns_pcap = 1800;           // devcfg driver: header, DMA descriptors
-  u32 insns_consistency = 800;     // register save + record construction
-  u32 insns_table_update = 2200;   // task/PRR table writeback
-  u32 insns_release = 700;
-};
+// Instruction-count model of the manager's allocation work, calibrated so
+// the native execution time lands near the paper's 15 µs (Table III). The
+// counts stand for the table validation, bitstream header parsing, PRR
+// state evaluation, devcfg/PCAP driver work and bookkeeping a real
+// allocator performs per request. The native allocator charges the same
+// counts.
+inline constexpr u32 kInsnsValidate = 3000;      // argument + table checks
+inline constexpr u32 kInsnsSelectPerPrr = 700;   // per-PRR state evaluation
+inline constexpr u32 kInsnsHwmmu = 700;          // window compute + program
+inline constexpr u32 kInsnsPcap = 1800;          // devcfg driver, descriptors
+inline constexpr u32 kInsnsConsistency = 800;    // register save + record
+inline constexpr u32 kInsnsTableUpdate = 2200;   // task/PRR table writeback
+inline constexpr u32 kInsnsRelease = 700;
 
 /// Retry-with-exponential-backoff policy for failed bitstream downloads,
 /// plus per-PRR quarantine: a region whose downloads keep failing is pulled
@@ -100,9 +99,6 @@ struct SchedConfig {
   /// region is available); >0 parks up to this many requests and answers
   /// kHwGrantQueued, reserving kBusy for true saturation.
   u32 queue_depth = 0;
-  /// PCAP bytes streamed on a cache hit: the cached bitstream only needs a
-  /// header re-link + ICAP handoff, not the full transfer.
-  u32 cache_hit_load_bytes = 1024;
 };
 
 /// Per-PRR health, driven by PCAP transfer outcomes.
@@ -158,8 +154,7 @@ struct ManagerStats {
 
 class ManagerService final : public nova::HwService {
  public:
-  explicit ManagerService(nova::Kernel& kernel,
-                          const ManagerCostModel& costs = {});
+  explicit ManagerService(nova::Kernel& kernel);
   ~ManagerService() override;
 
   /// Create the manager's protection domain and register this service.
@@ -407,7 +402,6 @@ class ManagerService final : public nova::HwService {
   void cache_insert(hwtask::TaskId task, bool prefetched);
 
   nova::Kernel& kernel_;
-  ManagerCostModel costs_;
   bool blocking_reconfig_ = false;
   AllocPolicy policy_ = AllocPolicy::kResidentFirst;
   RetryPolicy retry_;

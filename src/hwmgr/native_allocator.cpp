@@ -8,10 +8,8 @@ namespace minova::hwmgr {
 
 using workloads::HwReqStatus;
 
-NativeAllocator::NativeAllocator(Platform& platform, cpu::CodeLayout& code,
-                                 const ManagerCostModel& costs)
+NativeAllocator::NativeAllocator(Platform& platform, cpu::CodeLayout& code)
     : platform_(platform),
-      costs_(costs),
       prr_table_(platform.prr_controller().num_prrs()),
       table_pa_(nova::vm_phys_base(0) + 0x8000) {
   rg_alloc_ = code.place(1536);
@@ -51,7 +49,7 @@ NativeGrant NativeAllocator::request(u32 task_id, paddr_t data_pa,
   core.exec_code(rg_alloc_);
   core.exec_code(rg_tables_);
   touch_tables(task_id);
-  core.spend_insns(costs_.insns_validate);
+  core.spend_insns(kInsnsValidate);
 
   const hwtask::TaskInfo* info = platform_.task_library().find(task_id);
   const auto& prrctl = platform_.prr_controller();
@@ -66,7 +64,7 @@ NativeGrant NativeAllocator::request(u32 task_id, paddr_t data_pa,
     u32 v = 0;
     (void)platform_.bus().read32(prrctl.reg_group_pa(prr) + pl::kRegStatus, v);
     core.spend(core.caches().access_device());
-    core.spend_insns(costs_.insns_select_per_prr);
+    core.spend_insns(kInsnsSelectPerPrr);
     if (prrctl.prr(prr).busy || prrctl.prr(prr).reconfiguring) continue;
     if (prrctl.prr(prr).loaded_task == task_id) {
       chosen = int(prr);
@@ -95,7 +93,7 @@ NativeGrant NativeAllocator::request(u32 task_id, paddr_t data_pa,
   }
 
   // hwMMU window (same static-logic programming as the virtualized path).
-  core.spend_insns(costs_.insns_hwmmu);
+  core.spend_insns(kInsnsHwmmu);
   const paddr_t glob = mem::kPrrGlobalRegsBase;
   (void)core.vwrite32(glob + pl::kGlobPrrSelect, u32(chosen));
   (void)core.vwrite32(glob + pl::kGlobHwmmuBase, data_pa);
@@ -112,7 +110,7 @@ NativeGrant NativeAllocator::request(u32 task_id, paddr_t data_pa,
       exec_us_.add(platform_.clock().cycles_to_us(core.clock().now() - t0));
       return grant;
     }
-    core.spend_insns(costs_.insns_pcap);
+    core.spend_insns(kInsnsPcap);
     // The bitstream store is ordinary memory in the native system.
     (void)core.vwrite32(pcap + pl::kPcapSrcAddr, nova::kBitstreamBase);
     (void)core.vwrite32(pcap + pl::kPcapLen, info->bitstream_bytes);
@@ -126,7 +124,7 @@ NativeGrant NativeAllocator::request(u32 task_id, paddr_t data_pa,
   }
   prr_table_[u32(chosen)] = Entry{task_id, true, prr_table_[u32(chosen)].irq_index};
   // Table writeback.
-  core.spend_insns(costs_.insns_table_update);
+  core.spend_insns(kInsnsTableUpdate);
   for (u32 w = 0; w < 8; ++w)
     (void)core.vwrite32(table_pa_ + 0x800 + u32(chosen) * 32 + w * 4, 0);
   grant.prr = u32(chosen);

@@ -24,12 +24,11 @@ struct NativeGrant {
 
 class NativeAllocator {
  public:
-  /// `code` places the allocator's text in the native image. `costs` is
-  /// the same instruction-count model the virtualized manager uses — the
-  /// allocation work is identical; only the virtualization plumbing
-  /// (hypercall, space switch, page-table updates) disappears.
-  NativeAllocator(Platform& platform, cpu::CodeLayout& code,
-                  const ManagerCostModel& costs = {});
+  /// `code` places the allocator's text in the native image. It charges
+  /// the virtualized manager's instruction-count model — the allocation
+  /// work is identical; only the virtualization plumbing (hypercall, space
+  /// switch, page-table updates) disappears.
+  NativeAllocator(Platform& platform, cpu::CodeLayout& code);
 
   /// One allocation (the native equivalent of §IV.E stages 2/4/5): selects
   /// a PRR, programs the hwMMU window, launches PCAP when the task is not
@@ -53,7 +52,6 @@ class NativeAllocator {
   u32 ensure_irq(u32 prr);
 
   Platform& platform_;
-  ManagerCostModel costs_;
   std::vector<Entry> prr_table_;
   cpu::CodeRegion rg_alloc_, rg_tables_;
   paddr_t table_pa_;  // allocator tables live in native memory

@@ -97,6 +97,22 @@ void PhysMem::write_block(paddr_t pa, std::span<const u8> in) {
   }
 }
 
+void PhysMem::discard(paddr_t pa, u32 len) {
+  MINOVA_CHECK_MSG(contains(pa, len), "discard outside RAM window");
+  u64 off = pa - base_;
+  const u64 end = off + len;
+  while (off < end) {
+    const std::size_t idx = off / kFrameSize;
+    const u64 in_frame = off % kFrameSize;
+    const u64 chunk = std::min<u64>(kFrameSize - in_frame, end - off);
+    if (chunk == kFrameSize)
+      frames_[idx].reset();
+    else if (frames_[idx])
+      std::memset(frames_[idx].get() + in_frame, 0, chunk);
+    off += chunk;
+  }
+}
+
 u64 PhysMem::content_digest() const {
   constexpr u32 kWords = kFrameSize / sizeof(u64);
   util::Fnv1a h;

@@ -41,6 +41,11 @@ class PhysMem {
   void read_block(paddr_t pa, std::span<u8> out) const;
   void write_block(paddr_t pa, std::span<const u8> in);
 
+  /// Make [pa, pa + len) read as zero: whole frames are released (a
+  /// sparse range stays sparse), the partial frames at either end are
+  /// zeroed in place.
+  void discard(paddr_t pa, u32 len);
+
   /// Frames actually materialized (for footprint reporting).
   std::size_t resident_frames() const;
 

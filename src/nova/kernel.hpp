@@ -122,9 +122,6 @@ struct KernelConfig {
   // run at most this far ahead before control returns to the outer loop,
   // bounding cross-core causality skew (IPIs, shared-device events).
   double smp_window_us = 50.0;
-  u32 ipi_send_cycles = 24;      // ICDSGIR write + DSB on the sender
-  u32 ipi_latency_cycles = 180;  // distributor -> target CPU interface
-  u32 steal_cycles = 90;         // remote run-queue lock + queue transfer
   // Host threads executing the per-round compute batch (DESIGN.md §14).
   // Purely a host-speed knob: every simulated number is bit-identical at
   // any value (enforced by the differential tests and the TSan CI leg).
@@ -146,22 +143,6 @@ struct KernelConfig {
   // kernel constructs no Supervisor and every simulated number stays
   // bit-identical to the pre-supervisor kernel.
   SupervisorConfig supervisor;
-
-  // Code-footprint model (bytes of kernel text per path); these sizes give
-  // the 5.4 kLOC kernel its cache behaviour. Calibrated against Table III.
-  u32 sz_vector = 64;
-  u32 sz_hc_entry = 256;
-  u32 sz_hc_exit = 416;
-  u32 sz_dispatch = 192;
-  u32 sz_irq_entry = 256;
-  u32 sz_tick = 352;
-  u32 sz_vm_switch = 384;
-  u32 sz_inject = 128;
-  u32 sz_abt_handler = 320;    // data-abort attribution + forwarding
-  u32 sz_handler_small = 160;  // register/IRQ/cache one-liners
-  u32 sz_handler_mm = 384;     // memory-management handlers
-  u32 sz_handler_hw = 224;     // hardware-task request path
-  u32 sz_service_call = 160;   // manager->kernel nested service calls
 };
 
 /// Introspection events: where an observer hook fires relative to kernel

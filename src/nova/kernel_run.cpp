@@ -12,6 +12,12 @@
 
 namespace minova::nova {
 
+namespace {
+constexpr u32 kIpiSendCycles = 24;      // ICDSGIR write + DSB on the sender
+constexpr u32 kIpiLatencyCycles = 180;  // distributor -> target CPU interface
+constexpr u32 kStealCycles = 90;        // remote run-queue lock + transfer
+}  // namespace
+
 // N simulated cores, each owning a private hardware lane, advance in
 // serial *rounds* (DESIGN.md §14): every core below the deadline gets one
 // slice per round, ascending id, bounded by a conservative window. The
@@ -225,9 +231,8 @@ void Kernel::send_ipi(u32 target, IpiKind kind, u32 arg, u64 epoch) {
   auto& core = platform_.cpu();
   // ICDSGIR distributor write + synchronization barrier on the sender.
   core.spend(core.caches().access_device());
-  core.spend(cfg_.ipi_send_cycles);
-  const cycles_t arrival =
-      platform_.clock().now() + cfg_.ipi_latency_cycles;
+  core.spend(kIpiSendCycles);
+  const cycles_t arrival = platform_.clock().now() + kIpiLatencyCycles;
   cores_[target].ipis.push_back({kind, arg, epoch, arrival});
   ++cur_core().ipis_sent;
   c_ipi_sent_.inc();
@@ -313,7 +318,7 @@ ProtectionDomain* Kernel::try_steal(CoreContext& thief) {
         });
     if (pd == nullptr) continue;
     // Remote run-queue lock + cache-line transfer of the queue nodes.
-    platform_.cpu().spend(cfg_.steal_cycles);
+    platform_.cpu().spend(kStealCycles);
     victim.sched.take(pd);
     // Lazily-switched state the PD left in the victim lane's banks must be
     // written back before the PD can run elsewhere (a real kernel flushes

@@ -27,7 +27,6 @@ Supervisor::Supervisor(Kernel& kernel, const SupervisorConfig& cfg)
   const auto& clock = kernel_.platform_.clock();
   default_policy_.watchdog_cycles =
       cfg.watchdog_us > 0 ? clock.us_to_cycles(cfg.watchdog_us) : 0;
-  default_policy_.degrade_faults = cfg.degrade_faults;
   default_policy_.max_restarts = cfg.max_restarts;
   default_policy_.restart_window_cycles =
       clock.us_to_cycles(cfg.restart_window_us);

@@ -51,6 +51,7 @@ struct SupervisorPolicy {
   /// hung. 0 disables the watchdog for this VM.
   cycles_t watchdog_cycles = 0;
   /// Forwarded (non-fatal) guest faults before health drops to degraded.
+  /// SupervisorConfig has no counterpart: only a per-VM policy changes it.
   u32 degrade_faults = 16;
   /// Crashes tolerated inside one restart window before quarantine.
   u32 max_restarts = 3;
@@ -68,7 +69,6 @@ struct SupervisorPolicy {
 struct SupervisorConfig {
   bool enabled = false;
   double watchdog_us = 0.0;  // 0 = watchdog off
-  u32 degrade_faults = 16;
   u32 max_restarts = 3;
   double restart_window_us = 200'000.0;
   double backoff_base_us = 500.0;

@@ -6,12 +6,8 @@
 namespace minova::pl {
 
 Pcap::Pcap(sim::Clock& clock, sim::EventQueue& events, irq::Gic& gic,
-           PrrController& controller, const PcapConfig& cfg)
-    : clock_(clock),
-      events_(events),
-      gic_(gic),
-      controller_(controller),
-      cfg_(cfg) {}
+           PrrController& controller)
+    : clock_(clock), events_(events), gic_(gic), controller_(controller) {}
 
 u32 Pcap::mmio_read(u32 offset) {
   switch (offset) {
@@ -65,7 +61,7 @@ void Pcap::start() {
     // Static logic spuriously NAKs the handshake: the abort surfaces after
     // the DevC setup time, before any frame reaches the region.
     ++region_busy_errors_;
-    events_.schedule_at(clock_.now() + cfg_.setup_cycles,
+    events_.schedule_at(clock_.now() + kPcapSetupCycles,
                         [this] { fail(/*begun=*/false, "region-busy NAK"); });
     return;
   }

@@ -40,11 +40,9 @@ inline constexpr u32 kPcapStatusBusy = 1u << 0;
 inline constexpr u32 kPcapStatusDone = 1u << 1;
 inline constexpr u32 kPcapStatusError = 1u << 2;
 
-struct PcapConfig {
-  /// CPU cycles per byte transferred: 660 MHz / 145 MB/s ~= 4.55.
-  double cycles_per_byte = 4.55;
-  u32 setup_cycles = 1200;  // DevC DMA programming + header processing
-};
+/// CPU cycles per byte transferred: 660 MHz / 145 MB/s ~= 4.55.
+inline constexpr double kPcapCyclesPerByte = 4.55;
+inline constexpr u32 kPcapSetupCycles = 1200;  // DevC DMA + header parsing
 
 class Pcap final : public mem::MmioDevice {
  public:
@@ -55,7 +53,7 @@ class Pcap final : public mem::MmioDevice {
   using CompletionObserver = std::function<void(u32 prr, u32 task, bool ok)>;
 
   Pcap(sim::Clock& clock, sim::EventQueue& events, irq::Gic& gic,
-       PrrController& controller, const PcapConfig& cfg = {});
+       PrrController& controller);
 
   u32 mmio_read(u32 offset) override;
   void mmio_write(u32 offset, u32 value) override;
@@ -77,7 +75,7 @@ class Pcap final : public mem::MmioDevice {
 
   /// Latency a transfer of `bytes` will take (for tests/benches).
   cycles_t transfer_cycles(u32 bytes) const {
-    return cfg_.setup_cycles + cycles_t(double(bytes) * cfg_.cycles_per_byte);
+    return kPcapSetupCycles + cycles_t(double(bytes) * kPcapCyclesPerByte);
   }
 
  private:
@@ -89,7 +87,6 @@ class Pcap final : public mem::MmioDevice {
   sim::EventQueue& events_;
   irq::Gic& gic_;
   PrrController& controller_;
-  PcapConfig cfg_;
 
   bool busy_ = false;
   bool done_ = false;

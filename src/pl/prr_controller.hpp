@@ -78,19 +78,11 @@ inline constexpr u32 kGlobIrqFree = 0x10;
 inline constexpr u32 kGlobUnload = 0x14;
 inline constexpr u32 kGlobViolations = 0x18;
 
-struct PrrControllerConfig {
-  // AXI_HP DMA: fixed burst setup plus per-byte streaming cost
-  // (~1.1 GB/s against the 660 MHz CPU clock).
-  u32 dma_setup_cycles = 200;
-  u32 dma_cycles_per_8_bytes = 5;
-};
-
 class PrrController final : public mem::MmioDevice {
  public:
   PrrController(sim::Clock& clock, sim::EventQueue& events, irq::Gic& gic,
                 mem::Bus& bus, const hwtask::TaskLibrary& library,
-                std::vector<PrrConfig> floorplan,
-                const PrrControllerConfig& cfg = {});
+                std::vector<PrrConfig> floorplan);
 
   // MmioDevice: offset is relative to kPrrCtrlBase; pages 0..N-1 are the
   // PRR register groups, the page at kPrrMaxRegions is the global page.
@@ -149,7 +141,6 @@ class PrrController final : public mem::MmioDevice {
   irq::Gic& gic_;
   mem::Bus& bus_;
   const hwtask::TaskLibrary& library_;
-  PrrControllerConfig cfg_;
   std::vector<PrrConfig> configs_;
   std::vector<PrrState> prrs_;
   u32 prr_select_ = 0;

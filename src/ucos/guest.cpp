@@ -97,7 +97,6 @@ class UcosGuest::GuestSvc final : public workloads::Services {
 UcosGuest::UcosGuest(const hwtask::TaskLibrary& library, GuestConfig cfg)
     : library_(library), cfg_(std::move(cfg)) {
   name_ = "ucos-vm" + std::to_string(cfg_.vm_index);
-  if (cfg_.task_set.empty()) cfg_.task_set = library_.ids();
 }
 
 UcosGuest::~UcosGuest() = default;
@@ -123,45 +122,15 @@ void UcosGuest::boot(GuestContext& ctx) {
   MINOVA_CHECK(ctx.hypercall(Hypercall::kTlbFlushAll).ok());
   MINOVA_CHECK(ctx.hypercall(Hypercall::kSetGuestMode, 1).ok());
   MINOVA_CHECK(ctx.hypercall(Hypercall::kIrqSetEntry, 0, 0x8000).ok());
-  MINOVA_CHECK(ctx.hypercall(Hypercall::kVtimerConfig, 0, cfg_.tick_us).ok());
+  MINOVA_CHECK(ctx.hypercall(Hypercall::kVtimerConfig, 0, kTickUs).ok());
   MINOVA_CHECK(ctx.hypercall(Hypercall::kIrqEnable, nova::kVtimerVirq).ok());
   for (char c : std::string(name_ + " up\n"))
     (void)ctx.hypercall(Hypercall::kUartWrite, 0, u32(c));
 
   // Workload tasks. Buffers sit in the guest-user region; code in the
   // guest-kernel image.
-  if (cfg_.run_thw) {
-    thw_ = std::make_unique<workloads::ThwWorkload>(
-        code_->place(768), library_, cfg_.task_set, cfg_.seed * 977 + 13);
-    os_->create_task("T_hw", 4, [this](TaskCtx& t) {
-      const auto r = thw_->run_unit(t.svc());
-      if (thw_->at_cycle_boundary())
-        t.dly(cfg_.thw_period_ticks);  // paced request cadence (§V.B)
-      else if (r == workloads::ThwWorkload::UnitResult::kWaiting)
-        t.dly(1);
-    });
-  }
-  if (cfg_.run_gsm) {
-    gsm_ = std::make_unique<workloads::GsmWorkload>(
-        code_->place(1024),
-        nova::kGuestUserVa + 0x20000 + cfg_.vm_index * 0x4c40,
-        cfg_.seed * 31 + 7);
-    os_->create_task("gsm", 8, [this](TaskCtx& t) {
-      gsm_->run_unit(t.svc());
-      t.dly(1);  // frame cadence
-    });
-  }
-  if (cfg_.run_adpcm) {
-    adpcm_ = std::make_unique<workloads::AdpcmWorkload>(
-        code_->place(640),
-        nova::kGuestUserVa + 0x40000 + cfg_.vm_index * 0x3c40, 1024,
-        cfg_.seed * 131 + 5);
-    os_->create_task("adpcm", 9, [this](TaskCtx& t) {
-      adpcm_->run_unit(t.svc());
-      // Heavy compression load: run several blocks per tick.
-      if (adpcm_->blocks_done() % 4 == 3) t.dly(1);
-    });
-  }
+  app_ = std::make_unique<App>(*os_, *code_, library_, cfg_,
+                               nova::kGuestUserVa, cfg_.vm_index);
 }
 
 nova::StepExit UcosGuest::step(GuestContext& ctx, cycles_t budget) {
@@ -186,10 +155,6 @@ void UcosGuest::on_virq(GuestContext& ctx, u32 irq) {
     hw_completion_ = true;
   }
   (void)ctx.hypercall(Hypercall::kIrqComplete, irq);
-}
-
-const workloads::ThwStats* UcosGuest::thw_stats() const {
-  return thw_ ? &thw_->stats() : nullptr;
 }
 
 }  // namespace minova::ucos

@@ -13,23 +13,10 @@
 
 #include "nova/guest_iface.hpp"
 #include "nova/kmem.hpp"
+#include "ucos/app.hpp"
 #include "ucos/kernel.hpp"
-#include "workloads/adpcm.hpp"
-#include "workloads/gsm.hpp"
-#include "workloads/thw.hpp"
 
 namespace minova::ucos {
-
-struct GuestConfig {
-  u32 vm_index = 0;       // which physical slab this VM boots from
-  u32 tick_us = 1000;     // guest timer tick period
-  u64 seed = 1;
-  bool run_thw = true;    // the hardware-task requester task
-  u32 thw_period_ticks = 25;  // pause between T_hw request cycles
-  bool run_adpcm = true;
-  bool run_gsm = true;
-  std::vector<hwtask::TaskId> task_set;  // empty = full FFT+QAM set
-};
 
 class UcosGuest final : public nova::GuestOs {
  public:
@@ -43,7 +30,9 @@ class UcosGuest final : public nova::GuestOs {
   void on_virq(nova::GuestContext& ctx, u32 irq) override;
 
   Kernel& os() { return *os_; }
-  const workloads::ThwStats* thw_stats() const;
+  const workloads::ThwStats* thw_stats() const {
+    return app_ ? app_->thw_stats() : nullptr;
+  }
   u64 virqs_handled() const { return virqs_handled_; }
 
  private:
@@ -55,9 +44,7 @@ class UcosGuest final : public nova::GuestOs {
 
   std::unique_ptr<cpu::CodeLayout> code_;
   std::unique_ptr<Kernel> os_;
-  std::unique_ptr<workloads::AdpcmWorkload> adpcm_;
-  std::unique_ptr<workloads::GsmWorkload> gsm_;
-  std::unique_ptr<workloads::ThwWorkload> thw_;
+  std::unique_ptr<App> app_;
   cpu::CodeRegion rg_irq_handler_;
 
   // Local vIRQ state table (the guest-side record of §V.A): completion and

@@ -72,48 +72,19 @@ class NativeSystem::NativeSvc final : public workloads::Services {
 
 // ---- NativeSystem --------------------------------------------------------------
 
-NativeSystem::NativeSystem(Platform& platform, NativeConfig cfg)
-    : platform_(platform), cfg_(std::move(cfg)) {
-  if (cfg_.task_set.empty()) cfg_.task_set = platform.task_library().ids();
+NativeSystem::NativeSystem(Platform& platform, const GuestConfig& cfg)
+    : platform_(platform) {
   const paddr_t image = nova::vm_phys_base(0) + 0x10000;
   code_ = std::make_unique<cpu::CodeLayout>(image, 256 * kKiB);
   os_ = std::make_unique<Kernel>("ucos-native", *code_);
   alloc_ = std::make_unique<hwmgr::NativeAllocator>(platform_, *code_);
   rg_irq_handler_ = code_->place(256);
-
-  if (cfg_.run_thw) {
-    thw_ = std::make_unique<workloads::ThwWorkload>(
-        code_->place(768), platform.task_library(), cfg_.task_set,
-        cfg_.seed * 977 + 13);
-    os_->create_task("T_hw", 4, [this](TaskCtx& t) {
-      const auto r = thw_->run_unit(t.svc());
-      if (thw_->at_cycle_boundary())
-        t.dly(cfg_.thw_period_ticks);
-      else if (r == workloads::ThwWorkload::UnitResult::kWaiting)
-        t.dly(1);
-    });
-  }
-  const paddr_t user = nova::vm_phys_base(0) + nova::kGuestUserVa;
-  if (cfg_.run_gsm) {
-    gsm_ = std::make_unique<workloads::GsmWorkload>(
-        code_->place(1024), user + 0x20000, cfg_.seed * 31 + 7);
-    os_->create_task("gsm", 8, [this](TaskCtx& t) {
-      gsm_->run_unit(t.svc());
-      t.dly(1);
-    });
-  }
-  if (cfg_.run_adpcm) {
-    adpcm_ = std::make_unique<workloads::AdpcmWorkload>(
-        code_->place(640), user + 0x40000, 1024, cfg_.seed * 131 + 5);
-    os_->create_task("adpcm", 9, [this](TaskCtx& t) {
-      adpcm_->run_unit(t.svc());
-      if (adpcm_->blocks_done() % 4 == 3) t.dly(1);
-    });
-  }
+  app_ = std::make_unique<App>(*os_, *code_, platform.task_library(), cfg,
+                               nova::vm_phys_base(0) + nova::kGuestUserVa,
+                               /*stagger=*/0);
 
   // Native tick straight from the TTC; IRQs handled by the OS directly.
-  const u32 interval =
-      u32(platform_.clock().us_to_cycles(cfg_.tick_us) >> 1);
+  const u32 interval = u32(platform_.clock().us_to_cycles(kTickUs) >> 1);
   platform_.ttc().start_interval(0, interval, /*prescale=*/0);
   platform_.gic().enable_irq(mem::kIrqTtc0_0);
   platform_.gic().enable_irq(mem::kIrqDevcfg);
@@ -159,10 +130,6 @@ void NativeSystem::run_for_us(double us) {
     handle_irqs();
     if (!os_->run_one_unit(svc)) platform_.idle_until_next_event(end);
   }
-}
-
-const workloads::ThwStats* NativeSystem::thw_stats() const {
-  return thw_ ? &thw_->stats() : nullptr;
 }
 
 }  // namespace minova::ucos

@@ -13,33 +13,22 @@
 #include "core/platform.hpp"
 #include "hwmgr/native_allocator.hpp"
 #include "nova/kmem.hpp"
+#include "ucos/app.hpp"
 #include "ucos/kernel.hpp"
-#include "workloads/adpcm.hpp"
-#include "workloads/gsm.hpp"
-#include "workloads/thw.hpp"
 
 namespace minova::ucos {
 
-struct NativeConfig {
-  u32 tick_us = 1000;
-  u64 seed = 1;
-  bool run_thw = true;
-  u32 thw_period_ticks = 25;
-  bool run_adpcm = true;
-  bool run_gsm = true;
-  std::vector<hwtask::TaskId> task_set;  // empty = full set
-};
-
 class NativeSystem {
  public:
-  NativeSystem(Platform& platform, NativeConfig cfg = {});
+  /// The native image always runs from slab 0: `cfg.vm_index` is unused.
+  NativeSystem(Platform& platform, const GuestConfig& cfg = {});
   ~NativeSystem();
 
   void run_for_us(double us);
 
   Kernel& os() { return *os_; }
   hwmgr::NativeAllocator& allocator() { return *alloc_; }
-  const workloads::ThwStats* thw_stats() const;
+  const workloads::ThwStats* thw_stats() const { return app_->thw_stats(); }
   u64 irqs_handled() const { return irqs_handled_; }
 
  private:
@@ -48,13 +37,10 @@ class NativeSystem {
   void handle_irqs();
 
   Platform& platform_;
-  NativeConfig cfg_;
   std::unique_ptr<cpu::CodeLayout> code_;
   std::unique_ptr<Kernel> os_;
   std::unique_ptr<hwmgr::NativeAllocator> alloc_;
-  std::unique_ptr<workloads::AdpcmWorkload> adpcm_;
-  std::unique_ptr<workloads::GsmWorkload> gsm_;
-  std::unique_ptr<workloads::ThwWorkload> thw_;
+  std::unique_ptr<App> app_;
   cpu::CodeRegion rg_irq_handler_;
 
   u32 granted_prr_ = 0;

@@ -5,7 +5,7 @@ namespace minova::ucos {
 VirtualizedSystem::VirtualizedSystem(const SystemConfig& cfg)
     : platform_(cfg.platform), kernel_(platform_, cfg.kernel),
       manager_(kernel_) {
-  manager_.install(cfg.manager_priority);
+  manager_.install();  // one above the guests' priority (paper §IV.E)
   for (u32 i = 0; i < cfg.num_guests; ++i) {
     GuestConfig gc = cfg.guest_template;
     gc.vm_index = i;
@@ -13,7 +13,7 @@ VirtualizedSystem::VirtualizedSystem(const SystemConfig& cfg)
     auto guest =
         std::make_unique<UcosGuest>(platform_.task_library(), gc);
     UcosGuest* raw = guest.get();
-    kernel_.create_vm("vm" + std::to_string(i), cfg.guest_priority,
+    kernel_.create_vm("vm" + std::to_string(i), /*priority=*/1,
                       std::move(guest));
     guests_.push_back(raw);
   }

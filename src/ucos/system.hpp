@@ -17,8 +17,6 @@ namespace minova::ucos {
 
 struct SystemConfig {
   u32 num_guests = 2;
-  u32 guest_priority = 1;
-  u32 manager_priority = 2;
   u64 seed = 42;
   PlatformConfig platform{};
   nova::KernelConfig kernel{};

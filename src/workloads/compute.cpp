@@ -12,6 +12,7 @@ using nova::StepExit;
 // the FNV prime (0x100'0000'01B3): every pinned compute digest was recorded
 // with this one.
 constexpr u64 kMul = 0x1000'0000'01B3ull;
+constexpr u32 kInsnsPerAccess = 64;  // modeled ALU work between accesses
 
 StreamComputeGuest::StreamComputeGuest(StreamComputeConfig cfg)
     : cfg_(cfg), checksum_(util::kFnvOffset ^ cfg.seed) {
@@ -43,7 +44,7 @@ StepExit StreamComputeGuest::step(GuestContext& ctx, cycles_t budget) {
     }
     checksum_ = (checksum_ ^ pos_) * kMul;
     pos_ += 7;  // coprime with the power-of-two working set: full coverage
-    ctx.spend_insns(cfg_.insns_per_access);
+    ctx.spend_insns(kInsnsPerAccess);
   }
   ++steps_;
   return StepExit::kBudget;

@@ -20,7 +20,6 @@ namespace minova::workloads {
 struct StreamComputeConfig {
   u64 seed = 1;             // perturbs the stride/checksum start per guest
   u32 working_set_bytes = 16 * 1024;  // window into the data section
-  u32 insns_per_access = 64;          // modeled ALU work between accesses
 };
 
 class StreamComputeGuest final : public nova::GuestOs {

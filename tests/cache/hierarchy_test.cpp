@@ -9,7 +9,7 @@ TEST(MemHierarchy, ColdAccessPaysFullPath) {
   MemHierarchy h;
   const auto& cfg = h.config();
   const cycles_t cold = h.access_data(0x1000, false);
-  EXPECT_EQ(cold, cfg.l1d.hit_cycles + cfg.l2.hit_cycles + cfg.dram_cycles);
+  EXPECT_EQ(cold, cfg.l1d.hit_cycles + cfg.l2.hit_cycles + kDramCycles);
 }
 
 TEST(MemHierarchy, WarmAccessPaysL1Only) {
@@ -53,7 +53,7 @@ TEST(MemHierarchy, IfetchUsesSeparateL1) {
 TEST(MemHierarchy, WalkAccessBypassesL1) {
   MemHierarchy h;
   const cycles_t cold = h.access_walk(0x5000);
-  EXPECT_EQ(cold, h.config().l2.hit_cycles + h.config().dram_cycles);
+  EXPECT_EQ(cold, h.config().l2.hit_cycles + kDramCycles);
   EXPECT_FALSE(h.l1d().contains(0x5000));
   EXPECT_EQ(h.access_walk(0x5000), h.config().l2.hit_cycles);
 }
@@ -62,8 +62,8 @@ TEST(MemHierarchy, DisabledCachesPayDramAlways) {
   HierarchyConfig cfg;
   cfg.enabled = false;
   MemHierarchy h(cfg);
-  EXPECT_EQ(h.access_data(0x1000, false), cfg.dram_cycles);
-  EXPECT_EQ(h.access_data(0x1000, false), cfg.dram_cycles);  // no warming
+  EXPECT_EQ(h.access_data(0x1000, false), kDramCycles);
+  EXPECT_EQ(h.access_data(0x1000, false), kDramCycles);  // no warming
 }
 
 TEST(MemHierarchy, FlushAllChargesDirtyWritebacks) {

@@ -50,7 +50,8 @@ TEST(HwFuzz, SchedulerChangesTheDigest) {
 TEST(HwFuzz, LedgerOracleCatchesForgedLedgerMutant) {
   ScenarioOptions opts = hw_opts(5003);
   opts.sabotage_step = 1500;
-  opts.sabotage_hw_kind = 1;  // ledger row contradicts the PRR table
+  // ledger row contradicts the PRR table
+  opts.sabotage_oracle = Oracle::kHwLaunchLedger;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "launch-ledger mutant survived";
   EXPECT_TRUE(saw(r, Oracle::kHwLaunchLedger)) << r.report;
@@ -59,7 +60,8 @@ TEST(HwFuzz, LedgerOracleCatchesForgedLedgerMutant) {
 TEST(HwFuzz, SaveRestoreOracleCatchesCorruptSaveMutant) {
   ScenarioOptions opts = hw_opts(5003);
   opts.sabotage_step = 1500;
-  opts.sabotage_hw_kind = 2;  // saved regs diverge from the §IV.C record
+  // saved regs diverge from the §IV.C record
+  opts.sabotage_oracle = Oracle::kHwSaveRestore;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "save-restore mutant survived";
   EXPECT_TRUE(saw(r, Oracle::kHwSaveRestore)) << r.report;
@@ -68,7 +70,8 @@ TEST(HwFuzz, SaveRestoreOracleCatchesCorruptSaveMutant) {
 TEST(HwFuzz, QuotaOracleCatchesOverCommitMutant) {
   ScenarioOptions opts = hw_opts(5003);
   opts.sabotage_step = 1500;
-  opts.sabotage_hw_kind = 3;  // a client holds more regions than its quota
+  // a client holds more regions than its quota
+  opts.sabotage_oracle = Oracle::kHwQuota;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "quota mutant survived";
   EXPECT_TRUE(saw(r, Oracle::kHwQuota)) << r.report;
@@ -77,7 +80,8 @@ TEST(HwFuzz, QuotaOracleCatchesOverCommitMutant) {
 TEST(HwFuzz, CacheOracleCatchesPhantomEntryMutant) {
   ScenarioOptions opts = hw_opts(5003);
   opts.sabotage_step = 1500;
-  opts.sabotage_hw_kind = 4;  // cache entry for a task the library lacks
+  // cache entry for a task the library lacks
+  opts.sabotage_oracle = Oracle::kHwCacheValid;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "cache-validity mutant survived";
   EXPECT_TRUE(saw(r, Oracle::kHwCacheValid)) << r.report;

@@ -48,7 +48,8 @@ TEST(SmpFuzz, CoreCountChangesTheDigest) {
 TEST(SmpFuzz, CorePartitionOracleCatchesCrossQueueMutant) {
   ScenarioOptions opts = smp_opts(77, 2);
   opts.sabotage_step = 300;
-  opts.sabotage_smp_kind = 1;  // enqueue a PD on the wrong core's queue
+  // enqueue a PD on the wrong core's queue
+  opts.sabotage_oracle = Oracle::kCorePartition;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "core-partition mutant survived";
   EXPECT_EQ(r.step, 300u);
@@ -58,7 +59,8 @@ TEST(SmpFuzz, CorePartitionOracleCatchesCrossQueueMutant) {
 TEST(SmpFuzz, ShootdownOracleCatchesLostAckMutant) {
   ScenarioOptions opts = smp_opts(77, 2);
   opts.sabotage_step = 300;
-  opts.sabotage_smp_kind = 2;  // forge shootdown completion accounting
+  // forge shootdown completion accounting
+  opts.sabotage_oracle = Oracle::kShootdownComplete;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "shootdown-accounting mutant survived";
   EXPECT_EQ(r.step, 300u);
@@ -68,7 +70,8 @@ TEST(SmpFuzz, ShootdownOracleCatchesLostAckMutant) {
 TEST(SmpFuzz, ExclusivityOracleCatchesDoubleCurrentMutant) {
   ScenarioOptions opts = smp_opts(77, 2);
   opts.sabotage_step = 300;
-  opts.sabotage_smp_kind = 3;  // make one PD current on two cores at once
+  // make one PD current on two cores at once
+  opts.sabotage_oracle = Oracle::kCoreExclusivity;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "double-current mutant survived";
   EXPECT_EQ(r.step, 300u);
@@ -82,7 +85,7 @@ TEST(SmpFuzz, SmpSabotageIsVacuousOnUnicore) {
   ScenarioOptions opts = smp_opts(42, 1);
   ScenarioOptions sab = opts;
   sab.sabotage_step = 300;
-  sab.sabotage_smp_kind = 2;
+  sab.sabotage_oracle = Oracle::kShootdownComplete;
   const FuzzResult clean = run_scenario(opts);
   const FuzzResult mutant = run_scenario(sab);
   ASSERT_FALSE(clean.failed);

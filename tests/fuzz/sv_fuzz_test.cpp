@@ -51,7 +51,8 @@ TEST(SvFuzz, SupervisorChangesTheDigest) {
 TEST(SvFuzz, ContainmentOracleCatchesDanglingPdMutant) {
   ScenarioOptions opts = sv_opts(6003);
   opts.sabotage_step = 1500;
-  opts.sabotage_sv_kind = 1;  // live health record names a bogus pd id
+  // live health record names a bogus pd id
+  opts.sabotage_oracle = Oracle::kSvContainment;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "containment mutant survived";
   EXPECT_TRUE(saw(r, Oracle::kSvContainment)) << r.report;
@@ -60,7 +61,8 @@ TEST(SvFuzz, ContainmentOracleCatchesDanglingPdMutant) {
 TEST(SvFuzz, RestartLedgerOracleCatchesForgedCounterMutant) {
   ScenarioOptions opts = sv_opts(6003);
   opts.sabotage_step = 1500;
-  opts.sabotage_sv_kind = 2;  // restarts counter contradicts incarnations
+  // restarts counter contradicts incarnations
+  opts.sabotage_oracle = Oracle::kSvRestartLedger;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "restart-ledger mutant survived";
   EXPECT_TRUE(saw(r, Oracle::kSvRestartLedger)) << r.report;
@@ -69,7 +71,8 @@ TEST(SvFuzz, RestartLedgerOracleCatchesForgedCounterMutant) {
 TEST(SvFuzz, QuarantineOracleCatchesLiveQuarantinedMutant) {
   ScenarioOptions opts = sv_opts(6003);
   opts.sabotage_step = 1500;
-  opts.sabotage_sv_kind = 3;  // a watched-live slot claims kQuarantined
+  // a watched-live slot claims kQuarantined
+  opts.sabotage_oracle = Oracle::kSvQuarantine;
   const FuzzResult r = run_scenario(opts);
   ASSERT_TRUE(r.failed) << "quarantine mutant survived";
   EXPECT_TRUE(saw(r, Oracle::kSvQuarantine)) << r.report;

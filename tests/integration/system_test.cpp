@@ -116,7 +116,7 @@ TEST(VirtualizedSystem, TraceCapturesKernelActivity) {
 
 TEST(NativeSystem, RunsSameWorkloadsWithoutVirtualization) {
   Platform platform;
-  ucos::NativeConfig cfg;
+  ucos::GuestConfig cfg;
   cfg.seed = 7;
   ucos::NativeSystem sys(platform, cfg);
   sys.run_for_us(150'000);
@@ -131,7 +131,7 @@ TEST(NativeSystem, RunsSameWorkloadsWithoutVirtualization) {
 TEST(NativeVsVirtualized, VirtualizationCostsMoreTotalResponse) {
   // The headline claim of Table III: virtualization adds bounded overhead.
   Platform nplat;
-  ucos::NativeConfig ncfg;
+  ucos::GuestConfig ncfg;
   ncfg.seed = 42;
   ucos::NativeSystem native(nplat, ncfg);
   native.run_for_us(300'000);

@@ -76,6 +76,31 @@ TEST(PhysMem, ContentDigestSeesBytesNotResidency) {
   EXPECT_NE(m.content_digest(), empty);
 }
 
+TEST(PhysMem, DiscardZeroesTheRangeAndReleasesWholeFrames) {
+  constexpr u32 kF = PhysMem::kFrameSize;
+  PhysMem m(0, 64 * kKiB);
+  std::array<u8, 4 * kF> ones{};
+  ones.fill(0xFF);
+  m.write_block(0, ones);  // frames 0..3
+  ASSERT_EQ(m.resident_frames(), 4u);
+
+  // [kF - 8, 3 kF + 8): the tail of frame 0, frames 1 and 2 whole, the
+  // head of frame 3.
+  m.discard(kF - 8, 2 * kF + 16);
+  EXPECT_EQ(m.resident_frames(), 2u);  // frames 1 and 2 released
+  EXPECT_EQ(m.read8(kF - 9), 0xFF);    // bytes outside stay
+  EXPECT_EQ(m.read8(3 * kF + 8), 0xFF);
+  EXPECT_EQ(m.read32(kF - 8), 0u);     // partial edges zeroed
+  EXPECT_EQ(m.read32(kF - 4), 0u);
+  EXPECT_EQ(m.read32(3 * kF), 0u);
+  EXPECT_EQ(m.read32(3 * kF + 4), 0u);
+  EXPECT_EQ(m.read32(2 * kF + 100), 0u);  // released frames read as zero
+
+  // A never-touched range stays sparse.
+  m.discard(8 * kF, 4 * kF);
+  EXPECT_EQ(m.resident_frames(), 3u);  // 0, 3 and 2 (re-read above)
+}
+
 TEST(PhysMemDeath, OutOfWindowAborts) {
   PhysMem m(0, 64 * kKiB);
   EXPECT_DEATH(m.read32(64 * kKiB), "outside RAM window");

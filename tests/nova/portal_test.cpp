@@ -77,7 +77,7 @@ TEST(PortalTableTest, ExhaustiveCapabilityDenialMatrix) {
 
 TEST(PortalTableTest, CostClassesMatchTheBootTimeLayout) {
   // The mm/hw groupings drive the code-layout placement: they must stay in
-  // sync with the configured sz_handler_* model.
+  // sync with the handler text sizes Kernel::boot places.
   EXPECT_EQ(portal_cost_class(Hypercall::kMapInsert), PortalCost::kMm);
   EXPECT_EQ(portal_cost_class(Hypercall::kMapRemove), PortalCost::kMm);
   EXPECT_EQ(portal_cost_class(Hypercall::kPtCreate), PortalCost::kMm);

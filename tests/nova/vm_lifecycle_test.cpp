@@ -74,6 +74,24 @@ TEST_F(VmLifecycleTest, ReissuedPdIdDoesNotInheritVfpOwnership) {
   EXPECT_EQ(stats.counter_value("kernel.trap.vfp_switch"), 2u);
 }
 
+TEST_F(VmLifecycleTest, NextVmOnTheSlabReadsAZeroedHwDataSection) {
+  ProtectionDomain* vm0 = make_vm("vm0");
+  const u32 slab = vm0->vm_index;
+  kernel_.run_for_us(100);
+  GuestContext c0(kernel_, *vm0, platform_.cpu());
+  ASSERT_TRUE(c0.write32(kGuestHwDataVa, 0xC0FFEE11u).ok);
+  ASSERT_EQ(c0.read32(kGuestHwDataVa).value, 0xC0FFEE11u);
+
+  ASSERT_TRUE(kernel_.destroy_vm(vm0->id()));
+  ProtectionDomain* vm1 = make_vm("vm1");
+  ASSERT_EQ(vm1->vm_index, slab);  // same physical slab
+  kernel_.run_for_us(100);
+  GuestContext c1(kernel_, *vm1, platform_.cpu());
+  const auto r = c1.read32(kGuestHwDataVa);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.value, 0u);
+}
+
 TEST_F(VmLifecycleTest, DestroyingTheRunningVmFallsBackSafely) {
   ProtectionDomain* vm0 = make_vm("vm0", 2);
   ProtectionDomain* other = make_vm("vm1", 1);
