@@ -7,34 +7,30 @@ namespace minova::cache {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   MINOVA_CHECK(is_pow2(cfg.line_bytes));
+  MINOVA_CHECK(cfg.line_bytes >= 4);  // keeps bit 31 of a tag word free
   MINOVA_CHECK(cfg.ways > 0);
   MINOVA_CHECK(cfg.size_bytes % (cfg.line_bytes * cfg.ways) == 0);
   sets_ = cfg.size_bytes / (cfg.line_bytes * cfg.ways);
   MINOVA_CHECK(is_pow2(sets_));
   line_shift_ = u32(std::countr_zero(cfg.line_bytes));
   tags_.assign(std::size_t(sets_) * cfg.ways, kInvalidTag);
-  lines_.resize(std::size_t(sets_) * cfg.ways);
+  if (cfg.policy == ReplacementPolicy::kLru) lru_.assign(tags_.size(), 0);
 }
 
 Cache::AccessResult Cache::access(paddr_t pa, bool write) {
-  const u32 set = set_index(pa);
-  const paddr_t tag = line_addr(pa);
-  const std::size_t base = std::size_t(set) * cfg_.ways;
-  paddr_t* tagp = &tags_[base];
+  const u32 tag = line_addr(pa);
+  const std::size_t base = set_base(pa);
+  u32* tagp = &tags_[base];
   const u32 ways = cfg_.ways;
+  const u32 dirty = write ? kDirtyBit : 0u;
 
-  // Hit path: branchless scan over the SoA tag row. A tag lives in at most
-  // one way, so order of assignment doesn't matter and the loop vectorizes.
-  u32 hit_way = ways;
-  for (u32 w = 0; w < ways; ++w) {
-    if (tagp[w] == tag) hit_way = w;
-  }
+  // Hit path: branchless scan over the tag row. A tag lives in at most one
+  // way, so order of assignment doesn't matter and the loop vectorizes.
+  const u32 hit_way = way_of(base, tag);
   if (hit_way != ways) {
-    Line& ln = lines_[base + hit_way];
-    // Under pseudo-random replacement the lru stamp is never read, so the
-    // global use-clock bump is skipped entirely on the hot path.
-    if (cfg_.policy == ReplacementPolicy::kLru) ln.lru = ++use_clock_;
-    ln.dirty = ln.dirty || write;
+    // Under pseudo-random replacement there are no use stamps at all.
+    if (!lru_.empty()) lru_[base + hit_way] = ++use_clock_;
+    tagp[hit_way] |= dirty;
     ++stats_.hits;
     return AccessResult{.hit = true};
   }
@@ -50,11 +46,10 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
   }
   AccessResult res{};
   if (victim_way == ways) {
-    if (cfg_.policy == ReplacementPolicy::kLru) {
+    if (!lru_.empty()) {
       victim_way = 0;
       for (u32 w = 1; w < ways; ++w)
-        if (lines_[base + w].lru < lines_[base + victim_way].lru)
-          victim_way = w;
+        if (lru_[base + w] < lru_[base + victim_way]) victim_way = w;
     } else {
       // 16-bit Galois LFSR, as in the A9/PL310 pseudo-random generators.
       lfsr_ = (lfsr_ >> 1) ^ ((lfsr_ & 1u) ? 0xB400u : 0u);
@@ -62,59 +57,59 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
     }
     ++stats_.evictions;
     res.evicted_valid = true;
-    res.victim_line = tagp[victim_way] << line_shift_;
-    if (lines_[base + victim_way].dirty) {
+    res.victim_line = paddr_t(tagp[victim_way] & ~kDirtyBit) << line_shift_;
+    if (tagp[victim_way] & kDirtyBit) {
       res.writeback = true;
       ++stats_.writebacks;
     }
   }
-  Line& victim = lines_[base + victim_way];
-  tagp[victim_way] = tag;
-  victim.dirty = write;
-  if (cfg_.policy == ReplacementPolicy::kLru) victim.lru = ++use_clock_;
+  tagp[victim_way] = tag | dirty;
+  if (!lru_.empty()) lru_[base + victim_way] = ++use_clock_;
   return res;
 }
 
+void Cache::credit_hits(paddr_t pa, u64 n, bool write) {
+  const std::size_t base = set_base(pa);
+  const u32 way = way_of(base, line_addr(pa));
+  MINOVA_CHECK_MSG(way != cfg_.ways, "credited hits on an absent line");
+  if (!lru_.empty()) {
+    use_clock_ += n;
+    lru_[base + way] = use_clock_;
+  }
+  if (write) tags_[base + way] |= kDirtyBit;
+  stats_.hits += n;
+}
+
 bool Cache::contains(paddr_t pa) const {
-  const u32 set = set_index(pa);
-  const paddr_t tag = line_addr(pa);
-  const paddr_t* tagp = &tags_[std::size_t(set) * cfg_.ways];
-  for (u32 w = 0; w < cfg_.ways; ++w)
-    if (tagp[w] == tag) return true;
-  return false;
+  return way_of(set_base(pa), line_addr(pa)) != cfg_.ways;
 }
 
 void Cache::invalidate_all() {
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  for (auto& ln : lines_) ln = Line{};
+  std::fill(lru_.begin(), lru_.end(), 0);
 }
 
 u32 Cache::flush_all() {
   u32 dirty = 0;
-  for (std::size_t i = 0; i < tags_.size(); ++i) {
-    if (tags_[i] != kInvalidTag && lines_[i].dirty) ++dirty;
-    tags_[i] = kInvalidTag;
-    lines_[i] = Line{};
+  for (u32& t : tags_) {
+    if (t != kInvalidTag && (t & kDirtyBit)) ++dirty;
+    t = kInvalidTag;
   }
+  std::fill(lru_.begin(), lru_.end(), 0);
   stats_.writebacks += dirty;
   ++stats_.flushes;
   return dirty;
 }
 
 bool Cache::invalidate_line(paddr_t pa) {
-  const u32 set = set_index(pa);
-  const paddr_t tag = line_addr(pa);
-  const std::size_t base = std::size_t(set) * cfg_.ways;
-  for (u32 w = 0; w < cfg_.ways; ++w) {
-    if (tags_[base + w] == tag) {
-      const bool was_dirty = lines_[base + w].dirty;
-      tags_[base + w] = kInvalidTag;
-      lines_[base + w] = Line{};
-      if (was_dirty) ++stats_.writebacks;
-      return was_dirty;
-    }
-  }
-  return false;
+  const std::size_t base = set_base(pa);
+  const u32 way = way_of(base, line_addr(pa));
+  if (way == cfg_.ways) return false;
+  const bool was_dirty = (tags_[base + way] & kDirtyBit) != 0;
+  tags_[base + way] = kInvalidTag;
+  if (!lru_.empty()) lru_[base + way] = 0;
+  if (was_dirty) ++stats_.writebacks;
+  return was_dirty;
 }
 
 }  // namespace minova::cache

@@ -59,6 +59,11 @@ class Cache {
   /// the line dirty. Returns hit/miss and victim info for the next level.
   AccessResult access(paddr_t pa, bool write);
 
+  /// Credit `n` further hits on the line holding `pa`, which must be
+  /// present: exactly the state `n` calls of `access(pa, write)` leave
+  /// (hit count, dirty bit, and under kLru the use stamp).
+  void credit_hits(paddr_t pa, u64 n, bool write);
+
   /// Probe without side effects.
   bool contains(paddr_t pa) const;
 
@@ -80,31 +85,36 @@ class Cache {
   u32 num_sets() const { return sets_; }
 
  private:
-  struct Line {
-    bool dirty = false;
-    u64 lru = 0;  // last-use stamp (maintained only under kLru)
-  };
+  // One u32 word per way, `tags_[set*ways + w]`: the line address in bits
+  // 0-30 and the dirty bit in bit 31, or kInvalidTag when the way is empty.
+  // Line addresses of a 32-bit physical space with lines of 4 bytes or more
+  // stay below 2^30, so no valid word equals kInvalidTag. The hit scan, the
+  // hottest loop in the simulator, compares a contiguous run of u32s
+  // against one key and touches one host cache line per set.
+  static constexpr u32 kDirtyBit = 1u << 31;
+  static constexpr u32 kInvalidTag = ~0u;
 
-  // The tag/valid state lives in a flat structure-of-arrays word per way:
-  // `tags_[set*ways + w]` holds the line address, or kInvalidTag when the
-  // way is empty. The hit scan — the hottest loop in the whole simulator —
-  // then compares a contiguous run of u64s against one key, which the
-  // compiler turns into SIMD compares instead of a load/branch chain over
-  // 24-byte Line records.
-  static constexpr paddr_t kInvalidTag = ~paddr_t(0);
-
+  u32 way_of(std::size_t base, u32 tag) const {
+    u32 hit_way = cfg_.ways;
+    for (u32 w = 0; w < cfg_.ways; ++w)
+      if ((tags_[base + w] & ~kDirtyBit) == tag) hit_way = w;
+    return hit_way;
+  }
   u32 set_index(paddr_t pa) const {
     return u32((pa >> line_shift_) & (sets_ - 1));
   }
-  paddr_t line_addr(paddr_t pa) const { return pa >> line_shift_; }
+  u32 line_addr(paddr_t pa) const { return pa >> line_shift_; }
+  std::size_t set_base(paddr_t pa) const {
+    return std::size_t(set_index(pa)) * cfg_.ways;
+  }
 
   CacheConfig cfg_;
   u32 sets_;
   u32 line_shift_;
   u64 use_clock_ = 0;
   u32 lfsr_ = 0xACE1u;  // deterministic pseudo-random victim source
-  std::vector<paddr_t> tags_;  // sets_ * ways, row-major by set
-  std::vector<Line> lines_;    // parallel metadata (dirty/lru)
+  std::vector<u32> tags_;  // sets_ * ways, row-major by set
+  std::vector<u64> lru_;   // parallel last-use stamps, allocated under kLru
   CacheStats stats_;
 };
 

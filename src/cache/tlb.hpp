@@ -63,13 +63,15 @@ class Tlb {
   /// Find a translation for (asid, va). Returns nullptr on miss.
   const TlbEntry* lookup(u32 asid, vaddr_t va);
 
-  /// Record a hit on `e` without re-running the lookup: identical
-  /// bookkeeping (LRU stamp + hit count) to the hit path of `lookup`.
-  /// Used by the MMU's micro-TLB, which caches the winning entry pointer
-  /// and revalidates it against `generation()`.
-  void touch(const TlbEntry& e) {
-    const_cast<TlbEntry&>(e).lru = ++use_clock_;
-    ++stats_.hits;
+  /// Record `n` hits on `e` without re-running the lookup: identical
+  /// bookkeeping (LRU stamp + hit count) to `n` hits of `lookup`. Used by
+  /// the MMU's micro-TLB, which caches the winning entry pointer and
+  /// revalidates it against `generation()`, and by run crediting, which
+  /// charges a page's remaining certain hits at once.
+  void touch(const TlbEntry& e, u64 n = 1) {
+    use_clock_ += n;
+    const_cast<TlbEntry&>(e).lru = use_clock_;
+    stats_.hits += n;
   }
 
   /// Returns the slot the entry was written to (stable for the Tlb's

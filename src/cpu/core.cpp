@@ -1,5 +1,7 @@
 #include "cpu/core.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <type_traits>
 
 #include "util/assert.hpp"
@@ -9,6 +11,12 @@ namespace minova::cpu {
 namespace {
 constexpr u32 kExceptionEntryCycles = 18;  // pipeline flush + mode switch
 constexpr u32 kExceptionReturnCycles = 12;
+
+u32 load_word(const u8* p) {
+  u32 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 }  // namespace
 
 Core::Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus,
@@ -46,7 +54,7 @@ void Core::exec_code(const CodeRegion& region, double executed_fraction) {
 
 Core::MemResult Core::data_access(vaddr_t va, mmu::AccessKind kind,
                                   u32* read_out, u32 write_val,
-                                  unsigned size_bytes) {
+                                  unsigned size_bytes, HostWord* bound) {
   MemResult res;
   auto tr = mmu_.translate(va, kind, privileged());
   clock_->advance(tr.cost + 1);  // +1: AGU/TLB lookup pipeline cost
@@ -58,6 +66,20 @@ Core::MemResult Core::data_access(vaddr_t va, mmu::AccessKind kind,
 
   const paddr_t pa = tr.pa;
   const bool write = kind == mmu::AccessKind::kWrite;
+  if (tr.host != nullptr) {
+    // Bound RAM: no device overlaps the page, so the bus would route this
+    // access to the same host bytes.
+    MINOVA_CHECK(size_bytes == 1 || is_aligned(pa, 4));
+    clock_->advance(hierarchy_.access_data(pa, write));
+    if (write)
+      std::memcpy(tr.host, &write_val, size_bytes);
+    else if (read_out)
+      *read_out = size_bytes == 1 ? *tr.host : load_word(tr.host);
+    if (bound) *bound = HostWord{tr.host, pa};
+    if (read_out) res.value = *read_out;
+    return res;
+  }
+
   if (bus_.is_device(pa)) {
     clock_->advance(hierarchy_.access_device());
   } else {
@@ -90,8 +112,58 @@ Core::MemResult Core::data_access(vaddr_t va, mmu::AccessKind kind,
                            .instruction = false};
     return res;
   }
+  // The access completed on the slow path. When it went to DRAM, bind the
+  // page so the next hits on it take the branch above.
+  const paddr_t page = pa & ~(mmu::kPageSize - 1);
+  if (!bus_.overlaps_device(page, mmu::kPageSize)) {
+    if (u8* host = mmu_.bind_host(va, pa); host != nullptr && bound)
+      *bound = HostWord{host, pa};
+  }
   if (read_out) res.value = *read_out;
   return res;
+}
+
+Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
+                                  RunFaults faults) {
+  MINOVA_CHECK(is_aligned(va, 4));
+  const auto kind = write ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead;
+  const cache::CacheConfig& l1d = hierarchy_.config().l1d;
+  const bool cached = hierarchy_.config().enabled;
+  MemResult first_fault;
+  while (words > 0) {
+    HostWord bound;
+    const MemResult r = data_access(va, kind, nullptr, 0, 4, &bound);
+    u32 k = 0;  // further words of this run charged in closed form
+    if (r.ok) {
+      // The word reached bound RAM with the caches on: the rest of its
+      // line are certain micro-TLB and L1D hits.
+      if (bound.ptr != nullptr && cached)
+        k = std::min(words - 1,
+                     (l1d.line_bytes - bound.pa % l1d.line_bytes) / 4 - 1);
+      if (k > 0) {
+        mmu_.credit_hits(va, k);
+        hierarchy_.l1d().credit_hits(bound.pa, k, write);
+        clock_->advance(cycles_t(k) * (1 + l1d.hit_cycles));
+        if (write) std::memset(bound.ptr + 4, 0, std::size_t(k) * 4);
+      }
+    } else {
+      if (first_fault.ok) first_fault = r;
+      if (faults == RunFaults::kStop) return r;
+      // A domain or permission fault is raised after the translation is
+      // installed in the micro-TLB: the rest of the page are certain micro
+      // hits that take the same fault, one AGU cycle each.
+      const auto type = r.fault.type;
+      if (type == mmu::FaultType::kDomain ||
+          type == mmu::FaultType::kPermission) {
+        k = std::min(words - 1, (mmu::kPageSize - va % mmu::kPageSize) / 4 - 1);
+        mmu_.credit_hits(va, k);
+        clock_->advance(k);
+      }
+    }
+    va += (k + 1) * 4;
+    words -= k + 1;
+  }
+  return first_fault;
 }
 
 Core::MemResult Core::vread32(vaddr_t va) {
@@ -118,9 +190,12 @@ Core::MemResult Core::vwrite8(vaddr_t va, u8 value) {
 
 template <typename Byte>
 Core::MemResult Core::block_access(vaddr_t va, std::span<Byte> data) {
-  // Timing: one L1D access per cache line touched; data: copied through the
-  // translation so VA->PA mapping (and faults) behave exactly like the
-  // per-word path.
+  // Timing: one L1D access per cache line touched and one translation per
+  // line, exactly as sequential line-granular accesses would charge. The
+  // first line of each page translates; the page's remaining lines are
+  // certain micro-TLB hits and are credited in bulk. Data: one copy per
+  // page through the translation, so VA->PA mapping (and faults) behave
+  // exactly like the per-word path.
   constexpr bool kWrite = std::is_const_v<Byte>;
   const auto kind = kWrite ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead;
   const u32 line = hierarchy_.config().l1d.line_bytes;
@@ -130,14 +205,15 @@ Core::MemResult Core::block_access(vaddr_t va, std::span<Byte> data) {
     auto tr = mmu_.translate(cur, kind, privileged());
     clock_->advance(tr.cost);
     if (!tr.ok()) return MemResult{.ok = false, .fault = tr.fault, .value = 0};
-    // Stay within this page and this cache line for the chunk.
-    const u32 line_off = tr.pa % line;
-    const u32 page_left = mmu::kPageSize - (cur % mmu::kPageSize);
-    const std::size_t chunk = std::min<std::size_t>(
-        {line - line_off, page_left, data.size() - done});
-    clock_->advance(hierarchy_.access_data(tr.pa, kWrite));
-    mem::PhysMem* ram = bus_.ram_at(tr.pa, u32(chunk));
+    const std::size_t span = std::min<std::size_t>(
+        mmu::kPageSize - (cur % mmu::kPageSize), data.size() - done);
+    const paddr_t first = align_down(tr.pa, line);
+    const paddr_t last = align_down(tr.pa + paddr_t(span) - 1, line);
+    // RAM windows are frame-aligned, so a page span is RAM-backed whole or
+    // not at all; when it is not, the first line faults after its access.
+    mem::PhysMem* ram = bus_.ram_at(tr.pa, u32(span));
     if (ram == nullptr) {
+      clock_->advance(hierarchy_.access_data(tr.pa, kWrite));
       return MemResult{
           .ok = false,
           .fault = mmu::Fault{.type = mmu::FaultType::kExternalAbort,
@@ -147,11 +223,14 @@ Core::MemResult Core::block_access(vaddr_t va, std::span<Byte> data) {
                               .instruction = false},
           .value = 0};
     }
+    for (paddr_t l = first; l <= last; l += line)
+      clock_->advance(hierarchy_.access_data(l, kWrite));
+    mmu_.credit_hits(cur, (last - first) / line);
     if constexpr (kWrite)
-      ram->write_block(tr.pa, data.subspan(done, chunk));
+      ram->write_block(tr.pa, data.subspan(done, span));
     else
-      ram->read_block(tr.pa, data.subspan(done, chunk));
-    done += chunk;
+      ram->read_block(tr.pa, data.subspan(done, span));
+    done += span;
   }
   return MemResult{};
 }

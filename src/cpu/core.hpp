@@ -84,6 +84,17 @@ class Core {
   MemResult vread_block(vaddr_t va, std::span<u8> out);
   MemResult vwrite_block(vaddr_t va, std::span<const u8> in);
 
+  /// What a word run does at a faulting word: stop there, or skip it and
+  /// go on with the next word.
+  enum class RunFaults : u8 { kStop, kSkip };
+
+  /// Touch `words` consecutive words from `va` (4-byte aligned): reads
+  /// discard their values, writes store zero. Charges and counts exactly
+  /// what the same `vread32`/`vwrite32` loop would, crediting in closed
+  /// form the words whose outcome is certain (DESIGN.md §10.2). Returns
+  /// the first fault, whose `address` names the faulting word.
+  MemResult touch_words(vaddr_t va, u32 words, bool write, RunFaults faults);
+
   /// Translation probe without data access (used by the kernel to validate
   /// guest-supplied pointers).
   mmu::TranslateResult probe(vaddr_t va, mmu::AccessKind kind);
@@ -108,8 +119,14 @@ class Core {
   bool irq_deliverable() const { return irq_line_ && !cpsr_.irq_masked; }
 
  private:
+  /// Where a data access landed when its page is bound RAM.
+  struct HostWord {
+    u8* ptr = nullptr;
+    paddr_t pa = 0;
+  };
   MemResult data_access(vaddr_t va, mmu::AccessKind kind, u32* read_out,
-                        u32 write_val, unsigned size_bytes);
+                        u32 write_val, unsigned size_bytes,
+                        HostWord* bound = nullptr);
   /// The one body of vread_block/vwrite_block: a const `Byte` writes.
   template <typename Byte>
   MemResult block_access(vaddr_t va, std::span<Byte> data);

@@ -81,13 +81,7 @@ u32 ManagerService::Sink::fabric_read(paddr_t pa) const {
 }
 
 void ManagerService::Sink::touch(vaddr_t row, bool write) const {
-  if (ctx_ == nullptr) return;
-  for (u32 w = 0; w < 8; ++w) {
-    if (write)
-      (void)ctx_->write32(row + w * 4, 0);
-    else
-      (void)ctx_->read32(row + w * 4);
-  }
+  if (ctx_ != nullptr) ctx_->touch_words(row, 8, write);
 }
 
 int ManagerService::select_prr(const Sink& s, const hwtask::TaskInfo& info,

@@ -28,6 +28,13 @@ const Bus::DevWindow* Bus::find_dev(paddr_t pa) const {
 
 bool Bus::is_device(paddr_t pa) const { return find_dev(pa) != nullptr; }
 
+bool Bus::overlaps_device(paddr_t base, u32 len) const {
+  for (const auto& w : devices_)
+    if (u64(base) < u64(w.base) + w.size && u64(w.base) < u64(base) + len)
+      return true;
+  return false;
+}
+
 PhysMem* Bus::ram_at(paddr_t pa, u32 len) {
   for (PhysMem* ram : rams_)
     if (ram->contains(pa, len)) return ram;

@@ -48,6 +48,9 @@ class Bus {
   /// accesses are uncached).
   bool is_device(paddr_t pa) const;
 
+  /// True when any device window overlaps [base, base + len).
+  bool overlaps_device(paddr_t base, u32 len) const;
+
  private:
   struct DevWindow {
     paddr_t base;

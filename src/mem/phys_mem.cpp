@@ -99,6 +99,7 @@ void PhysMem::write_block(paddr_t pa, std::span<const u8> in) {
 
 void PhysMem::discard(paddr_t pa, u32 len) {
   MINOVA_CHECK_MSG(contains(pa, len), "discard outside RAM window");
+  ++discard_epoch_;
   u64 off = pa - base_;
   const u64 end = off + len;
   while (off < end) {

@@ -43,8 +43,18 @@ class PhysMem {
 
   /// Make [pa, pa + len) read as zero: whole frames are released (a
   /// sparse range stays sparse), the partial frames at either end are
-  /// zeroed in place.
+  /// zeroed in place. Bumps `discard_epoch()`.
   void discard(paddr_t pa, u32 len);
+
+  /// The host bytes of the already materialized frame holding `pa`, or
+  /// nullptr when that frame is not resident. Materializes nothing. The
+  /// pointer stays valid while `discard_epoch()` is unchanged: `discard`
+  /// is the only operation that frees frames.
+  u8* resident_frame(paddr_t pa) const {
+    MINOVA_CHECK_MSG(contains(pa), "physical access outside RAM window");
+    return frames_[(pa - base_) / kFrameSize].get();
+  }
+  u64 discard_epoch() const { return discard_epoch_; }
 
   /// Frames actually materialized (for footprint reporting).
   std::size_t resident_frames() const;
@@ -64,6 +74,7 @@ class PhysMem {
   paddr_t base_;
   u32 size_;
   mutable std::vector<Frame> frames_;
+  u64 discard_epoch_ = 0;
 };
 
 }  // namespace minova::mem

@@ -68,13 +68,15 @@ TranslateResult Mmu::translate(vaddr_t va, AccessKind kind, bool privileged) {
   // hit bookkeeping exactly (touch = LRU stamp + hit count), so simulated
   // behaviour cannot diverge from the micro-TLB-less path.
   const vaddr_t vpage = va >> 12;
-  MicroEntry& u = ubanks_[active_bank_][vpage & (kMicroTlbEntries - 1)];
+  MicroEntry& u = micro_slot(vpage);
   const cache::TlbEntry* entry;
-  if (u.entry != nullptr && u.vpage == vpage && u.asid == asid_ &&
-      u.gen == tlb_.generation()) {
+  u8* host = nullptr;
+  if (live(u, vpage)) {
     ++ustats_.hits;
     tlb_.touch(*u.entry);
     entry = u.entry;
+    if (u.host != nullptr && u.host_epoch == ram_.discard_epoch())
+      host = u.host;
   } else {
     ++ustats_.misses;
     entry = tlb_.lookup(asid_, va);
@@ -143,7 +145,27 @@ TranslateResult Mmu::translate(vaddr_t va, AccessKind kind, bool privileged) {
   }
   // Manager domain: no checks.
   res.pa = pa;
+  if (host != nullptr) res.host = host + (va & (kPageSize - 1));
   return res;
+}
+
+u8* Mmu::bind_host(vaddr_t va, paddr_t pa) {
+  if (!enabled_ || !ram_.contains(pa)) return nullptr;
+  MicroEntry& u = micro_slot(va >> 12);
+  u8* frame = ram_.resident_frame(pa);
+  if (!live(u, va >> 12) || frame == nullptr) return nullptr;
+  u.host = frame;
+  u.host_epoch = ram_.discard_epoch();
+  return frame + (pa & (kPageSize - 1));
+}
+
+void Mmu::credit_hits(vaddr_t va, u64 n) {
+  if (!enabled_ || n == 0) return;
+  const MicroEntry& u = micro_slot(va >> 12);
+  MINOVA_CHECK_MSG(live(u, va >> 12),
+                   "credited hits on a dead micro-TLB entry");
+  ustats_.hits += n;
+  tlb_.touch(*u.entry, n);
 }
 
 }  // namespace minova::mmu

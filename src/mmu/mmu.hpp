@@ -15,6 +15,11 @@
 // order and charged cycles are bit-identical with it in place. Cached
 // entry pointers are revalidated against `Tlb::generation()`, which every
 // insert and flush bumps; TTBR/ASID writes clear the micro-TLB outright.
+//
+// A live micro entry may also carry the host bytes of its 4 KB page in the
+// table RAM (`bind_host`), so a data access to bound RAM skips the bus
+// routing. The binding dies with the entry and with any `PhysMem::discard`
+// (DESIGN.md §10.2).
 #pragma once
 
 #include <array>
@@ -47,6 +52,9 @@ struct TranslateResult {
   Fault fault;  // fault.type == kNone on success
   cycles_t cost = 0;  // walk cost (0 on TLB hit)
   bool tlb_hit = false;
+  /// Host address of `pa` when the page is bound RAM (see Mmu::bind_host);
+  /// set only after every permission check has passed.
+  u8* host = nullptr;
 
   bool ok() const { return !fault.is_fault(); }
 };
@@ -83,6 +91,18 @@ class Mmu {
   TranslateResult translate(vaddr_t va, AccessKind kind, bool privileged);
 
   cache::Tlb& tlb() { return tlb_; }
+
+  /// Bind the live micro entry of `va` (just translated to `pa`) to the
+  /// host frame of `pa` in the table RAM, so later hits on the page return
+  /// a host pointer. The caller guarantees no device window overlaps the
+  /// page. Returns the host address of `pa`, or nullptr when nothing was
+  /// bound: MMU off, `pa` outside the table RAM or not yet materialized.
+  u8* bind_host(vaddr_t va, paddr_t pa);
+
+  /// Credit `n` further translations of `va`'s page, which was just
+  /// translated and is therefore a certain micro-TLB hit: the exact
+  /// bookkeeping of `n` such hits. No-op with the MMU off.
+  void credit_hits(vaddr_t va, u64 n);
 
   // ---- micro-TLB banks (SMP) ----
   // Each simulated core owns one bank, mirroring the A9's per-CPU L1
@@ -156,14 +176,25 @@ class Mmu {
   // Micro-TLB: direct-mapped on the low bits of the virtual page. An entry
   // is live while `entry != nullptr`, the (asid, vpage) key matches, and
   // `gen` equals the main TLB's current generation. One bank per simulated
-  // core; bank 0 alone reproduces the unicore micro-TLB exactly.
+  // core; bank 0 alone reproduces the unicore micro-TLB exactly. `host`,
+  // when set, is the page's frame in `ram_`, valid while the entry is live
+  // and `ram_.discard_epoch()` still equals `host_epoch`.
   static constexpr u32 kMicroTlbEntries = 16;  // power of two
   struct MicroEntry {
     const cache::TlbEntry* entry = nullptr;
     vaddr_t vpage = 0;
     u32 asid = 0;
     u64 gen = 0;
+    u8* host = nullptr;
+    u64 host_epoch = 0;
   };
+  MicroEntry& micro_slot(vaddr_t vpage) {
+    return ubanks_[active_bank_][vpage & (kMicroTlbEntries - 1)];
+  }
+  bool live(const MicroEntry& u, vaddr_t vpage) const {
+    return u.entry != nullptr && u.vpage == vpage && u.asid == asid_ &&
+           u.gen == tlb_.generation();
+  }
   using MicroBank = std::array<MicroEntry, kMicroTlbEntries>;
   std::vector<MicroBank> ubanks_{1};
   std::vector<u64> ubank_epoch_{std::vector<u64>(1, 0)};

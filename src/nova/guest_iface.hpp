@@ -56,6 +56,10 @@ class GuestContext {
   cpu::Core::MemResult write32(vaddr_t va, u32 v);
   cpu::Core::MemResult read_block(vaddr_t va, std::span<u8> out);
   cpu::Core::MemResult write_block(vaddr_t va, std::span<const u8> in);
+  /// `Core::touch_words` under the same rule, applied word by word: a
+  /// faulting word gets the lazy-boot fixup and one retry, then the run
+  /// goes on with the next word.
+  void touch_words(vaddr_t va, u32 words, bool write);
 
   /// Execute guest code: fetches the region through the I-cache.
   void exec(const cpu::CodeRegion& region, double fraction = 1.0) {

@@ -65,6 +65,20 @@ cpu::Core::MemResult GuestContext::write_block(vaddr_t va,
   return r;
 }
 
+void GuestContext::touch_words(vaddr_t va, u32 words, bool write) {
+  while (words > 0) {
+    const auto r =
+        core_.touch_words(va, words, write, cpu::Core::RunFaults::kStop);
+    if (r.ok) return;
+    const vaddr_t at = r.fault.address;
+    if (kernel_.lazy_fault_fixup(pd_, at))
+      (void)(write ? core_.vwrite32(at, 0) : core_.vread32(at));
+    const u32 done = (at - va) / 4 + 1;
+    va += done * 4;
+    words -= done;
+  }
+}
+
 // ---- KernelOps: the handler units' window onto kernel state -----------------
 
 Platform& KernelOps::platform() { return kernel_.platform_; }

@@ -1,5 +1,9 @@
 #include "nova/kheap.hpp"
 
+#include <algorithm>
+#include <array>
+#include <span>
+
 #include "mem/phys_mem.hpp"
 
 namespace minova::nova {
@@ -113,17 +117,44 @@ void KernelHeap::free_ctrl(paddr_t pa) {
   ++free_count_;
 }
 
+// Poison and scrub are uncharged host work: they move whole chunks through
+// one stack buffer instead of a PhysMem call per word.
+namespace {
+constexpr u32 kChunkWords = 64;
+using Chunk = std::array<u32, kChunkWords>;
+
+std::span<u8> chunk_bytes(Chunk& buf, u32 words) {
+  return {reinterpret_cast<u8*>(buf.data()), std::size_t(words) * 4};
+}
+}  // namespace
+
 void KernelHeap::poison(paddr_t pa, u32 bytes) {
   if (ram_ == nullptr) return;
-  for (u32 off = 0; off + 4 <= bytes; off += 4) ram_->write32(pa + off, kPoisonWord);
+  MINOVA_CHECK(is_aligned(pa, 4));
+  Chunk buf;
+  buf.fill(kPoisonWord);
+  for (u32 words = bytes / 4; words > 0;) {
+    const u32 n = std::min(words, kChunkWords);
+    ram_->write_block(pa, chunk_bytes(buf, n));
+    pa += n * 4;
+    words -= n;
+  }
 }
 
 void KernelHeap::verify_poison_and_scrub(paddr_t pa, u32 bytes) {
   if (ram_ == nullptr) return;
-  for (u32 off = 0; off + 4 <= bytes; off += 4) {
-    MINOVA_CHECK_MSG(ram_->read32(pa + off) == kPoisonWord,
-                     "freed kernel object was modified (use after free)");
-    ram_->write32(pa + off, 0);
+  MINOVA_CHECK(is_aligned(pa, 4));
+  Chunk buf;
+  for (u32 words = bytes / 4; words > 0;) {
+    const u32 n = std::min(words, kChunkWords);
+    ram_->read_block(pa, chunk_bytes(buf, n));
+    for (u32 w = 0; w < n; ++w)
+      MINOVA_CHECK_MSG(buf[w] == kPoisonWord,
+                       "freed kernel object was modified (use after free)");
+    buf.fill(0);
+    ram_->write_block(pa, chunk_bytes(buf, n));
+    pa += n * 4;
+    words -= n;
   }
 }
 

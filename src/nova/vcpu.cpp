@@ -12,17 +12,13 @@ Vcpu::Vcpu(KernelHeap& heap, u32 asid)
 
 Vcpu::~Vcpu() { heap_->free(save_area_); }
 
-void Vcpu::touch_area(cpu::Core& core, u32 words, bool write) const {
-  // Stream the save area through the kernel's global mapping; faults are
-  // impossible here (kernel heap is always mapped), so results are ignored
-  // beyond the cost they charge.
-  for (u32 w = 0; w < words; ++w) {
-    const vaddr_t va = kernel_va(save_area_) + w * 4;
-    if (write)
-      (void)core.vwrite32(va, 0 /*values mirrored in members*/);
-    else
-      (void)core.vread32(va);
-  }
+void Vcpu::touch_area(cpu::Core& core, u32 first, u32 words,
+                      bool write) const {
+  // Stream the save area through the kernel's global mapping. A word that
+  // faults (the privileged-only mapping seen from a user-mode core) is
+  // charged like any other and skipped; the values are mirrored in members.
+  (void)core.touch_words(kernel_va(save_area_) + first * 4, words, write,
+                         cpu::Core::RunFaults::kSkip);
 }
 
 void Vcpu::save_active(cpu::Core& core) {
@@ -36,12 +32,12 @@ void Vcpu::save_active(cpu::Core& core) {
   // kernel's all-domains DACR into a guest-user vCPU (Table II violation;
   // found by the fuzzer's dacr-mode oracle). The mirrors stay authoritative;
   // the save still streams the full frame through the cache model below.
-  touch_area(core, kActiveWords, /*write=*/true);
+  touch_area(core, 0, kActiveWords, /*write=*/true);
   core.spend(kActiveWords / 2);  // STM pipeline overhead
 }
 
 void Vcpu::restore_active(cpu::Core& core) const {
-  touch_area(core, kActiveWords, /*write=*/false);
+  touch_area(core, 0, kActiveWords, /*write=*/false);
   for (unsigned i = 0; i < 16; ++i)
     core.regs().set(cpu::Mode::kUsr, i, regs_[i]);
   // CPSR of the guest is re-applied by the kernel when it drops to USR; the
@@ -55,29 +51,23 @@ void Vcpu::restore_active(cpu::Core& core) const {
 void Vcpu::save_vfp(cpu::Core& core) {
   vfp_ = core.vfp();
   // The VFP bank is larger than the active frame; charge it separately.
-  for (u32 w = 0; w < kVfpWords; ++w)
-    (void)core.vwrite32(kernel_va(save_area_) + (kActiveWords + w) * 4, 0);
+  touch_area(core, kActiveWords, kVfpWords, /*write=*/true);
   core.spend(kVfpWords / 2);
 }
 
 void Vcpu::restore_vfp(cpu::Core& core) const {
-  for (u32 w = 0; w < kVfpWords; ++w)
-    (void)core.vread32(kernel_va(save_area_) + (kActiveWords + w) * 4);
+  touch_area(core, kActiveWords, kVfpWords, /*write=*/false);
   core.vfp() = vfp_;
   core.spend(kVfpWords / 2);
 }
 
 void Vcpu::save_l2ctrl(cpu::Core& core) {
-  for (u32 w = 0; w < kL2CtrlWords; ++w)
-    (void)core.vwrite32(
-        kernel_va(save_area_) + (kActiveWords + kVfpWords + w) * 4, 0);
+  touch_area(core, kActiveWords + kVfpWords, kL2CtrlWords, /*write=*/true);
   core.spend(kL2CtrlWords);
 }
 
 void Vcpu::restore_l2ctrl(cpu::Core& core) const {
-  for (u32 w = 0; w < kL2CtrlWords; ++w)
-    (void)core.vread32(
-        kernel_va(save_area_) + (kActiveWords + kVfpWords + w) * 4);
+  touch_area(core, kActiveWords + kVfpWords, kL2CtrlWords, /*write=*/false);
   core.spend(kL2CtrlWords);
 }
 

@@ -86,7 +86,8 @@ class Vcpu {
   static constexpr u32 kL2CtrlWords = 9;
 
  private:
-  void touch_area(cpu::Core& core, u32 words, bool write) const;
+  /// Charge `words` save-area words from word `first` (writes store zero).
+  void touch_area(cpu::Core& core, u32 first, u32 words, bool write) const;
 
   KernelHeap* heap_;
   paddr_t save_area_;

@@ -85,6 +85,68 @@ TEST(Cache, InvalidateLine) {
   EXPECT_FALSE(c.invalidate_line(0x500));  // absent
 }
 
+TEST(Cache, DirtyWritebackSurvivesTagWordEncoding) {
+  // The dirty bit shares a word with the line address. Lines at the top of
+  // the physical space keep their address and their dirty state through
+  // eviction, flush_all and invalidate_line.
+  Cache c(small_cfg());
+  const paddr_t top = 0xFFFF'FFE0u;  // set 3, largest line address
+  const paddr_t high = 0x8000'0060u;  // set 3, bit 31 of the address set
+  c.access(top, true);
+  c.access(high, false);
+  EXPECT_TRUE(c.contains(top));
+  EXPECT_TRUE(c.contains(high));
+  EXPECT_FALSE(c.contains(top & 0x7FFF'FFFFu));  // the address bit is kept
+  const auto r = c.access(0x0000'0060u, false);   // evicts `top` (LRU)
+  EXPECT_TRUE(r.writeback);
+  EXPECT_EQ(r.victim_line, top);
+
+  c.access(top, true);  // evicts `high`, clean
+  EXPECT_EQ(c.flush_all(), 1u);
+  EXPECT_FALSE(c.contains(top));
+
+  c.access(high, true);
+  c.access(top, false);
+  EXPECT_TRUE(c.invalidate_line(high));  // dirty
+  EXPECT_FALSE(c.invalidate_line(top));  // clean
+  EXPECT_EQ(c.stats().writebacks, 3u);
+}
+
+TEST(Cache, CreditHitsMatchesRepeatedAccess) {
+  // Credit k hits after an access vs k + 1 real accesses: the same stats,
+  // dirty bits and (under kLru) use stamps, hence the same later victims.
+  for (const auto policy :
+       {ReplacementPolicy::kRandom, ReplacementPolicy::kLru}) {
+    CacheConfig cfg = small_cfg();
+    cfg.policy = policy;
+    Cache credited(cfg), looped(cfg);
+    u64 seed = 0x9E37'79B9'7F4A'7C15ull;
+    for (u32 step = 0; step < 2000; ++step) {
+      seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+      const paddr_t pa = paddr_t((seed >> 33) % 0x400) & ~3u;
+      const bool write = (seed >> 20) & 1;
+      const bool credit_write = (seed >> 21) & 1;  // may differ from `write`
+      const u32 k = u32((seed >> 24) % 6);
+      const auto a = credited.access(pa, write);
+      if (k > 0) credited.credit_hits(pa, k, credit_write);
+      const auto b = looped.access(pa, write);
+      for (u32 i = 0; i < k; ++i)
+        ASSERT_TRUE(looped.access(pa, credit_write).hit);
+      ASSERT_EQ(a.hit, b.hit) << "step " << step;
+      ASSERT_EQ(a.writeback, b.writeback) << "step " << step;
+      ASSERT_EQ(a.evicted_valid, b.evicted_valid) << "step " << step;
+      ASSERT_EQ(a.victim_line, b.victim_line) << "step " << step;
+    }
+    EXPECT_EQ(credited.stats().hits, looped.stats().hits);
+    EXPECT_EQ(credited.stats().misses, looped.stats().misses);
+    EXPECT_EQ(credited.stats().evictions, looped.stats().evictions);
+    EXPECT_EQ(credited.stats().writebacks, looped.stats().writebacks);
+    for (paddr_t pa = 0; pa < 0x400; pa += 32)
+      EXPECT_EQ(credited.contains(pa), looped.contains(pa));
+    EXPECT_EQ(credited.flush_all(), looped.flush_all());  // same dirty lines
+  }
+}
+
 TEST(CacheRandomPolicy, EvictsSomeWayDeterministically) {
   CacheConfig cfg = small_cfg();
   cfg.policy = ReplacementPolicy::kRandom;

@@ -72,6 +72,16 @@ class UtlbDifferentialTest : public ::testing::Test {
   void translate_checked(vaddr_t va, u64 step) {
     const cache::TlbEntry* gold = ref_.lookup(asid(cur_), va);
     const auto r = mmu_.translate(va, AccessKind::kRead, true);
+    last_ = r;
+    // A host pointer always names the current translation's frame: a
+    // binding that outlived its space, its TLB entry or its frame would
+    // point elsewhere (or at a frame that is no longer resident).
+    if (r.host != nullptr) {
+      ASSERT_TRUE(r.ok()) << "step " << step;
+      ASSERT_NE(ram_.resident_frame(r.pa), nullptr) << "step " << step;
+      ASSERT_EQ(r.host, ram_.resident_frame(r.pa) + (r.pa & (kPageSize - 1)))
+          << "stale host binding at step " << step << " va=" << std::hex << va;
+    }
     ASSERT_EQ(r.tlb_hit, gold != nullptr)
         << "hit/miss divergence at step " << step << " va=" << std::hex << va;
     if (gold != nullptr) {
@@ -135,6 +145,7 @@ class UtlbDifferentialTest : public ::testing::Test {
   PageTableAllocator alloc_;
   std::vector<std::unique_ptr<AddressSpace>> spaces_;
   u32 cur_ = 0;
+  TranslateResult last_;  // the latest translate_checked result
 };
 
 TEST_F(UtlbDifferentialTest, RandomStormWithTtbrAndAsidRewrites) {
@@ -180,6 +191,67 @@ TEST_F(UtlbDifferentialTest, RandomStormWithTtbrAndAsidRewrites) {
   EXPECT_GT(mmu_.micro_stats().hits, 5'000u);
   EXPECT_EQ(tlb_.stats().hits, ref_.stats().hits);
   EXPECT_EQ(tlb_.stats().misses, ref_.stats().misses);
+}
+
+TEST_F(UtlbDifferentialTest, HostBindingsDieWithTheirTranslation) {
+  // The RAM host pointer rides on a micro-TLB entry. Storm binds against
+  // TTBR/ASID switches, TLB inserts and flushes, and frame discards:
+  // translate_checked asserts every returned pointer is the current
+  // translation's frame, and a bound page must serve its pointer on the
+  // very next translation.
+  util::Xoshiro256 rng(0xB1ED'0057ull);
+  const auto rand_va = [&]() -> vaddr_t {
+    switch (rng.next_below(3)) {
+      case 0: return kPageBase + u32(rng.next_below(24)) * kPageSize +
+                     u32(rng.next_below(kPageSize));
+      case 1: return kSectBase + u32(rng.next_below(kSectionSize));
+      default: return kGlobalVa + u32(rng.next_below(kPageSize));
+    }
+  };
+  u64 binds = 0, served = 0;
+  for (u64 step = 0; step < 60'000; ++step) {
+    const u64 op = rng.next_below(100);
+    const vaddr_t va = rand_va();
+    if (op < 55) {
+      ASSERT_NO_FATAL_FAILURE(translate_checked(va, step));
+      if (last_.host != nullptr) ++served;
+    } else if (op < 75) {
+      ASSERT_NO_FATAL_FAILURE(translate_checked(va, step));
+      if (!last_.ok()) continue;
+      const paddr_t pa = last_.pa;
+      ram_.write32(pa & ~3u, u32(step));  // materialize the frame
+      u8* host = mmu_.bind_host(va, pa);
+      ASSERT_EQ(host, ram_.resident_frame(pa) + (pa & (kPageSize - 1)));
+      ++binds;
+      ASSERT_NO_FATAL_FAILURE(translate_checked(va, step));
+      ASSERT_EQ(last_.host, host) << "bound page not served, step " << step;
+      ++served;
+    } else if (op < 85) {
+      switch_to(u32(rng.next_below(kNumSpaces)));
+    } else if (op < 90) {
+      // A discard frees frames: every binding must die, the live page's
+      // included.
+      ASSERT_NO_FATAL_FAILURE(translate_checked(va, step));
+      if (!last_.ok()) continue;
+      ram_.discard(last_.pa & ~(kPageSize - 1), kPageSize);
+      ASSERT_NO_FATAL_FAILURE(translate_checked(va, step));
+      ASSERT_EQ(last_.host, nullptr) << "binding survived discard";
+    } else if (op < 95) {
+      mmu_.tlb_flush_va(va);
+      ref_.flush_va(va);
+    } else if (op < 98) {
+      const u32 a = asid(u32(rng.next_below(kNumSpaces)));
+      mmu_.tlb_flush_asid(a);
+      ref_.flush_asid(a);
+    } else {
+      mmu_.tlb_flush_all();
+      ref_.flush_all();
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_arrays_equal(60'000));
+  EXPECT_EQ(tlb_.stats().hits, ref_.stats().hits);
+  EXPECT_GT(binds, 1'000u);
+  EXPECT_GT(served, binds);  // bindings are served beyond the bind itself
 }
 
 TEST_F(UtlbDifferentialTest, TtbrSwitchNeverServesStaleSpace) {

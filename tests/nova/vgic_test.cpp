@@ -239,10 +239,8 @@ TEST_F(VGicSwitchTest, PendingOnDisabledSourceSurvivesSwitchesUntilEnabled) {
   // Injection on a virtually disabled source: latched, masked from
   // delivery, and released by a later enable — across VM switches.
   vgics_[1].set_pending(63);  // 63 registered but disabled
-  u32 current = 0;
   vgics_[0].unmask_enabled_physical(platform_.cpu());
   switch_vms(0, 1);
-  current = 1;
 
   u32 irq = 0;
   EXPECT_FALSE(vgics_[1].take_pending(irq));  // disabled: stays latched
