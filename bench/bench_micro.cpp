@@ -101,6 +101,21 @@ void BM_MmuTranslateHot(benchmark::State& state) {
 }
 BENCHMARK(BM_MmuTranslateHot);
 
+void BM_ExecCodeWarm(benchmark::State& state) {
+  // A resident 384-byte routine (vm_switch's text size): every one of its
+  // 12 lines is an L1I hit, so the fetch memo charges the run in O(1).
+  sim::Clock clock;
+  mem::PhysMem ram(0, 16 * kMiB);
+  mem::Bus bus;
+  bus.add_ram(&ram);
+  cpu::Core core(clock, ram, bus);
+  const cpu::CodeRegion region{0x10'0000, 384};
+  core.exec_code(region);
+  for (auto _ : state) core.exec_code(region);
+  benchmark::DoNotOptimize(clock.now());
+}
+BENCHMARK(BM_ExecCodeWarm);
+
 void BM_CounterByString(benchmark::State& state) {
   // The old hot-path pattern: a map lookup (hash + string compare) per bump.
   sim::StatsRegistry reg;

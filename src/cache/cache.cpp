@@ -37,6 +37,7 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
 
   // Miss: pick the first invalid way, else the policy's victim.
   ++stats_.misses;
+  ++fill_epoch_;
   u32 victim_way = ways;
   for (u32 w = 0; w < ways; ++w) {
     if (tagp[w] == kInvalidTag) {
@@ -69,6 +70,7 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
 }
 
 void Cache::credit_hits(paddr_t pa, u64 n, bool write) {
+  if (n == 0) return;
   const std::size_t base = set_base(pa);
   const u32 way = way_of(base, line_addr(pa));
   MINOVA_CHECK_MSG(way != cfg_.ways, "credited hits on an absent line");
@@ -85,11 +87,13 @@ bool Cache::contains(paddr_t pa) const {
 }
 
 void Cache::invalidate_all() {
+  ++fill_epoch_;
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   std::fill(lru_.begin(), lru_.end(), 0);
 }
 
 u32 Cache::flush_all() {
+  ++fill_epoch_;
   u32 dirty = 0;
   for (u32& t : tags_) {
     if (t != kInvalidTag && (t & kDirtyBit)) ++dirty;
@@ -105,6 +109,7 @@ bool Cache::invalidate_line(paddr_t pa) {
   const std::size_t base = set_base(pa);
   const u32 way = way_of(base, line_addr(pa));
   if (way == cfg_.ways) return false;
+  ++fill_epoch_;
   const bool was_dirty = (tags_[base + way] & kDirtyBit) != 0;
   tags_[base + way] = kInvalidTag;
   if (!lru_.empty()) lru_[base + way] = 0;

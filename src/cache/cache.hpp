@@ -64,6 +64,20 @@ class Cache {
   /// (hit count, dirty bit, and under kLru the use stamp).
   void credit_hits(paddr_t pa, u64 n, bool write);
 
+  /// Credit `n` read hits on lines known to be present. Under kRandom a
+  /// read hit changes nothing but the hit count, so this is exactly the
+  /// state those `access` calls leave; kLru would need use stamps.
+  void credit_read_hits(u64 n) {
+    MINOVA_CHECK(cfg_.policy == ReplacementPolicy::kRandom);
+    stats_.hits += n;
+  }
+
+  /// Moves whenever a line can leave the cache: on every miss (its fill
+  /// may evict), `invalidate_all`, `flush_all` and an `invalidate_line`
+  /// that found its line. Every line present while the epoch reads E was
+  /// present when it first read E (DESIGN.md §10.2).
+  u64 fill_epoch() const { return fill_epoch_; }
+
   /// Probe without side effects.
   bool contains(paddr_t pa) const;
 
@@ -112,6 +126,7 @@ class Cache {
   u32 sets_;
   u32 line_shift_;
   u64 use_clock_ = 0;
+  u64 fill_epoch_ = 0;
   u32 lfsr_ = 0xACE1u;  // deterministic pseudo-random victim source
   std::vector<u32> tags_;  // sets_ * ways, row-major by set
   std::vector<u64> lru_;   // parallel last-use stamps, allocated under kLru

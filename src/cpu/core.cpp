@@ -44,11 +44,30 @@ Psr& Core::spsr(Mode m) {
 
 void Core::exec_code(const CodeRegion& region, double executed_fraction) {
   MINOVA_CHECK(executed_fraction >= 0.0 && executed_fraction <= 1.0);
-  const u32 line = hierarchy_.config().l1i.line_bytes;
+  const cache::CacheConfig& l1i = hierarchy_.config().l1i;
+  const u32 line = l1i.line_bytes;
   const u32 total_lines = region.lines(line);
   const u32 run_lines = u32(double(total_lines) * executed_fraction + 0.5);
-  for (u32 i = 0; i < run_lines; ++i)
-    clock_->advance(hierarchy_.access_ifetch(region.base + i * line));
+  cache::Cache& icache = hierarchy_.l1i();
+  // With the caches off every fetch costs DRAM and touches no state. Under
+  // kRandom an L1I hit only counts, so lines that all hit in this fill
+  // epoch are certain hits again; under kLru each hit writes a use stamp.
+  const bool memo_ok = l1i.policy == cache::ReplacementPolicy::kRandom;
+  FetchMemo& memo = fetch_memo_[(region.base / line) % kFetchMemoSlots];
+  const u64 epoch = icache.fill_epoch();
+  if (!hierarchy_.config().enabled) {
+    clock_->advance(cycles_t(run_lines) * cache::kDramCycles);
+  } else if (memo_ok && memo.base == region.base && memo.epoch == epoch &&
+             run_lines <= memo.lines) {
+    icache.credit_read_hits(run_lines);
+    clock_->advance(cycles_t(run_lines) * l1i.hit_cycles);
+  } else {
+    for (u32 i = 0; i < run_lines; ++i)
+      clock_->advance(hierarchy_.access_ifetch(region.base + i * line));
+    // An unmoved epoch means no line missed.
+    if (memo_ok && icache.fill_epoch() == epoch)
+      memo = FetchMemo{region.base, run_lines, epoch};
+  }
   spend_insns(u64(double(region.instructions()) * executed_fraction));
 }
 

@@ -30,7 +30,6 @@ namespace minova::cpu {
 
 struct CoreConfig {
   cache::HierarchyConfig hierarchy{};
-  double ipc = 1.0;  // modeled instructions per cycle for `spend`
 };
 
 class Core {
@@ -57,13 +56,14 @@ class Core {
   /// core charges against never changes mid-access (DESIGN.md §14).
   void set_clock(sim::Clock* clock) { clock_ = clock; }
   void spend(cycles_t cycles) { clock_->advance(cycles); }
-  void spend_insns(u64 instructions) {
-    clock_->advance(cycles_t(double(instructions) / cfg_.ipc));
-  }
+  /// The modelled pipeline retires one instruction per cycle.
+  void spend_insns(u64 instructions) { clock_->advance(instructions); }
 
   // ---- instruction side ----
   /// Fetch a routine's entire text footprint through the I-cache and charge
   /// its pipeline cycles. `executed_fraction` scales both for partial runs.
+  /// A run whose lines are certain L1I hits is charged in closed form
+  /// (DESIGN.md §10.2).
   void exec_code(const CodeRegion& region, double executed_fraction = 1.0);
 
   // ---- data side ----
@@ -131,6 +131,17 @@ class Core {
   template <typename Byte>
   MemResult block_access(vaddr_t va, std::span<Byte> data);
 
+  /// A region whose first `lines` lines all hit L1I while its fill epoch
+  /// read `epoch`; they stay resident until the epoch moves.
+  struct FetchMemo {
+    paddr_t base = 0;
+    u32 lines = 0;
+    u64 epoch = 0;
+  };
+  /// Direct-mapped by `base / line`. 256 slots keep base collisions rare
+  /// for the kernel's routine set; 64 do not.
+  static constexpr u32 kFetchMemoSlots = 256;
+
   sim::Clock* clock_;
   mem::PhysMem& dram_;
   mem::Bus& bus_;
@@ -145,6 +156,7 @@ class Core {
   std::array<Psr, 7> spsr_{};
   VfpBank vfp_;
   bool irq_line_ = false;
+  std::array<FetchMemo, kFetchMemoSlots> fetch_memo_{};
 };
 
 }  // namespace minova::cpu

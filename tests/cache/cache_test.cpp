@@ -128,7 +128,7 @@ TEST(Cache, CreditHitsMatchesRepeatedAccess) {
       const bool credit_write = (seed >> 21) & 1;  // may differ from `write`
       const u32 k = u32((seed >> 24) % 6);
       const auto a = credited.access(pa, write);
-      if (k > 0) credited.credit_hits(pa, k, credit_write);
+      credited.credit_hits(pa, k, credit_write);  // k = 0 leaves nothing
       const auto b = looped.access(pa, write);
       for (u32 i = 0; i < k; ++i)
         ASSERT_TRUE(looped.access(pa, credit_write).hit);
@@ -144,6 +144,39 @@ TEST(Cache, CreditHitsMatchesRepeatedAccess) {
     for (paddr_t pa = 0; pa < 0x400; pa += 32)
       EXPECT_EQ(credited.contains(pa), looped.contains(pa));
     EXPECT_EQ(credited.flush_all(), looped.flush_all());  // same dirty lines
+  }
+}
+
+TEST(Cache, FillEpochMovesOnlyWhenALineCanLeave) {
+  for (const auto policy :
+       {ReplacementPolicy::kRandom, ReplacementPolicy::kLru}) {
+    CacheConfig cfg = small_cfg();
+    cfg.policy = policy;
+    Cache c(cfg);
+    u64 epoch = c.fill_epoch();
+    const auto moved = [&] {
+      const bool m = c.fill_epoch() != epoch;
+      epoch = c.fill_epoch();
+      return m;
+    };
+    EXPECT_FALSE(c.access(0x100, false).hit);  // a miss fills
+    EXPECT_TRUE(moved());
+    EXPECT_TRUE(c.access(0x104, true).hit);
+    c.credit_hits(0x100, 3, true);
+    c.credit_hits(0x100, 0, false);
+    if (policy == ReplacementPolicy::kRandom) c.credit_read_hits(5);
+    EXPECT_FALSE(moved());
+    EXPECT_FALSE(c.invalidate_line(0x300));  // absent: nothing leaves
+    EXPECT_FALSE(moved());
+    EXPECT_TRUE(c.invalidate_line(0x100));  // present and dirty
+    EXPECT_TRUE(moved());
+    c.access(0x100, false);
+    EXPECT_TRUE(moved());
+    c.invalidate_all();
+    EXPECT_TRUE(moved());
+    c.flush_all();  // even with nothing resident
+    EXPECT_TRUE(moved());
+    EXPECT_FALSE(c.contains(0x100));
   }
 }
 

@@ -13,6 +13,10 @@
 // TLB statistics and every slot's LRU stamp, the micro-TLB statistics, the
 // L1D/L1I/L2 statistics and residency of the touched lines, the device
 // traffic and the DRAM content digest (every 64 steps in the storm).
+//
+// The instruction side gets the same treatment: rig A runs `exec_code`,
+// which charges a warm region's certain L1I hits in closed form, and rig B
+// fetches every line through `access_ifetch`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -202,6 +206,15 @@ Core::MemResult ref_block(Core& c, vaddr_t va, std::span<u8> data,
   return Core::MemResult{};
 }
 
+/// `exec_code` as one L1I fetch per line plus the pipeline cycles.
+void ref_exec(Core& c, const CodeRegion& region, double fraction) {
+  const u32 line = c.caches().config().l1i.line_bytes;
+  const u32 run = u32(double(region.lines(line)) * fraction + 0.5);
+  for (u32 i = 0; i < run; ++i)
+    c.clock().advance(c.caches().access_ifetch(region.base + i * line));
+  c.spend_insns(u64(double(region.instructions()) * fraction));
+}
+
 // ---- the differential fixture -----------------------------------------------
 
 class AccessRunDiffTest
@@ -320,6 +333,31 @@ class AccessRunDiffTest
     EXPECT_EQ(a_.ram_dev.writes, b_.ram_dev.writes);
     EXPECT_EQ(a_.dram.resident_frames(), b_.dram.resident_frames());
     if (digest_every_op_) check_content();
+  }
+
+  void exec(const CodeRegion& region, double fraction) {
+    a_.core.exec_code(region, fraction);
+    ref_exec(b_.core, region, fraction);
+  }
+
+  /// The instruction-side check: clock, every cache's statistics and the
+  /// residency of every line of every region in each cache.
+  void check_code(std::span<const CodeRegion> regions) {
+    ASSERT_EQ(a_.clock.now(), b_.clock.now()) << "clock";
+    const cache::MemHierarchy& ha = a_.core.caches();
+    const cache::MemHierarchy& hb = b_.core.caches();
+    expect_same_cache(ha.l1i(), hb.l1i());
+    expect_same_cache(ha.l1d(), hb.l1d());
+    expect_same_cache(ha.l2(), hb.l2());
+    const u32 line = ha.config().l1i.line_bytes;
+    for (const CodeRegion& r : regions) {
+      for (u32 i = 0; i < r.lines(line); ++i) {
+        const paddr_t pa = r.base + i * line;
+        EXPECT_EQ(ha.l1i().contains(pa), hb.l1i().contains(pa)) << pa;
+        EXPECT_EQ(ha.l1d().contains(pa), hb.l1d().contains(pa)) << pa;
+        EXPECT_EQ(ha.l2().contains(pa), hb.l2().contains(pa)) << pa;
+      }
+    }
   }
 
   void check_content() {
@@ -494,6 +532,88 @@ TEST_P(AccessRunDiffTest, RandomStorm) {
   check_content();
   // The fast paths must have been exercised, or this tested nothing.
   EXPECT_GT(a_.core.mmu().micro_stats().hits, 10'000u);
+}
+
+// ---- instruction fetch ------------------------------------------------------
+
+TEST_P(AccessRunDiffTest, IfetchWarmRunsKeepReplacementOrder) {
+  // Five regions in five fetch-memo slots. A, B, C and D fill the four
+  // ways of L1I sets 3-11 and then run warm in that order; A runs warm
+  // once more, then E misses in sets 4-11. Under kLru the victim is the
+  // least recently used way (B's), so A's last warm run must leave the
+  // same use stamps as its loop would.
+  constexpr paddr_t kCode = kSectVa + 2 * kMiB;
+  const CodeRegion a{kCode, 384}, b{kCode + 8 * kKiB + 0x40, 384},
+      c{kCode + 16 * kKiB + 0x20, 384}, d{kCode + 24 * kKiB + 0x60, 384},
+      e{kCode + 32 * kKiB + 0x80, 384};
+  const CodeRegion regions[] = {a, b, c, d, e};
+  for (const CodeRegion& r : {a, b, c, d, a, b, c, d, a, e, a, b, c, d}) {
+    exec(r, 1.0);
+    ASSERT_NO_FATAL_FAILURE(check_code(regions));
+    if (HasFailure()) FAIL() << "diverged at region " << std::hex << r.base;
+  }
+}
+
+TEST_P(AccessRunDiffTest, IfetchStorm) {
+  // Code in the identity-mapped sections, so data runs over the same
+  // physical lines share L2 with the fetches. L1I has 256 sets of 32-byte
+  // lines: regions 8 KB apart alias the same sets (six of them overflow the
+  // 4 ways) and the same fetch-memo slot. Skewed ones share some of those
+  // sets from other slots. Two regions share a base with different
+  // lengths; one overlaps another's lines from a different base.
+  constexpr paddr_t kCode = kSectVa + 2 * kMiB;
+  std::vector<CodeRegion> regions;
+  for (u32 k = 0; k < 6; ++k) regions.push_back({kCode + k * 8 * kKiB, 384});
+  for (u32 k = 1; k < 4; ++k)
+    regions.push_back({kCode + k * (8 * kKiB + 0x80), 384});
+  regions.push_back({kCode, 1024});
+  regions.push_back({kCode + 0x60, 200});
+  regions.push_back({kCode + 0x1000, 100});
+  regions.push_back({kCode + 0x3000, 2048});
+  constexpr double kFractions[] = {0.0, 0.3, 0.5, 1.0};
+  const u32 line = a_.core.caches().config().l1i.line_bytes;
+
+  util::Xoshiro256 rng(GetParam() == cache::ReplacementPolicy::kLru
+                           ? 0x1F37'C4ull
+                           : 0xC0DE'F37Cull);
+  for (u64 step = 0; step < 5000; ++step) {
+    const u64 op = rng.next_below(100);
+    const CodeRegion& r = regions[rng.next_below(regions.size())];
+    const double fraction = kFractions[rng.next_below(4)];
+    if (op < 40) {
+      exec(r, fraction);
+    } else if (op < 46) {
+      for (u32 k = 0; k < 6; ++k) exec(regions[k], 1.0);  // evicts
+    } else if (op < 58) {
+      touch(r.base, u32(rng.next_range(1, r.bytes / 4)), rng.next() & 1,
+            Core::RunFaults::kStop);
+    } else if (op < 63) {
+      read_block(r.base, r.bytes);
+    } else {
+      // Warm `r`, change the cache under it, then run it again.
+      exec(r, 1.0);
+      exec(r, 1.0);
+      if (op < 75) {
+        const paddr_t pa = r.base + u32(rng.next_below(r.lines(line))) * line;
+        both([&](Rig& x) { x.core.caches().l1i().invalidate_line(pa); });
+      } else if (op < 80) {
+        both([](Rig& x) {
+          x.clock.advance(x.core.caches().invalidate_icache());
+        });
+      } else if (op < 85) {
+        both([](Rig& x) { x.clock.advance(x.core.caches().flush_all()); });
+      } else if (op < 92) {
+        const bool on = !a_.core.caches().config().enabled;
+        both([&](Rig& x) { x.core.caches().set_enabled(on); });
+      }
+      exec(r, fraction);
+    }
+    check_code(regions);
+    if (HasFailure()) FAIL() << "diverged at step " << step << ", op " << op;
+  }
+  // Both outcomes were exercised: warm runs and evicting ones.
+  EXPECT_GT(a_.core.caches().l1i().stats().hits, 5'000u);
+  EXPECT_GT(a_.core.caches().l1i().stats().misses, 2'000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

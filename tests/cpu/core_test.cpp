@@ -118,14 +118,5 @@ TEST_F(CoreTest, IrqDeliverableRespectsMask) {
   EXPECT_FALSE(core_.irq_deliverable());
 }
 
-TEST_F(CoreTest, SpendInsnsUsesIpc) {
-  CoreConfig cfg;
-  cfg.ipc = 2.0;
-  Core fast(clock_, dram_, bus_, cfg);
-  const cycles_t t0 = clock_.now();
-  fast.spend_insns(1000);
-  EXPECT_EQ(clock_.now() - t0, 500u);
-}
-
 }  // namespace
 }  // namespace minova::cpu
