@@ -1,5 +1,6 @@
-// Bench driver: runs the Table III configurations and the memory fast-path
-// self-timing mixes, then writes one machine-readable BENCH_results.json.
+// Bench driver: runs the Table III configurations, the SMP and host-parallel
+// sweeps, the VM-density sweep and the PRR-scheduler contention sweep, then
+// writes one machine-readable BENCH_results.json.
 //
 // The JSON separates two kinds of numbers:
 //   * simulated quantities (latency rows, trap counts, hit rates) — these
@@ -10,27 +11,64 @@
 //
 // Usage: run_all [sim_ms_per_config] [output.json]
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <string>
-#include <vector>
-
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "density.hpp"
 #include "harness.hpp"
 #include "mt.hpp"
 #include "prr_sched.hpp"
-#include "selftime.hpp"
 #include "smp.hpp"
 
 using namespace minova;
 
 namespace {
 
-std::string jd(double v) {  // full-precision JSON double
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// One JSON value: a full-precision double, an integer or a quoted string.
+template <typename V>
+std::string jv(const V& v) {
+  if constexpr (std::is_floating_point_v<V>) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+  } else if constexpr (std::is_integral_v<V>) {
+    return std::to_string(v);
+  } else {
+    std::string quoted = "\"";
+    quoted += v;
+    quoted += '"';
+    return quoted;
+  }
+}
+
+/// One array row, `"name": [get(xs[0]), get(xs[1]), ...]`, indented by
+/// `indent` spaces. `get` is a data or function member pointer, or a
+/// callable taking an element.
+template <typename T, typename Get>
+void row(FILE* f, int indent, const char* name, const std::vector<T>& xs,
+         Get get, bool last = false) {
+  std::fprintf(f, "%*s\"%s\": [", indent, "", name);
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    std::fprintf(f, "%s%s", jv(std::invoke(get, xs[i])).c_str(),
+                 i + 1 < xs.size() ? ", " : "");
+  std::fprintf(f, "]%s\n", last ? "" : ",");
+}
+
+/// The latency and trap rows table3 and smp share.
+void latency_rows(FILE* f, int indent,
+                  const std::vector<bench::Measurement>& ms) {
+  using M = bench::Measurement;
+  row(f, indent, "entry", ms, &M::entry);
+  row(f, indent, "exit", ms, &M::exit);
+  row(f, indent, "irq_entry", ms, &M::irq_entry);
+  row(f, indent, "exec", ms, &M::exec);
+  row(f, indent, "total", ms, &M::total);
+  row(f, indent, "samples", ms, &M::samples);
+  row(f, indent, "hypercalls", ms, &M::hypercalls);
+  row(f, indent, "irq_traps", ms, &M::irq_traps);
 }
 
 }  // namespace
@@ -42,21 +80,21 @@ int main(int argc, char** argv) {
   if (argc > 2) out_path = argv[2];
 
   std::printf("run_all: Table III (%g ms/config) ...\n", sim_ms);
-  bench::Measurement rows[5];
-  rows[0] = bench::run_native(sim_ms, 42);
+  std::vector<bench::Measurement> rows{bench::run_native(sim_ms, 42)};
   for (u32 g = 1; g <= 4; ++g)
-    rows[g] = bench::run_virtualized(g, sim_ms, 42);
+    rows.push_back(bench::run_virtualized(g, sim_ms, 42));
 
-  std::printf("run_all: SMP scaling 1/2/4 cores ...\n");
+  std::printf("run_all: SMP scaling 1/2/4/8 cores ...\n");
   std::vector<bench::SmpPoint> smp;
-  for (u32 c : {1u, 2u, 4u}) smp.push_back(bench::run_smp_point(c, sim_ms));
+  std::vector<bench::Measurement> smp_rows;
+  for (u32 c : {1u, 2u, 4u, 8u}) {
+    smp.push_back(bench::run_smp_point(c, sim_ms));
+    smp_rows.push_back(smp.back().m);
+  }
 
   std::printf("run_all: host-parallel 4 cores x 1/2/4 threads ...\n");
   std::vector<bench::MtPoint> mt;
   for (u32 t : {1u, 2u, 4u}) mt.push_back(bench::run_mt_point(4, t, sim_ms));
-
-  std::printf("run_all: self-timing mixes ...\n");
-  const auto mixes = bench::run_all_mixes();
 
   std::printf("run_all: density sweep 8 -> 1024 VMs ...\n");
   std::vector<bench::DensityPoint> density;
@@ -67,6 +105,8 @@ int main(int argc, char** argv) {
   std::printf("run_all: PRR scheduler contention sweep (40 rounds) ...\n");
   const u32 prr_iters = 40;  // fixed so the simulated counters are diffable
   const auto prr = bench::run_prr_sched_sweep(prr_iters);
+  std::vector<hwmgr::ManagerStats> prr_stats;
+  for (const auto& p : prr) prr_stats.push_back(p.stats);
 
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -74,44 +114,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto row_d = [&](const char* name, double bench::Measurement::* m,
-                         bool last = false) {
-    std::fprintf(f, "      \"%s\": [", name);
-    for (int i = 0; i < 5; ++i)
-      std::fprintf(f, "%s%s", jd(rows[i].*m).c_str(), i < 4 ? ", " : "");
-    std::fprintf(f, "]%s\n", last ? "" : ",");
-  };
-  const auto row_u = [&](const char* name, u64 bench::Measurement::* m,
-                         bool last = false) {
-    std::fprintf(f, "      \"%s\": [", name);
-    for (int i = 0; i < 5; ++i)
-      std::fprintf(f, "%llu%s", (unsigned long long)(rows[i].*m),
-                   i < 4 ? ", " : "");
-    std::fprintf(f, "]%s\n", last ? "" : ",");
-  };
-
+  using M = bench::Measurement;
   std::fprintf(f, "{\n  \"schema\": \"minova-bench-1\",\n");
-  std::fprintf(f, "  \"table3\": {\n    \"sim_ms\": %s,\n", jd(sim_ms).c_str());
+  std::fprintf(f, "  \"table3\": {\n    \"sim_ms\": %s,\n", jv(sim_ms).c_str());
   std::fprintf(f, "    \"configs\": [\"native\", \"1\", \"2\", \"3\", \"4\"],\n");
   std::fprintf(f, "    \"sim_rows\": {\n");
-  row_d("entry", &bench::Measurement::entry);
-  row_d("exit", &bench::Measurement::exit);
-  row_d("irq_entry", &bench::Measurement::irq_entry);
-  row_d("exec", &bench::Measurement::exec);
-  row_d("total", &bench::Measurement::total);
-  {
-    std::fprintf(f, "      \"samples\": [");
-    for (int i = 0; i < 5; ++i)
-      std::fprintf(f, "%zu%s", rows[i].samples, i < 4 ? ", " : "");
-    std::fprintf(f, "],\n");
-  }
-  row_u("hypercalls", &bench::Measurement::hypercalls);
-  row_u("irq_traps", &bench::Measurement::irq_traps);
-  row_d("utlb_hit_rate", &bench::Measurement::utlb_hit_rate);
-  row_d("tlb_hit_rate", &bench::Measurement::tlb_hit_rate);
-  row_d("l1d_hit_rate", &bench::Measurement::l1d_hit_rate);
-  row_d("l2_hit_rate", &bench::Measurement::l2_hit_rate);
-  row_u("tlb_va_flushes", &bench::Measurement::tlb_va_flushes, true);
+  latency_rows(f, 6, rows);
+  row(f, 6, "utlb_hit_rate", rows, &M::utlb_hit_rate);
+  row(f, 6, "tlb_hit_rate", rows, &M::tlb_hit_rate);
+  row(f, 6, "l1d_hit_rate", rows, &M::l1d_hit_rate);
+  row(f, 6, "l2_hit_rate", rows, &M::l2_hit_rate);
+  row(f, 6, "tlb_va_flushes", rows, &M::tlb_va_flushes, true);
   std::fprintf(f, "    },\n");
   {
     double host_s = 0, sim_us = 0;
@@ -120,119 +133,51 @@ int main(int argc, char** argv) {
       sim_us += r.sim_us;
     }
     std::fprintf(f, "    \"host\": {\"seconds\": %s, \"sim_us_per_host_s\": %s}\n",
-                 jd(host_s).c_str(),
-                 jd(host_s > 0 ? sim_us / host_s : 0.0).c_str());
+                 jv(host_s).c_str(),
+                 jv(host_s > 0 ? sim_us / host_s : 0.0).c_str());
   }
-  // SMP section: the same 4-guest configuration at 1/2/4 cores. The
-  // cores=1 latency row is golden-gated: check_table3.py asserts it is
+  // SMP section: the same 4-guest configuration at 1/2/4/8 cores. The
+  // cores=1 column is golden-gated: check_table3.py asserts it is
   // bit-identical to the table3 4-guest column above (the unicore kernel
   // takes none of the SMP paths).
-  std::fprintf(f, "  },\n  \"smp\": {\n    \"cores\": [1, 2, 4],\n");
-  const auto smp_d = [&](const char* name,
-                         double bench::Measurement::* m, bool last = false) {
-    std::fprintf(f, "    \"%s\": [", name);
-    for (std::size_t i = 0; i < smp.size(); ++i)
-      std::fprintf(f, "%s%s", jd(smp[i].m.*m).c_str(),
-                   i + 1 < smp.size() ? ", " : "");
-    std::fprintf(f, "]%s\n", last ? "" : ",");
-  };
-  const auto smp_u = [&](const char* name, u64 bench::SmpPoint::* m,
-                         bool last = false) {
-    std::fprintf(f, "    \"%s\": [", name);
-    for (std::size_t i = 0; i < smp.size(); ++i)
-      std::fprintf(f, "%llu%s", (unsigned long long)(smp[i].*m),
-                   i + 1 < smp.size() ? ", " : "");
-    std::fprintf(f, "]%s\n", last ? "" : ",");
-  };
-  smp_d("entry", &bench::Measurement::entry);
-  smp_d("exit", &bench::Measurement::exit);
-  smp_d("irq_entry", &bench::Measurement::irq_entry);
-  smp_d("exec", &bench::Measurement::exec);
-  smp_d("total", &bench::Measurement::total);
-  {
-    std::fprintf(f, "    \"samples\": [");
-    for (std::size_t i = 0; i < smp.size(); ++i)
-      std::fprintf(f, "%zu%s", smp[i].m.samples,
-                   i + 1 < smp.size() ? ", " : "");
-    std::fprintf(f, "],\n");
-  }
-  smp_u("ipis_sent", &bench::SmpPoint::ipis_sent);
-  smp_u("steals", &bench::SmpPoint::steals);
-  smp_u("shootdowns_sent", &bench::SmpPoint::shootdowns_sent);
-  smp_u("shootdown_acks", &bench::SmpPoint::shootdown_acks);
-  smp_u("cross_core_irqs", &bench::SmpPoint::cross_core_irqs);
-  smp_u("vm_switches", &bench::SmpPoint::vm_switches, true);
+  std::fprintf(f, "  },\n  \"smp\": {\n");
+  row(f, 4, "cores", smp, &bench::SmpPoint::cores);
+  latency_rows(f, 4, smp_rows);
+  row(f, 4, "ipis_sent", smp, &bench::SmpPoint::ipis_sent);
+  row(f, 4, "steals", smp, &bench::SmpPoint::steals);
+  row(f, 4, "shootdowns_sent", smp, &bench::SmpPoint::shootdowns_sent);
+  row(f, 4, "shootdown_acks", smp, &bench::SmpPoint::shootdown_acks);
+  row(f, 4, "cross_core_irqs", smp, &bench::SmpPoint::cross_core_irqs);
+  row(f, 4, "vm_switches", smp, &bench::SmpPoint::vm_switches, true);
   // Host-parallel section (DESIGN.md §14): the compute-saturated 4-core
   // configuration at 1/2/4 host threads. sim_digest is a simulated
   // quantity and must be identical across the thread sweep (check_table3.py
   // fails on divergence); host_seconds / host_speedup are machine numbers —
   // the speedup floor is only gated when the host has >= 4 CPUs.
-  std::fprintf(f, "  },\n  \"mt\": {\n    \"cores\": %u,\n    \"threads\": [",
+  std::fprintf(f, "  },\n  \"mt\": {\n    \"cores\": %u,\n",
                mt.empty() ? 0 : mt[0].cores);
-  for (std::size_t i = 0; i < mt.size(); ++i)
-    std::fprintf(f, "%u%s", mt[i].threads, i + 1 < mt.size() ? ", " : "");
-  std::fprintf(f, "],\n    \"host_seconds\": [");
-  for (std::size_t i = 0; i < mt.size(); ++i)
-    std::fprintf(f, "%s%s", jd(mt[i].host_seconds).c_str(),
-                 i + 1 < mt.size() ? ", " : "");
-  std::fprintf(f, "],\n    \"host_speedup\": [");
-  for (std::size_t i = 0; i < mt.size(); ++i)
-    std::fprintf(f, "%s%s",
-                 jd(mt[i].host_seconds > 0
-                        ? mt[0].host_seconds / mt[i].host_seconds
-                        : 0.0)
-                     .c_str(),
-                 i + 1 < mt.size() ? ", " : "");
-  std::fprintf(f, "],\n    \"sim_us_per_host_s\": [");
-  for (std::size_t i = 0; i < mt.size(); ++i)
-    std::fprintf(f, "%s%s", jd(mt[i].sim_us_per_host_s()).c_str(),
-                 i + 1 < mt.size() ? ", " : "");
-  std::fprintf(f, "],\n    \"sim_digest\": [");
-  for (std::size_t i = 0; i < mt.size(); ++i)
-    std::fprintf(f, "\"%016llx\"%s", (unsigned long long)mt[i].sim_digest,
-                 i + 1 < mt.size() ? ", " : "");
-  std::fprintf(f, "],\n    \"host_cpus\": %u\n",
+  row(f, 4, "threads", mt, &bench::MtPoint::threads);
+  row(f, 4, "host_seconds", mt, &bench::MtPoint::host_seconds);
+  row(f, 4, "host_speedup", mt, [&](const bench::MtPoint& p) {
+    return p.host_seconds > 0 ? mt[0].host_seconds / p.host_seconds : 0.0;
+  });
+  row(f, 4, "sim_us_per_host_s", mt, &bench::MtPoint::sim_us_per_host_s);
+  row(f, 4, "sim_digest", mt, [](const bench::MtPoint& p) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  (unsigned long long)p.sim_digest);
+    return std::string(hex);
+  });
+  std::fprintf(f, "    \"host_cpus\": %u\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  },\n  \"selftime\": [\n");
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    const auto& m = mixes[i];
-    std::fprintf(f,
-                 "    {\"mix\": \"%s\", \"accesses\": %llu, "
-                 "\"sim_us\": %s, \"ref_ns_per_op\": %s, "
-                 "\"new_ns_per_op\": %s, \"speedup\": %s, "
-                 "\"sim_us_per_host_s\": %s}%s\n",
-                 m.name.c_str(), (unsigned long long)m.accesses,
-                 jd(m.sim_us).c_str(), jd(m.ref_ns_per_op).c_str(),
-                 jd(m.new_ns_per_op).c_str(), jd(m.speedup).c_str(),
-                 jd(m.sim_us_per_host_s).c_str(),
-                 i + 1 < mixes.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"density\": {\n");
-  const auto density_row = [&](const char* name, auto get, bool last = false) {
-    std::fprintf(f, "    \"%s\": [", name);
-    for (std::size_t i = 0; i < density.size(); ++i)
-      std::fprintf(f, "%s%s", get(density[i]).c_str(),
-                   i + 1 < density.size() ? ", " : "");
-    std::fprintf(f, "]%s\n", last ? "" : ",");
-  };
-  density_row("vms", [](const bench::DensityPoint& p) {
-    return std::to_string(p.vms);
-  });
-  density_row("switches", [](const bench::DensityPoint& p) {
-    return std::to_string(p.switches);
-  });
-  density_row("sim_cycles_per_switch", [&](const bench::DensityPoint& p) {
-    return jd(p.sim_cycles_per_switch);
-  });
-  density_row("heap_bytes_per_vm", [&](const bench::DensityPoint& p) {
-    return jd(p.heap_bytes_per_vm);
-  });
-  density_row("asid_generation", [](const bench::DensityPoint& p) {
-    return std::to_string(p.asid_generation);
-  });
-  density_row("host_ns_per_switch", [&](const bench::DensityPoint& p) {
-    return jd(p.host_ns_per_switch);
-  });
+  std::fprintf(f, "  },\n  \"density\": {\n");
+  using D = bench::DensityPoint;
+  row(f, 4, "vms", density, &D::vms);
+  row(f, 4, "switches", density, &D::switches);
+  row(f, 4, "sim_cycles_per_switch", density, &D::sim_cycles_per_switch);
+  row(f, 4, "heap_bytes_per_vm", density, &D::heap_bytes_per_vm);
+  row(f, 4, "asid_generation", density, &D::asid_generation);
+  row(f, 4, "host_ns_per_switch", density, &D::host_ns_per_switch);
   std::fprintf(f,
                "    \"churn\": {\"vms\": %u, \"cycles\": %u, "
                "\"heap_flat\": %s, \"vms_destroyed\": %llu, "
@@ -244,40 +189,20 @@ int main(int argc, char** argv) {
   // check_table3.py acceptance thresholds; host seconds are reported only.
   std::fprintf(f, "  },\n  \"prr_sched\": {\n    \"iterations\": %u,\n",
                prr_iters);
-  std::fprintf(f, "    \"configs\": [");
-  for (std::size_t i = 0; i < prr.size(); ++i)
-    std::fprintf(f, "\"%s\"%s", prr[i].name.c_str(),
-                 i + 1 < prr.size() ? ", " : "");
-  std::fprintf(f, "],\n");
-  const auto prr_u = [&](const char* name, u64 hwmgr::ManagerStats::* m,
-                         bool last = false) {
-    std::fprintf(f, "    \"%s\": [", name);
-    for (std::size_t i = 0; i < prr.size(); ++i)
-      std::fprintf(f, "%llu%s", (unsigned long long)(prr[i].stats.*m),
-                   i + 1 < prr.size() ? ", " : "");
-    std::fprintf(f, "]%s\n", last ? "" : ",");
-  };
-  prr_u("preemptions", &hwmgr::ManagerStats::preemptions);
-  prr_u("resumes", &hwmgr::ManagerStats::resumes);
-  prr_u("wait_grants", &hwmgr::ManagerStats::wait_grants);
-  prr_u("reclaims", &hwmgr::ManagerStats::reclaims);
-  prr_u("grants_with_reconfig", &hwmgr::ManagerStats::grants_with_reconfig);
-  prr_u("cache_hits", &hwmgr::ManagerStats::cache_hits);
-  prr_u("cache_misses", &hwmgr::ManagerStats::cache_misses);
-  prr_u("cache_evictions", &hwmgr::ManagerStats::cache_evictions);
-  std::fprintf(f, "    \"hit_rate\": [");
-  for (std::size_t i = 0; i < prr.size(); ++i)
-    std::fprintf(f, "%s%s", jd(prr[i].hit_rate).c_str(),
-                 i + 1 < prr.size() ? ", " : "");
-  std::fprintf(f, "],\n    \"avg_grant_us\": [");
-  for (std::size_t i = 0; i < prr.size(); ++i)
-    std::fprintf(f, "%s%s", jd(prr[i].avg_grant_us).c_str(),
-                 i + 1 < prr.size() ? ", " : "");
-  std::fprintf(f, "],\n    \"host_seconds\": [");
-  for (std::size_t i = 0; i < prr.size(); ++i)
-    std::fprintf(f, "%s%s", jd(prr[i].host_seconds).c_str(),
-                 i + 1 < prr.size() ? ", " : "");
-  std::fprintf(f, "]\n  }\n}\n");
+  using S = hwmgr::ManagerStats;
+  row(f, 4, "configs", prr, &bench::PrrSchedPoint::name);
+  row(f, 4, "preemptions", prr_stats, &S::preemptions);
+  row(f, 4, "resumes", prr_stats, &S::resumes);
+  row(f, 4, "wait_grants", prr_stats, &S::wait_grants);
+  row(f, 4, "reclaims", prr_stats, &S::reclaims);
+  row(f, 4, "grants_with_reconfig", prr_stats, &S::grants_with_reconfig);
+  row(f, 4, "cache_hits", prr_stats, &S::cache_hits);
+  row(f, 4, "cache_misses", prr_stats, &S::cache_misses);
+  row(f, 4, "cache_evictions", prr_stats, &S::cache_evictions);
+  row(f, 4, "hit_rate", prr, &bench::PrrSchedPoint::hit_rate);
+  row(f, 4, "avg_grant_us", prr, &bench::PrrSchedPoint::avg_grant_us);
+  row(f, 4, "host_seconds", prr, &bench::PrrSchedPoint::host_seconds, true);
+  std::fprintf(f, "  }\n}\n");
   std::fclose(f);
 
   std::printf("run_all: wrote %s\n", out_path);
@@ -286,9 +211,6 @@ int main(int argc, char** argv) {
                 p.cores, p.threads, p.host_seconds,
                 p.host_seconds > 0 ? mt[0].host_seconds / p.host_seconds : 0.0,
                 (unsigned long long)p.sim_digest);
-  for (const auto& m : mixes)
-    std::printf("  selftime %-12s %.1f -> %.1f ns/op (%.2fx)\n",
-                m.name.c_str(), m.ref_ns_per_op, m.new_ns_per_op, m.speedup);
   for (const auto& p : prr)
     std::printf("  prr_sched %-11s preempt %llu reclaim %llu hit %.1f%% "
                 "grant %.2f us\n",

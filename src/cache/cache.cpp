@@ -14,7 +14,6 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   MINOVA_CHECK(is_pow2(sets_));
   line_shift_ = u32(std::countr_zero(cfg.line_bytes));
   tags_.assign(std::size_t(sets_) * cfg.ways, kInvalidTag);
-  if (cfg.policy == ReplacementPolicy::kLru) lru_.assign(tags_.size(), 0);
 }
 
 Cache::AccessResult Cache::access(paddr_t pa, bool write) {
@@ -28,14 +27,12 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
   // way, so order of assignment doesn't matter and the loop vectorizes.
   const u32 hit_way = way_of(base, tag);
   if (hit_way != ways) {
-    // Under pseudo-random replacement there are no use stamps at all.
-    if (!lru_.empty()) lru_[base + hit_way] = ++use_clock_;
     tagp[hit_way] |= dirty;
     ++stats_.hits;
     return AccessResult{.hit = true};
   }
 
-  // Miss: pick the first invalid way, else the policy's victim.
+  // Miss: pick the first invalid way, else the LFSR's victim.
   ++stats_.misses;
   ++fill_epoch_;
   u32 victim_way = ways;
@@ -47,15 +44,9 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
   }
   AccessResult res{};
   if (victim_way == ways) {
-    if (!lru_.empty()) {
-      victim_way = 0;
-      for (u32 w = 1; w < ways; ++w)
-        if (lru_[base + w] < lru_[base + victim_way]) victim_way = w;
-    } else {
-      // 16-bit Galois LFSR, as in the A9/PL310 pseudo-random generators.
-      lfsr_ = (lfsr_ >> 1) ^ ((lfsr_ & 1u) ? 0xB400u : 0u);
-      victim_way = lfsr_ % ways;
-    }
+    // 16-bit Galois LFSR, as in the A9/PL310 pseudo-random generators.
+    lfsr_ = (lfsr_ >> 1) ^ ((lfsr_ & 1u) ? 0xB400u : 0u);
+    victim_way = lfsr_ % ways;
     ++stats_.evictions;
     res.evicted_valid = true;
     res.victim_line = paddr_t(tagp[victim_way] & ~kDirtyBit) << line_shift_;
@@ -65,7 +56,6 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
     }
   }
   tagp[victim_way] = tag | dirty;
-  if (!lru_.empty()) lru_[base + victim_way] = ++use_clock_;
   return res;
 }
 
@@ -74,10 +64,6 @@ void Cache::credit_hits(paddr_t pa, u64 n, bool write) {
   const std::size_t base = set_base(pa);
   const u32 way = way_of(base, line_addr(pa));
   MINOVA_CHECK_MSG(way != cfg_.ways, "credited hits on an absent line");
-  if (!lru_.empty()) {
-    use_clock_ += n;
-    lru_[base + way] = use_clock_;
-  }
   if (write) tags_[base + way] |= kDirtyBit;
   stats_.hits += n;
 }
@@ -89,7 +75,6 @@ bool Cache::contains(paddr_t pa) const {
 void Cache::invalidate_all() {
   ++fill_epoch_;
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(lru_.begin(), lru_.end(), 0);
 }
 
 u32 Cache::flush_all() {
@@ -99,7 +84,6 @@ u32 Cache::flush_all() {
     if (t != kInvalidTag && (t & kDirtyBit)) ++dirty;
     t = kInvalidTag;
   }
-  std::fill(lru_.begin(), lru_.end(), 0);
   stats_.writebacks += dirty;
   ++stats_.flushes;
   return dirty;
@@ -112,7 +96,6 @@ bool Cache::invalidate_line(paddr_t pa) {
   ++fill_epoch_;
   const bool was_dirty = (tags_[base + way] & kDirtyBit) != 0;
   tags_[base + way] = kInvalidTag;
-  if (!lru_.empty()) lru_[base + way] = 0;
   if (was_dirty) ++stats_.writebacks;
   return was_dirty;
 }

@@ -1,6 +1,7 @@
 // Set-associative cache model with cycle accounting.
 //
-// Physically-indexed, physically-tagged (PIPT), true-LRU replacement,
+// Physically-indexed, physically-tagged (PIPT), pseudo-random replacement
+// (a 16-bit LFSR picks the victim way, as the A9 and PL310 generators do),
 // write-back write-allocate — matching the Cortex-A9 L1 data cache and the
 // PL310 L2 of the paper's platform closely enough that the *mechanism*
 // behind Table III (kernel entry paths evicted by guest working sets as the
@@ -11,7 +12,7 @@
 // precisely the property the paper relies on to avoid flushes on VM switch.
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -19,17 +20,12 @@
 
 namespace minova::cache {
 
-/// Victim selection. The Cortex-A9 L1 caches and the PL310 L2 default to
-/// pseudo-random replacement; true LRU is kept for tests and ablations.
-enum class ReplacementPolicy : u8 { kRandom, kLru };
-
 struct CacheConfig {
-  std::string name;
+  std::string_view name;
   u32 size_bytes = 32 * kKiB;
   u32 line_bytes = 32;
   u32 ways = 4;
   u32 hit_cycles = 1;  // access latency on hit
-  ReplacementPolicy policy = ReplacementPolicy::kRandom;
 };
 
 struct CacheStats {
@@ -48,29 +44,28 @@ class Cache {
  public:
   explicit Cache(const CacheConfig& cfg);
 
+  // Eight bytes, so it returns in one register.
   struct AccessResult {
+    paddr_t victim_line = 0;      // line address of the victim (if any)
     bool hit = false;
     bool writeback = false;       // a dirty victim was evicted
-    paddr_t victim_line = 0;      // line address of the victim (if any)
     bool evicted_valid = false;   // a valid (clean or dirty) victim existed
   };
 
-  /// Look up `pa`; on miss, allocate the line (evicting LRU). `write` marks
-  /// the line dirty. Returns hit/miss and victim info for the next level.
+  /// Look up `pa`; on miss, allocate the line in an invalid way, else in
+  /// the way the LFSR picks. `write` marks the line dirty. Returns hit/miss
+  /// and victim info for the next level.
   AccessResult access(paddr_t pa, bool write);
 
   /// Credit `n` further hits on the line holding `pa`, which must be
   /// present: exactly the state `n` calls of `access(pa, write)` leave
-  /// (hit count, dirty bit, and under kLru the use stamp).
+  /// (hit count and dirty bit).
   void credit_hits(paddr_t pa, u64 n, bool write);
 
-  /// Credit `n` read hits on lines known to be present. Under kRandom a
-  /// read hit changes nothing but the hit count, so this is exactly the
-  /// state those `access` calls leave; kLru would need use stamps.
-  void credit_read_hits(u64 n) {
-    MINOVA_CHECK(cfg_.policy == ReplacementPolicy::kRandom);
-    stats_.hits += n;
-  }
+  /// Credit `n` read hits on lines known to be present. A read hit changes
+  /// nothing but the hit count, so this is exactly the state those
+  /// `access` calls leave.
+  void credit_read_hits(u64 n) { stats_.hits += n; }
 
   /// Moves whenever a line can leave the cache: on every miss (its fill
   /// may evict), `invalidate_all`, `flush_all` and an `invalidate_line`
@@ -125,11 +120,9 @@ class Cache {
   CacheConfig cfg_;
   u32 sets_;
   u32 line_shift_;
-  u64 use_clock_ = 0;
   u64 fill_epoch_ = 0;
   u32 lfsr_ = 0xACE1u;  // deterministic pseudo-random victim source
   std::vector<u32> tags_;  // sets_ * ways, row-major by set
-  std::vector<u64> lru_;   // parallel last-use stamps, allocated under kLru
   CacheStats stats_;
 };
 

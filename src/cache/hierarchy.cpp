@@ -6,12 +6,7 @@ namespace {
 constexpr u32 kWritebackCycles = 8;  // posted write charged to the evictor
 }  // namespace
 
-MemHierarchy::MemHierarchy(const HierarchyConfig& cfg)
-    : cfg_(cfg), l1i_(cfg.l1i), l1d_(cfg.l1d), l2_(cfg.l2) {}
-
 cycles_t MemHierarchy::access_through(Cache& l1, paddr_t pa, bool write) {
-  if (!cfg_.enabled) return kDramCycles;
-
   cycles_t cost = l1.config().hit_cycles;
   const auto r1 = l1.access(pa, write);
   if (r1.hit) return cost;
@@ -37,7 +32,6 @@ cycles_t MemHierarchy::access_ifetch(paddr_t pa) {
 }
 
 cycles_t MemHierarchy::access_walk(paddr_t pa) {
-  if (!cfg_.enabled) return kDramCycles;
   cycles_t cost = l2_.config().hit_cycles;
   const auto r = l2_.access(pa, /*write=*/false);
   if (!r.hit) {

@@ -1,8 +1,9 @@
 // Memory hierarchy: L1 I/D -> unified L2 -> DRAM, with cycle accounting.
 //
-// Latencies approximate the Zynq-7000 PS (Cortex-A9 r3p0 + PL310 L2):
-// L1 hit ~1 cycle pipeline-visible cost, L2 hit ~8 cycles, DRAM ~60 cycles.
-// Device (MMIO) accesses bypass the caches and pay a fixed AXI round trip.
+// Geometry and latencies approximate the Zynq-7000 PS (Cortex-A9 r3p0 +
+// PL310 L2), whose caches are always on: L1 hit ~1 cycle pipeline-visible
+// cost, L2 hit ~8 cycles, DRAM ~60 cycles. Device (MMIO) accesses bypass
+// the caches and pay a fixed AXI round trip.
 #pragma once
 
 #include <functional>
@@ -15,20 +16,23 @@ namespace minova::cache {
 inline constexpr u32 kDramCycles = 60;    // L2 miss penalty to DDR
 inline constexpr u32 kDeviceCycles = 35;  // uncached MMIO round trip (PS AXI)
 
-struct HierarchyConfig {
-  CacheConfig l1i{.name = "L1I", .size_bytes = 32 * kKiB, .line_bytes = 32,
-                  .ways = 4, .hit_cycles = 1};
-  CacheConfig l1d{.name = "L1D", .size_bytes = 32 * kKiB, .line_bytes = 32,
-                  .ways = 4, .hit_cycles = 1};
-  CacheConfig l2{.name = "L2", .size_bytes = 512 * kKiB, .line_bytes = 32,
-                 .ways = 8, .hit_cycles = 8};
-  bool enabled = true;  // caches off => every access pays DRAM cost
-};
+// The caches' geometry: 32 KB 4-way L1s and a 512 KB 8-way L2, 32-byte
+// lines throughout.
+inline constexpr CacheConfig kL1iGeometry{
+    .name = "L1I", .size_bytes = 32 * kKiB, .line_bytes = 32, .ways = 4,
+    .hit_cycles = 1};
+inline constexpr CacheConfig kL1dGeometry{
+    .name = "L1D", .size_bytes = 32 * kKiB, .line_bytes = 32, .ways = 4,
+    .hit_cycles = 1};
+inline constexpr CacheConfig kL2Geometry{
+    .name = "L2", .size_bytes = 512 * kKiB, .line_bytes = 32, .ways = 8,
+    .hit_cycles = 8};
 
 /// Pure timing/tag model; data movement happens in PhysMem independently.
 class MemHierarchy {
  public:
-  explicit MemHierarchy(const HierarchyConfig& cfg = {});
+  MemHierarchy()
+      : l1i_(kL1iGeometry), l1d_(kL1dGeometry), l2_(kL2Geometry) {}
 
   /// Cost of a cached data access at physical address `pa`.
   cycles_t access_data(paddr_t pa, bool write);
@@ -59,15 +63,11 @@ class MemHierarchy {
   const Cache& l1d() const { return l1d_; }
   const Cache& l2() const { return l2_; }
 
-  const HierarchyConfig& config() const { return cfg_; }
-  void set_enabled(bool on) { cfg_.enabled = on; }
-
   void reset_stats();
 
  private:
   cycles_t access_through(Cache& l1, paddr_t pa, bool write);
 
-  HierarchyConfig cfg_;
   Cache l1i_;
   Cache l1d_;
   Cache l2_;

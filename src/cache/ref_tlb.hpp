@@ -6,8 +6,8 @@
 // the invariant that lets host-side lookup cost drop without moving a
 // single simulated cycle (DESIGN.md §10). The differential test
 // (tests/cache/tlb_diff_test.cpp) drives both with randomized traces and
-// compares entry arrays slot-for-slot; bench_selftime uses this class as
-// the "before" engine for host-time speedup measurements.
+// compares entry arrays slot-for-slot, and tests/mmu/utlb_diff_test.cpp
+// runs it in lockstep with `Mmu::translate`'s micro-TLB path.
 //
 // Do not optimize this class: its value is being the O(N) original.
 #pragma once

@@ -7,7 +7,7 @@ Platform::Platform(const PlatformConfig& cfg)
       dram_(mem::kDdrBase, mem::kDdrSize),
       ocm_(mem::kOcmBase, mem::kOcmSize),
       gic_(mem::kNumIrqs),
-      cpu_(clock_, dram_, bus_, cfg.core),
+      cpu_(clock_, dram_, bus_),
       ptimer_(clock_, events_, gic_),
       gtimer_(clock_),
       ttc_(clock_, events_, gic_),
@@ -39,7 +39,7 @@ void Platform::pump() {
 void Platform::configure_lanes(u32 n) {
   while (num_lanes() < n) {
     extra_lanes_.push_back(
-        std::make_unique<cpu::Core>(clock_, dram_, bus_, cfg_.core));
+        std::make_unique<cpu::Core>(clock_, dram_, bus_));
     lanes_.push_back(extra_lanes_.back().get());
   }
 }

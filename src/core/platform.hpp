@@ -31,7 +31,6 @@
 namespace minova {
 
 struct PlatformConfig {
-  cpu::CoreConfig core{};
   sim::FaultConfig fault{};  // disabled by default: bit-identical baseline
   // Floorplan: paper default is 2 large (FFT-capable) + 2 small regions.
   // The task library's PRR-compatibility lists are derived from the same

@@ -19,14 +19,8 @@ u32 load_word(const u8* p) {
 }
 }  // namespace
 
-Core::Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus,
-           const CoreConfig& cfg)
-    : clock_(&clock),
-      dram_(dram),
-      bus_(bus),
-      cfg_(cfg),
-      hierarchy_(cfg.hierarchy),
-      mmu_(dram, hierarchy_, tlb_) {
+Core::Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus)
+    : clock_(&clock), dram_(dram), bus_(bus), mmu_(dram, hierarchy_, tlb_) {
   cpsr_.mode = Mode::kSvc;  // reset enters SVC with IRQs masked
   cpsr_.irq_masked = true;
 }
@@ -44,28 +38,24 @@ Psr& Core::spsr(Mode m) {
 
 void Core::exec_code(const CodeRegion& region, double executed_fraction) {
   MINOVA_CHECK(executed_fraction >= 0.0 && executed_fraction <= 1.0);
-  const cache::CacheConfig& l1i = hierarchy_.config().l1i;
-  const u32 line = l1i.line_bytes;
+  constexpr cache::CacheConfig l1i = cache::kL1iGeometry;
+  constexpr u32 line = l1i.line_bytes;
   const u32 total_lines = region.lines(line);
   const u32 run_lines = u32(double(total_lines) * executed_fraction + 0.5);
   cache::Cache& icache = hierarchy_.l1i();
-  // With the caches off every fetch costs DRAM and touches no state. Under
-  // kRandom an L1I hit only counts, so lines that all hit in this fill
-  // epoch are certain hits again; under kLru each hit writes a use stamp.
-  const bool memo_ok = l1i.policy == cache::ReplacementPolicy::kRandom;
+  // An L1I hit only counts, so lines that all hit in this fill epoch are
+  // certain hits again.
   FetchMemo& memo = fetch_memo_[(region.base / line) % kFetchMemoSlots];
   const u64 epoch = icache.fill_epoch();
-  if (!hierarchy_.config().enabled) {
-    clock_->advance(cycles_t(run_lines) * cache::kDramCycles);
-  } else if (memo_ok && memo.base == region.base && memo.epoch == epoch &&
-             run_lines <= memo.lines) {
+  if (memo.base == region.base && memo.epoch == epoch &&
+      run_lines <= memo.lines) {
     icache.credit_read_hits(run_lines);
     clock_->advance(cycles_t(run_lines) * l1i.hit_cycles);
   } else {
     for (u32 i = 0; i < run_lines; ++i)
       clock_->advance(hierarchy_.access_ifetch(region.base + i * line));
     // An unmoved epoch means no line missed.
-    if (memo_ok && icache.fill_epoch() == epoch)
+    if (icache.fill_epoch() == epoch)
       memo = FetchMemo{region.base, run_lines, epoch};
   }
   spend_insns(u64(double(region.instructions()) * executed_fraction));
@@ -146,17 +136,16 @@ Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
                                   RunFaults faults) {
   MINOVA_CHECK(is_aligned(va, 4));
   const auto kind = write ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead;
-  const cache::CacheConfig& l1d = hierarchy_.config().l1d;
-  const bool cached = hierarchy_.config().enabled;
+  constexpr cache::CacheConfig l1d = cache::kL1dGeometry;
   MemResult first_fault;
   while (words > 0) {
     HostWord bound;
     const MemResult r = data_access(va, kind, nullptr, 0, 4, &bound);
     u32 k = 0;  // further words of this run charged in closed form
     if (r.ok) {
-      // The word reached bound RAM with the caches on: the rest of its
-      // line are certain micro-TLB and L1D hits.
-      if (bound.ptr != nullptr && cached)
+      // The word reached bound RAM: the rest of its line are certain
+      // micro-TLB and L1D hits.
+      if (bound.ptr != nullptr)
         k = std::min(words - 1,
                      (l1d.line_bytes - bound.pa % l1d.line_bytes) / 4 - 1);
       if (k > 0) {
@@ -217,7 +206,7 @@ Core::MemResult Core::block_access(vaddr_t va, std::span<Byte> data) {
   // exactly like the per-word path.
   constexpr bool kWrite = std::is_const_v<Byte>;
   const auto kind = kWrite ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead;
-  const u32 line = hierarchy_.config().l1d.line_bytes;
+  constexpr u32 line = cache::kL1dGeometry.line_bytes;
   std::size_t done = 0;
   while (done < data.size()) {
     const vaddr_t cur = va + vaddr_t(done);

@@ -28,14 +28,9 @@
 
 namespace minova::cpu {
 
-struct CoreConfig {
-  cache::HierarchyConfig hierarchy{};
-};
-
 class Core {
  public:
-  Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus,
-       const CoreConfig& cfg = {});
+  Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus);
 
   // ---- mode / PSR ----
   Mode mode() const { return cpsr_.mode; }
@@ -110,7 +105,6 @@ class Core {
   cache::MemHierarchy& caches() { return hierarchy_; }
   cache::Tlb& tlb() { return tlb_; }
   mem::Bus& bus() { return bus_; }
-  const CoreConfig& config() const { return cfg_; }
 
   // ---- IRQ line from the GIC ----
   void set_irq_line(bool asserted) { irq_line_ = asserted; }
@@ -145,7 +139,6 @@ class Core {
   sim::Clock* clock_;
   mem::PhysMem& dram_;
   mem::Bus& bus_;
-  CoreConfig cfg_;
 
   cache::MemHierarchy hierarchy_;
   cache::Tlb tlb_;

@@ -69,18 +69,10 @@ class StubDevice : public mem::MmioDevice {
   u32 last_write = 0;
 };
 
-CoreConfig rig_config(cache::ReplacementPolicy policy) {
-  CoreConfig cfg;
-  cfg.hierarchy.l1d.policy = policy;
-  cfg.hierarchy.l1i.policy = policy;
-  cfg.hierarchy.l2.policy = policy;
-  return cfg;
-}
-
 struct Rig {
-  explicit Rig(cache::ReplacementPolicy policy)
+  Rig()
       : dram(0, kDramBytes),
-        core(clock, dram, bus, rig_config(policy)),
+        core(clock, dram, bus),
         alloc(dram, 1 * kMiB, 3 * kMiB) {
     bus.add_ram(&dram);
     bus.add_device(kDevPa, kDevBytes, &dev);
@@ -182,7 +174,7 @@ Core::MemResult ref_touch(Core& c, vaddr_t va, u32 words, bool write,
 /// A block transfer as one translate and one L1D access per cache line.
 Core::MemResult ref_block(Core& c, vaddr_t va, std::span<u8> data,
                           bool write) {
-  const u32 line = c.caches().config().l1d.line_bytes;
+  const u32 line = cache::kL1dGeometry.line_bytes;
   std::size_t done = 0;
   while (done < data.size()) {
     const vaddr_t cur = va + vaddr_t(done);
@@ -208,7 +200,7 @@ Core::MemResult ref_block(Core& c, vaddr_t va, std::span<u8> data,
 
 /// `exec_code` as one L1I fetch per line plus the pipeline cycles.
 void ref_exec(Core& c, const CodeRegion& region, double fraction) {
-  const u32 line = c.caches().config().l1i.line_bytes;
+  const u32 line = cache::kL1iGeometry.line_bytes;
   const u32 run = u32(double(region.lines(line)) * fraction + 0.5);
   for (u32 i = 0; i < run; ++i)
     c.clock().advance(c.caches().access_ifetch(region.base + i * line));
@@ -217,11 +209,8 @@ void ref_exec(Core& c, const CodeRegion& region, double fraction) {
 
 // ---- the differential fixture -----------------------------------------------
 
-class AccessRunDiffTest
-    : public ::testing::TestWithParam<cache::ReplacementPolicy> {
+class AccessRunDiffTest : public ::testing::Test {
  protected:
-  AccessRunDiffTest() : a_(GetParam()), b_(GetParam()) {}
-
   void touch(vaddr_t va, u32 words, bool write) {
     for (const auto faults : {Core::RunFaults::kStop, Core::RunFaults::kSkip})
       touch(va, words, write, faults);
@@ -316,7 +305,7 @@ class AccessRunDiffTest
     expect_same_cache(ca.caches().l1d(), cb.caches().l1d());
     expect_same_cache(ca.caches().l1i(), cb.caches().l1i());
     expect_same_cache(ca.caches().l2(), cb.caches().l2());
-    const u32 line = ca.caches().config().l1d.line_bytes;
+    const u32 line = cache::kL1dGeometry.line_bytes;
     for (u64 v = align_down(va, line); v < u64(va) + len; v += line) {
       paddr_t pa = paddr_t(v);
       if (ca.mmu().enabled()) {
@@ -349,7 +338,7 @@ class AccessRunDiffTest
     expect_same_cache(ha.l1i(), hb.l1i());
     expect_same_cache(ha.l1d(), hb.l1d());
     expect_same_cache(ha.l2(), hb.l2());
-    const u32 line = ha.config().l1i.line_bytes;
+    const u32 line = cache::kL1iGeometry.line_bytes;
     for (const CodeRegion& r : regions) {
       for (u32 i = 0; i < r.lines(line); ++i) {
         const paddr_t pa = r.base + i * line;
@@ -373,7 +362,7 @@ class AccessRunDiffTest
 
 // ---- directed cases ---------------------------------------------------------
 
-TEST_P(AccessRunDiffTest, UnalignedStartsAndLineCrossings) {
+TEST_F(AccessRunDiffTest, UnalignedStartsAndLineCrossings) {
   for (u32 off = 0; off < 64; off += 4) touch(kSectVa + 0x100 + off, 11, true);
   for (u32 off = 0; off < 64; off += 4) touch(kSectVa + 0x100 + off, 11, false);
   for (u32 off = 1; off < 40; off += 3) {
@@ -382,7 +371,7 @@ TEST_P(AccessRunDiffTest, UnalignedStartsAndLineCrossings) {
   }
 }
 
-TEST_P(AccessRunDiffTest, RunsCrossPagesAndSections) {
+TEST_F(AccessRunDiffTest, RunsCrossPagesAndSections) {
   // Page boundaries inside the scattered page region, in both spaces.
   for (u32 s = 0; s < 2; ++s) {
     both([&](Rig& r) { r.switch_space(s); });
@@ -397,7 +386,7 @@ TEST_P(AccessRunDiffTest, RunsCrossPagesAndSections) {
   read_block(kSectVa + 2 * kMiB - 4099, 8200);
 }
 
-TEST_P(AccessRunDiffTest, MmuOff) {
+TEST_F(AccessRunDiffTest, MmuOff) {
   both([](Rig& r) { r.core.mmu().set_enabled(false); });
   touch(kSectVa + 0x40, 30, true);
   touch(kSectVa + 0x40, 30, false);
@@ -406,15 +395,7 @@ TEST_P(AccessRunDiffTest, MmuOff) {
   touch(kDevPa, 4, false);  // flat-mapped device window
 }
 
-TEST_P(AccessRunDiffTest, CachesDisabled) {
-  both([](Rig& r) { r.core.caches().set_enabled(false); });
-  touch(kSectVa + 0x40, 30, true);
-  touch(kSectVa + 0x40, 30, false);
-  write_block(kPageVa + 4000, 5000, 13);
-  read_block(kPageVa + 3000, 6000);
-}
-
-TEST_P(AccessRunDiffTest, FaultMidRun) {
+TEST_F(AccessRunDiffTest, FaultMidRun) {
   // Into the translation hole, and across the privileged-only page from
   // user mode; the fault names the first faulting word. Skipping runs go
   // on past it, through the whole faulting page and out the other side.
@@ -430,7 +411,7 @@ TEST_P(AccessRunDiffTest, FaultMidRun) {
   touch(kSectVa + kMiB - 4096 - 8, 1030, false);
 }
 
-TEST_P(AccessRunDiffTest, DevicePages) {
+TEST_F(AccessRunDiffTest, DevicePages) {
   // The device window's page: words in the window reach the device, the
   // rest of the page is a bus error. Blocks abort on their first line.
   touch(kPageVa + kDevPage * 4096, 8, true);
@@ -447,7 +428,7 @@ TEST_P(AccessRunDiffTest, DevicePages) {
   EXPECT_GT(a_.ram_dev.writes, 0u);
 }
 
-TEST_P(AccessRunDiffTest, ReadAfterDiscardOfBoundPage) {
+TEST_F(AccessRunDiffTest, ReadAfterDiscardOfBoundPage) {
   const vaddr_t va = kPageVa + 3 * 4096;
   const paddr_t frame = page_frame(3);
   touch(va, 64, true);   // binds the page
@@ -465,11 +446,9 @@ TEST_P(AccessRunDiffTest, ReadAfterDiscardOfBoundPage) {
 
 // ---- random storm -----------------------------------------------------------
 
-TEST_P(AccessRunDiffTest, RandomStorm) {
+TEST_F(AccessRunDiffTest, RandomStorm) {
   digest_every_op_ = false;
-  util::Xoshiro256 rng(GetParam() == cache::ReplacementPolicy::kLru
-                           ? 0xACCE'55E5ull
-                           : 0x0B10'C4ull);
+  util::Xoshiro256 rng(0x0B10'C4ull);
   const auto rand_va = [&]() -> vaddr_t {
     switch (rng.next_below(5)) {
       case 0:
@@ -514,9 +493,6 @@ TEST_P(AccessRunDiffTest, RandomStorm) {
     } else if (op < 98) {
       const bool on = !a_.core.mmu().enabled();
       both([&](Rig& r) { r.core.mmu().set_enabled(on); });
-    } else if (op < 99) {
-      const bool on = !a_.core.caches().config().enabled;
-      both([&](Rig& r) { r.core.caches().set_enabled(on); });
     } else {
       const DomainMode dm =
           rng.next() & 1 ? DomainMode::kNoAccess : DomainMode::kClient;
@@ -536,12 +512,11 @@ TEST_P(AccessRunDiffTest, RandomStorm) {
 
 // ---- instruction fetch ------------------------------------------------------
 
-TEST_P(AccessRunDiffTest, IfetchWarmRunsKeepReplacementOrder) {
+TEST_F(AccessRunDiffTest, IfetchWarmRunsKeepReplacementOrder) {
   // Five regions in five fetch-memo slots. A, B, C and D fill the four
   // ways of L1I sets 3-11 and then run warm in that order; A runs warm
-  // once more, then E misses in sets 4-11. Under kLru the victim is the
-  // least recently used way (B's), so A's last warm run must leave the
-  // same use stamps as its loop would.
+  // once more, then E misses in sets 4-11 and evicts one way of each, so
+  // the next runs of A to D mix memo hits with refills.
   constexpr paddr_t kCode = kSectVa + 2 * kMiB;
   const CodeRegion a{kCode, 384}, b{kCode + 8 * kKiB + 0x40, 384},
       c{kCode + 16 * kKiB + 0x20, 384}, d{kCode + 24 * kKiB + 0x60, 384},
@@ -554,7 +529,7 @@ TEST_P(AccessRunDiffTest, IfetchWarmRunsKeepReplacementOrder) {
   }
 }
 
-TEST_P(AccessRunDiffTest, IfetchStorm) {
+TEST_F(AccessRunDiffTest, IfetchStorm) {
   // Code in the identity-mapped sections, so data runs over the same
   // physical lines share L2 with the fetches. L1I has 256 sets of 32-byte
   // lines: regions 8 KB apart alias the same sets (six of them overflow the
@@ -571,11 +546,9 @@ TEST_P(AccessRunDiffTest, IfetchStorm) {
   regions.push_back({kCode + 0x1000, 100});
   regions.push_back({kCode + 0x3000, 2048});
   constexpr double kFractions[] = {0.0, 0.3, 0.5, 1.0};
-  const u32 line = a_.core.caches().config().l1i.line_bytes;
+  const u32 line = cache::kL1iGeometry.line_bytes;
 
-  util::Xoshiro256 rng(GetParam() == cache::ReplacementPolicy::kLru
-                           ? 0x1F37'C4ull
-                           : 0xC0DE'F37Cull);
+  util::Xoshiro256 rng(0xC0DE'F37Cull);
   for (u64 step = 0; step < 5000; ++step) {
     const u64 op = rng.next_below(100);
     const CodeRegion& r = regions[rng.next_below(regions.size())];
@@ -602,9 +575,6 @@ TEST_P(AccessRunDiffTest, IfetchStorm) {
         });
       } else if (op < 85) {
         both([](Rig& x) { x.clock.advance(x.core.caches().flush_all()); });
-      } else if (op < 92) {
-        const bool on = !a_.core.caches().config().enabled;
-        both([&](Rig& x) { x.core.caches().set_enabled(on); });
       }
       exec(r, fraction);
     }
@@ -615,14 +585,6 @@ TEST_P(AccessRunDiffTest, IfetchStorm) {
   EXPECT_GT(a_.core.caches().l1i().stats().hits, 5'000u);
   EXPECT_GT(a_.core.caches().l1i().stats().misses, 2'000u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, AccessRunDiffTest,
-    ::testing::Values(cache::ReplacementPolicy::kRandom,
-                      cache::ReplacementPolicy::kLru),
-    [](const auto& info) {
-      return info.param == cache::ReplacementPolicy::kLru ? "Lru" : "Random";
-    });
 
 }  // namespace
 }  // namespace minova::cpu

@@ -7,6 +7,11 @@
 // inserts and flushes. A stale cached entry pointer surviving any of those
 // would translate through the *wrong address space* — the cross-VM leak the
 // fuzzer's tlb-coherence oracle watches for at system level.
+//
+// Every lockstep translation also checks the walk's exact charge against a
+// second `MemHierarchy` fed the same descriptor addresses: nothing on a
+// hit, one L2-side `access_walk` for a section or an L1 fault, two for a
+// page behind a page table.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -67,12 +72,25 @@ class UtlbDifferentialTest : public ::testing::Test {
 
   static u32 asid(u32 s) { return s + 1; }
 
+  /// What walking `va` in the current space charges: one descriptor fetch
+  /// for the L1 entry, and one more when it points at a page table.
+  cycles_t ref_walk_cost(vaddr_t va) {
+    const paddr_t l1_slot = spaces_[cur_]->root() + l1_index(va) * 4;
+    cycles_t cost = ref_hierarchy_.access_walk(l1_slot);
+    const L1Desc l1 = L1Desc::decode(ram_.read32(l1_slot));
+    if (l1.type == L1Type::kPageTable)
+      cost += ref_hierarchy_.access_walk(l1.l2_base + l2_index(va) * 4);
+    return cost;
+  }
+
   /// One lockstep translation: the real fast path vs the RefTlb golden
   /// model fed with identical lookups, inserts and maintenance.
   void translate_checked(vaddr_t va, u64 step) {
     const cache::TlbEntry* gold = ref_.lookup(asid(cur_), va);
     const auto r = mmu_.translate(va, AccessKind::kRead, true);
     last_ = r;
+    ASSERT_EQ(r.cost, gold != nullptr ? 0 : ref_walk_cost(va))
+        << "walk cost at step " << step << " va=" << std::hex << va;
     // A host pointer always names the current translation's frame: a
     // binding that outlived its space, its TLB entry or its frame would
     // point elsewhere (or at a frame that is no longer resident).
@@ -139,6 +157,7 @@ class UtlbDifferentialTest : public ::testing::Test {
 
   mem::PhysMem ram_;
   cache::MemHierarchy hierarchy_;
+  cache::MemHierarchy ref_hierarchy_;  // sees only translate_checked's walks
   cache::Tlb tlb_;
   cache::RefTlb ref_;
   Mmu mmu_;
@@ -191,6 +210,10 @@ TEST_F(UtlbDifferentialTest, RandomStormWithTtbrAndAsidRewrites) {
   EXPECT_GT(mmu_.micro_stats().hits, 5'000u);
   EXPECT_EQ(tlb_.stats().hits, ref_.stats().hits);
   EXPECT_EQ(tlb_.stats().misses, ref_.stats().misses);
+  // Walks missed L2 as well as hit it, so the cost check saw both charges.
+  EXPECT_GT(hierarchy_.l2().stats().hits, 0u);
+  EXPECT_GT(hierarchy_.l2().stats().misses, 0u);
+  EXPECT_EQ(hierarchy_.l2().stats().hits, ref_hierarchy_.l2().stats().hits);
 }
 
 TEST_F(UtlbDifferentialTest, HostBindingsDieWithTheirTranslation) {
