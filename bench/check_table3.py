@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Diff a BENCH_results.json against the checked-in Table III golden.
+"""Gate a BENCH_results.json: Table III golden diff plus every section's rules.
 
-Only *simulated* quantities are compared (latency rows, trap counts, hit
-rates): these are deterministic across hosts — any drift means a change
-altered simulated behaviour, violating the bit-identical invariant
-(DESIGN.md §10). Host-side numbers (wall clock, ns/op, speedups) are
-machine-dependent and ignored.
+The Table III rows are compared against the checked-in golden. Only
+*simulated* quantities are compared (latency rows, trap counts, hit rates):
+these are deterministic across hosts — any drift means a change altered
+simulated behaviour, violating the bit-identical invariant (DESIGN.md §10).
+Host-side numbers (wall clock, ns/op, speedups) are machine-dependent and
+ignored, except for the mt speedup floor.
 
 Integers must match exactly. Floats are compared with a tiny relative
 tolerance that only absorbs printf round-tripping, not behavioural drift.
+
+The density, smp, mt, prr_sched and claims sections are checked against
+their rules; a missing section fails. Every failing section is reported
+before the script exits 1.
 
 Usage: check_table3.py BENCH_results.json [golden_table3.json]
 """
 import json
 import math
 import pathlib
+import statistics
 import sys
 
 REL_TOL = 1e-9
@@ -28,9 +34,28 @@ PRR_HIT_RATE_MIN = 0.50
 PRR_PARK_LATENCY_MAX = 1.5
 
 
+# The claims section's fixed seeds and windows (run_all's claims.hpp).
+CLAIM_SEEDS = [42, 1, 2, 3]
+CLAIM_WINDOWS = {"fig9": 2000, "quantum": 1500, "lazy": 1000, "asid": 1000,
+                 "pcap": 1000, "policies": 1000, "floorplan": 1000}
+# The seedless sweeps: every library task, and three FFT sizes.
+PCAP_TASKS = 9
+HW_VS_SW_POINTS = [1024, 4096, 8192]
+# PCAP throughput must be constant: max/min KiB/ms over the tasks.
+PCAP_RATE_SPREAD_MAX = 1.05
+# Claims whose rule fails on this model: their statistic is printed and they
+# do not gate. EXPERIMENTS.md reports each as "not reproduced". A listed
+# claim whose rule starts to hold fails, so the list and EXPERIMENTS.md stay
+# true.
+DEVIATIONS = {"fig9-deceleration", "quantum-33ms", "floorplan"}
+
+
+class Failed(Exception):
+    pass
+
+
 def fail(msg: str) -> None:
-    print(f"check_table3: FAIL: {msg}")
-    sys.exit(1)
+    raise Failed(msg)
 
 
 def check_density(density: dict) -> None:
@@ -69,7 +94,6 @@ def check_prr_sched(ps: dict) -> None:
     preempt+park stays within PRR_PARK_LATENCY_MAX of blind reclaim, and
     the cached leg proves the bitstream cache earns its keep (>= 50% hit
     rate and a lower high-priority grant latency than the uncached leg).
-    This is the one gate for these claims; bench_prr_sched only prints.
     """
     configs = ps.get("configs", [])
     iters = int(ps.get("iterations", 0))
@@ -150,8 +174,7 @@ def check_smp(smp: dict, t3: dict) -> None:
     bit-identical to the table3 section's last column, and it must take no
     SMP path — the SMP refactor's no-regression gate. Every multi-core
     point, up to cores=8, must show live protocol machinery (IPIs,
-    shootdowns). This is the one gate for these claims; bench_smp only
-    prints.
+    shootdowns).
     """
     cores = smp.get("cores", [])
     if not cores or cores[0] != 1 or max(cores) < 8:
@@ -234,19 +257,145 @@ def check_mt(mt: dict, gates: dict) -> None:
     print("check_table3: mt OK — digests thread-invariant (no speedup gate)")
 
 
-def main() -> None:
-    if len(sys.argv) < 2:
-        fail("usage: check_table3.py BENCH_results.json [golden.json]")
-    results_path = pathlib.Path(sys.argv[1])
-    golden_path = (pathlib.Path(sys.argv[2]) if len(sys.argv) > 2 else
-                   pathlib.Path(__file__).parent / "golden_table3.json")
+def spread(xs) -> str:
+    """Mean and min–max of one statistic over the seeds."""
+    return (f"mean {statistics.fmean(xs):.4g} "
+            f"[{min(xs):.4g}–{max(xs):.4g}]")
 
-    results = json.loads(results_path.read_text())
-    golden = json.loads(golden_path.read_text())
 
-    t3 = results.get("table3")
-    if t3 is None:
-        fail("no 'table3' section in results")
+def claim_rules(c: dict) -> dict:
+    """Each claim's rule: name -> (holds, statistic over the seeds).
+
+    Seeded metrics are [seed][config] arrays in the order of the group's
+    `configs`; the seedless sweeps are flat [config] arrays.
+    """
+    def grid(group, metric):
+        cfgs = c[group]["configs"]
+        return [dict(zip(cfgs, r)) for r in c[group][metric]]
+
+    rules = {}
+    vfp, entry = grid("lazy", "vfp_transfers"), grid("lazy", "entry_us")
+    rules["lazy-vfp"] = (
+        all(v["lazy"] < v["active"] for v in vfp) and
+        all(e["lazy"] < e["active"] for e in entry),
+        "VFP transfers active/lazy "
+        f"{spread([v['active'] / max(v['lazy'], 1) for v in vfp])}, "
+        "entry active-lazy "
+        f"{spread([e['active'] - e['lazy'] for e in entry])} us")
+
+    fl, mr = grid("asid", "tlb_flushes"), grid("asid", "tlb_miss_rate")
+    rules["asid"] = (
+        all(f[f"{g} ASID"] == 0 and m[f"{g} ASID"] < m[f"{g} flush"]
+            for f, m in zip(fl, mr) for g in (2, 4)),
+        "ASID-mode flushes max "
+        f"{max(f[f'{g} ASID'] for f in fl for g in (2, 4))}, "
+        "flush/ASID TLB miss rate at 4 guests "
+        f"{spread([m['4 flush'] / m['4 ASID'] for m in mr])}")
+
+    resp, ticks = grid("pcap", "total_us"), grid("pcap", "guest_ticks")
+    qam4_us = min(c["pcap_size"]["measured_us"])
+    rules["pcap-overlap"] = (
+        all(r["overlapped"] < qam4_us < r["blocking"] for r in resp) and
+        all(t["blocking"] < t["overlapped"] for t in ticks),
+        f"response overlapped {spread([r['overlapped'] for r in resp])} us, "
+        f"blocking {spread([r['blocking'] for r in resp])} us, smallest PCAP "
+        f"{qam4_us:.1f} us; guest ticks blocking/overlapped "
+        f"{spread([t['blocking'] / t['overlapped'] for t in ticks])}")
+
+    sw = grid("quantum", "vm_switches")
+    rules["quantum-33ms"] = (
+        all(s["8 ms"] >= 2 * s["33 ms"] for s in sw),
+        "VM switches 8 ms/33 ms "
+        f"{spread([s['8 ms'] / s['33 ms'] for s in sw])}")
+
+    nr, pc = grid("policies", "no_reconfig_grants"), grid("policies", "pcaps")
+    others = ("first-fit", "LRU region")
+    lead = [n["resident-first"] - max(n[o] for o in others) for n in nr]
+    pcap_lead = [min(p[o] for o in others) - p["resident-first"] for p in pc]
+    rules["resident-first"] = (
+        min(lead) > 0 and min(pcap_lead) > 0,
+        f"no-reconfig grant lead {spread(lead)}, "
+        f"PCAP lead {spread(pcap_lead)}")
+
+    def worst_rise(rows):  # largest step-to-step increase over the sweep
+        return [max(b - a for a, b in zip(r, r[1:])) for r in rows]
+    busy, recl = c["floorplan"]["busy"], c["floorplan"]["reclaims"]
+    rules["floorplan"] = (
+        max(worst_rise(busy) + worst_rise(recl)) <= 0,
+        f"largest rise in busy rejections {spread(worst_rise(busy))}, "
+        f"in reclaims {spread(worst_rise(recl))} "
+        f"({' / '.join(c['floorplan']['configs'])})")
+
+    rate = c["pcap_size"]["kib_per_ms"]
+    rules["pcap-size"] = (
+        max(rate) / min(rate) <= PCAP_RATE_SPREAD_MAX,
+        f"KiB/ms {min(rate):.1f}–{max(rate):.1f} over {len(rate)} tasks, "
+        f"max/min {max(rate) / min(rate):.4f}")
+
+    hs = c["hw_vs_sw"]
+    rules["hw-vs-sw"] = (
+        all(w < s for w, s in zip(hs["hw_warm_us"], hs["sw_us"])),
+        "software/warm-HW " + ", ".join(
+            f"FFT-{n} {s / w:.1f}x" for n, s, w in
+            zip(hs["fft_points"], hs["sw_us"], hs["hw_warm_us"])))
+
+    total = c["fig9"]["total"]
+    d12 = [t[2] - t[1] for t in total]
+    d34 = [t[4] - t[3] for t in total]
+    rules["fig9-deceleration"] = (
+        statistics.fmean(d34) < statistics.fmean(d12),
+        f"total increment 1->2 OS {spread(d12)} us, 3->4 OS {spread(d34)} us")
+    return rules
+
+
+def check_claims(c: dict) -> None:
+    """Check the paper's design claims (EXPERIMENTS.md "Ablations").
+
+    Each rule below was fixed before its results were seen. The seeded
+    claims must hold on every seed, except Fig. 9, whose rule is on the mean
+    increment over the seeds. No claim has a slack constant.
+    """
+    if c.get("seeds") != CLAIM_SEEDS:
+        fail(f"claims seeds {c.get('seeds')} != {CLAIM_SEEDS}")
+    for group, ms in CLAIM_WINDOWS.items():
+        g = c.get(group, {})
+        if g.get("sim_ms") != ms:
+            fail(f"claims window '{group}' is {g.get('sim_ms')} ms, not {ms}")
+        width = len(g.get("configs", []))
+        for metric, rows in g.items():
+            if metric in ("sim_ms", "configs"):
+                continue
+            if len(rows) != len(CLAIM_SEEDS) or any(
+                    len(r) != width for r in rows):
+                fail(f"claims '{group}.{metric}' is not one row of {width} "
+                     f"per seed")
+    if len(c.get("pcap_size", {}).get("kib_per_ms", [])) != PCAP_TASKS:
+        fail(f"claims 'pcap_size' does not cover the {PCAP_TASKS} tasks")
+    if c.get("hw_vs_sw", {}).get("fft_points") != HW_VS_SW_POINTS:
+        fail(f"claims 'hw_vs_sw' does not cover FFT sizes {HW_VS_SW_POINTS}")
+    try:
+        rules = claim_rules(c)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError,
+            statistics.StatisticsError) as e:
+        fail(f"claims section malformed: {e!r}")
+    problems = []
+    for name, (holds, stat) in rules.items():
+        if name in DEVIATIONS:
+            if holds:
+                problems.append(f"claim '{name}' now holds but is listed as a "
+                                f"deviation ({stat})")
+            else:
+                print(f"check_table3: deviation '{name}' (not reproduced): "
+                      f"{stat}")
+        elif not holds:
+            problems.append(f"claim '{name}' violated ({stat})")
+        else:
+            print(f"check_table3: claim '{name}' OK: {stat}")
+    if problems:
+        fail("; ".join(problems))
+
+
+def check_table3(t3: dict, golden: dict, golden_path: pathlib.Path) -> None:
     if t3.get("sim_ms") != golden["sim_ms"]:
         fail(f"sim_ms mismatch: results ran {t3.get('sim_ms')} ms/config, "
              f"golden expects {golden['sim_ms']}")
@@ -261,6 +410,9 @@ def main() -> None:
             print(f"  missing row: {name}")
             bad += 1
             continue
+        if len(got) != len(want):
+            fail(f"row '{name}' has {len(got)} values, golden has "
+                 f"{len(want)}")
         for i, (g, w) in enumerate(zip(got, want)):
             if isinstance(w, int) and isinstance(g, int):
                 ok = g == w
@@ -279,21 +431,40 @@ def main() -> None:
     print(f"check_table3: OK — {len(golden['sim_rows'])} rows bit-identical "
           f"to {golden_path.name}")
 
-    density = results.get("density")
-    if density is not None:
-        check_density(density)
 
-    smp = results.get("smp")
-    if smp is not None:
-        check_smp(smp, t3)
+def main() -> None:
+    if len(sys.argv) < 2:
+        print("usage: check_table3.py BENCH_results.json [golden.json]")
+        sys.exit(1)
+    results_path = pathlib.Path(sys.argv[1])
+    golden_path = (pathlib.Path(sys.argv[2]) if len(sys.argv) > 2 else
+                   pathlib.Path(__file__).parent / "golden_table3.json")
 
-    mt = results.get("mt")
-    if mt is not None:
-        check_mt(mt, golden.get("host_gates", {}))
+    results = json.loads(results_path.read_text())
+    golden = json.loads(golden_path.read_text())
 
-    prr = results.get("prr_sched")
-    if prr is not None:
-        check_prr_sched(prr)
+    t3 = results.get("table3", {})
+    sections = {
+        "table3": lambda s: check_table3(s, golden, golden_path),
+        "density": check_density,
+        "smp": lambda s: check_smp(s, t3),
+        "mt": lambda s: check_mt(s, golden.get("host_gates", {})),
+        "prr_sched": check_prr_sched,
+        "claims": check_claims,
+    }
+    failures = []
+    for name, check in sections.items():
+        try:
+            if name not in results:
+                fail(f"missing section '{name}'")
+            check(results[name])
+        except Failed as e:
+            failures.append(f"{name}: {e}")
+    for f in failures:
+        print(f"check_table3: FAIL: {f}")
+    if failures:
+        print(f"check_table3: {len(failures)} section(s) failed")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

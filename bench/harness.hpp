@@ -1,16 +1,19 @@
-// Shared measurement harness for the Table III / Fig. 9 benches: runs the
-// paper's Fig. 8 setup (native, or N paravirtualized guests) and collects
-// the hardware-task-management latencies.
+// Shared measurement harness for run_all's Table III, Fig. 9, SMP and claim
+// runs: runs the paper's Fig. 8 setup (native, or N paravirtualized guests)
+// and collects the hardware-task-management latencies.
 //
 // The harness is self-timing: every run records host wall-clock seconds
-// alongside the simulated time, so each bench can report the simulation
-// rate (simulated us per host second). Host timing never feeds back into
-// the simulation — simulated numbers stay bit-identical regardless of how
-// fast the host executes them (DESIGN.md §10).
+// alongside the simulated time, so run_all can report the simulation rate
+// (simulated us per host second). Host timing never feeds back into the
+// simulation — simulated numbers stay bit-identical regardless of how fast
+// the host executes them (DESIGN.md §10).
 #pragma once
 
 #include <chrono>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include "ucos/native.hpp"
 #include "ucos/system.hpp"
@@ -67,29 +70,22 @@ inline void collect_memory_rates(Measurement& m, cpu::Core& core) {
 
 }  // namespace detail
 
-inline Measurement run_native(double sim_ms, u64 seed,
-                              ucos::GuestConfig cfg = {}) {
-  Platform platform;
-  cfg.seed = seed;
-  ucos::NativeSystem sys(platform, cfg);
-  detail::HostTimer timer;
-  sys.run_for_us(sim_ms * 1000.0);
-  Measurement m;
-  m.host_seconds = timer.elapsed_s();
-  m.sim_us = sim_ms * 1000.0;
-  auto& exec = sys.allocator().exec_us();
-  if (exec.count() > 0) m.exec = exec.mean();
-  m.total = m.exec;  // direct function call: no entry/exit/IRQ overhead
-  m.samples = exec.count();
-  detail::collect_memory_rates(m, platform.cpu());
-  return m;
+/// Serializes build(): one mutex for every type built.
+inline std::mutex build_mutex;
+
+/// Constructs a system object. Kernel construction draws a scheduler stamp
+/// from a process-wide counter that is not synchronized (nova/sched.cpp), so
+/// systems are built one at a time even when they then run on parallel host
+/// threads.
+template <typename T, typename... Args>
+std::unique_ptr<T> build(Args&&... args) {
+  std::lock_guard lock(build_mutex);
+  return std::make_unique<T>(std::forward<Args>(args)...);
 }
 
-inline Measurement run_virtualized(u32 guests, double sim_ms, u64 seed,
-                                   ucos::SystemConfig cfg = {}) {
-  cfg.num_guests = guests;
-  cfg.seed = seed;
-  ucos::VirtualizedSystem sys(cfg);
+/// Runs `sys` for `sim_ms` and reads the Table III latencies, trap counts
+/// and memory hit rates.
+inline Measurement measure(ucos::VirtualizedSystem& sys, double sim_ms) {
   detail::HostTimer timer;
   sys.run_for_us(sim_ms * 1000.0);
   Measurement m;
@@ -110,6 +106,31 @@ inline Measurement run_virtualized(u32 guests, double sim_ms, u64 seed,
   m.irq_traps = stats.counter("kernel.trap.irq");
   detail::collect_memory_rates(m, sys.kernel().platform().cpu());
   return m;
+}
+
+inline Measurement run_native(double sim_ms, u64 seed) {
+  Platform platform;
+  ucos::GuestConfig cfg;
+  cfg.seed = seed;
+  ucos::NativeSystem sys(platform, cfg);
+  detail::HostTimer timer;
+  sys.run_for_us(sim_ms * 1000.0);
+  Measurement m;
+  m.host_seconds = timer.elapsed_s();
+  m.sim_us = sim_ms * 1000.0;
+  auto& exec = sys.allocator().exec_us();
+  if (exec.count() > 0) m.exec = exec.mean();
+  m.total = m.exec;  // direct function call: no entry/exit/IRQ overhead
+  m.samples = exec.count();
+  detail::collect_memory_rates(m, platform.cpu());
+  return m;
+}
+
+inline Measurement run_virtualized(u32 guests, double sim_ms, u64 seed) {
+  ucos::SystemConfig cfg;
+  cfg.num_guests = guests;
+  cfg.seed = seed;
+  return measure(*build<ucos::VirtualizedSystem>(cfg), sim_ms);
 }
 
 }  // namespace minova::bench

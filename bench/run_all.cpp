@@ -1,22 +1,29 @@
 // Bench driver: runs the Table III configurations, the SMP and host-parallel
-// sweeps, the VM-density sweep and the PRR-scheduler contention sweep, then
-// writes one machine-readable BENCH_results.json.
+// sweeps, the VM-density sweep, the PRR-scheduler contention sweep and the
+// paper's design claims (claims.hpp), then writes one machine-readable
+// BENCH_results.json. bench/render.py prints it as tables.
 //
 // The JSON separates two kinds of numbers:
 //   * simulated quantities (latency rows, trap counts, hit rates) — these
-//     are deterministic and diffed against bench/golden_table3.json in CI
-//     (bench/check_table3.py);
+//     are deterministic; bench/check_table3.py diffs the Table III rows
+//     against bench/golden_table3.json and checks every claim's rule;
 //   * host quantities (wall-clock seconds, ns/op, speedups, sim-rate) —
 //     machine-dependent, reported but never golden-diffed.
 //
+// The window applies to the Table III, SMP and host-parallel runs; the
+// claims run at their own fixed windows and seeds.
+//
 // Usage: run_all [sim_ms_per_config] [output.json]
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "claims.hpp"
 #include "density.hpp"
 #include "harness.hpp"
 #include "mt.hpp"
@@ -27,10 +34,21 @@ using namespace minova;
 
 namespace {
 
-/// One JSON value: a full-precision double, an integer or a quoted string.
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// One JSON value: a full-precision double, an integer, a quoted string or
+/// an array of these.
 template <typename V>
 std::string jv(const V& v) {
-  if constexpr (std::is_floating_point_v<V>) {
+  if constexpr (kIsVector<V>) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < v.size(); ++i)
+      out += (i ? ", " : "") + jv(v[i]);
+    return out + "]";
+  } else if constexpr (std::is_floating_point_v<V>) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
@@ -44,17 +62,70 @@ std::string jv(const V& v) {
   }
 }
 
-/// One array row, `"name": [get(xs[0]), get(xs[1]), ...]`, indented by
-/// `indent` spaces. `get` is a data or function member pointer, or a
-/// callable taking an element.
+/// `[get(xs[0]), get(xs[1]), ...]`. `get` is a data or function member
+/// pointer, or a callable taking an element.
+template <typename T, typename Get>
+auto col(const std::vector<T>& xs, Get get) {
+  std::vector<std::decay_t<std::invoke_result_t<Get, const T&>>> out;
+  for (const auto& x : xs) out.push_back(std::invoke(get, x));
+  return out;
+}
+
+/// One array row, `"name": col(xs, get)`, indented by `indent` spaces.
 template <typename T, typename Get>
 void row(FILE* f, int indent, const char* name, const std::vector<T>& xs,
          Get get, bool last = false) {
-  std::fprintf(f, "%*s\"%s\": [", indent, "", name);
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    std::fprintf(f, "%s%s", jv(std::invoke(get, xs[i])).c_str(),
-                 i + 1 < xs.size() ? ", " : "");
-  std::fprintf(f, "]%s\n", last ? "" : ",");
+  std::fprintf(f, "%*s\"%s\": %s%s\n", indent, "", name,
+               jv(col(xs, get)).c_str(), last ? "" : ",");
+}
+
+/// The claims section: per seeded claim `"metric": [[config...] per seed]`,
+/// per seedless sweep `"metric": [config...]`.
+void claims_section(FILE* f, const bench::Claims& c) {
+  using M = bench::Measurement;
+  const std::vector<u64> seeds(std::begin(bench::kClaimSeeds),
+                               std::end(bench::kClaimSeeds));
+  std::fprintf(f, "  \"claims\": {\n    \"seeds\": %s,\n",
+               jv(seeds).c_str());
+  std::fprintf(f, "    \"fig9\": {\n      \"sim_ms\": %s,\n",
+               jv(bench::kFig9SimMs).c_str());
+  std::fprintf(f, "      \"configs\": [\"native\", \"1\", \"2\", \"3\", \"4\"],\n");
+  const std::pair<const char*, double M::*> fig9_rows[] = {
+      {"entry", &M::entry}, {"exit", &M::exit}, {"irq_entry", &M::irq_entry},
+      {"exec", &M::exec},   {"total", &M::total}};
+  for (const auto& r : fig9_rows)
+    row(f, 6, r.first, c.fig9,
+        [&](const auto& ms) { return col(ms, r.second); },
+        &r == std::end(fig9_rows) - 1);
+  std::fprintf(f, "    },\n");
+  const auto abl = bench::ablations();
+  for (std::size_t a = 0; a < abl.size(); ++a) {
+    std::fprintf(f, "    \"%s\": {\n      \"sim_ms\": %s,\n", abl[a].name,
+                 jv(abl[a].sim_ms).c_str());
+    row(f, 6, "configs", abl[a].configs,
+        [](const auto& cfg) { return std::string(cfg.first); });
+    for (std::size_t i = 0; i < std::size(bench::kAblationMetrics); ++i) {
+      const auto& m = bench::kAblationMetrics[i];
+      row(f, 6, m.first, c.runs[a],
+          [&](const auto& runs) { return col(runs, m.second); },
+          i + 1 == std::size(bench::kAblationMetrics));
+    }
+    std::fprintf(f, "    },\n");
+  }
+  using P = bench::PcapSizeRow;
+  std::fprintf(f, "    \"pcap_size\": {\n");
+  row(f, 6, "tasks", c.pcap_sizes, &P::task);
+  row(f, 6, "kib", c.pcap_sizes, &P::kib);
+  row(f, 6, "model_us", c.pcap_sizes, &P::model_us);
+  row(f, 6, "measured_us", c.pcap_sizes, &P::measured_us);
+  row(f, 6, "kib_per_ms", c.pcap_sizes, &P::kib_per_ms, true);
+  using H = bench::HwSwRow;
+  std::fprintf(f, "    },\n    \"hw_vs_sw\": {\n");
+  row(f, 6, "fft_points", c.hw_vs_sw, &H::points);
+  row(f, 6, "sw_us", c.hw_vs_sw, &H::sw_us);
+  row(f, 6, "hw_cold_us", c.hw_vs_sw, &H::hw_cold_us);
+  row(f, 6, "hw_warm_us", c.hw_vs_sw, &H::hw_warm_us, true);
+  std::fprintf(f, "    }\n  }\n");
 }
 
 /// The latency and trap rows table3 and smp share.
@@ -74,9 +145,24 @@ void latency_rows(FILE* f, int indent,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Keeps the window's cycle count far from overflow; 1e6 ms already takes
+  // minutes of host time per configuration.
+  constexpr double kMaxSimMs = 1e6;
   double sim_ms = 50.0;
   const char* out_path = "BENCH_results.json";
-  if (argc > 1) sim_ms = std::stod(argv[1]);
+  if (argc > 1) {
+    char* end = nullptr;
+    sim_ms = std::strtod(argv[1], &end);
+    if (argc > 3 || end == argv[1] || *end != '\0' || !(sim_ms > 0) ||
+        sim_ms > kMaxSimMs) {
+      std::fprintf(stderr,
+                   "usage: run_all [sim_ms_per_config] [output.json]\n"
+                   "  sim_ms_per_config: a number of milliseconds in "
+                   "(0, %g], default 50\n",
+                   kMaxSimMs);
+      return 2;
+    }
+  }
   if (argc > 2) out_path = argv[2];
 
   std::printf("run_all: Table III (%g ms/config) ...\n", sim_ms);
@@ -107,6 +193,12 @@ int main(int argc, char** argv) {
   const auto prr = bench::run_prr_sched_sweep(prr_iters);
   std::vector<hwmgr::ManagerStats> prr_stats;
   for (const auto& p : prr) prr_stats.push_back(p.stats);
+
+  const unsigned claim_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  std::printf("run_all: claims over %zu seeds on %u host thread(s) ...\n",
+              std::size(bench::kClaimSeeds), claim_threads);
+  const bench::Claims claims = bench::run_claims(claim_threads);
 
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -202,7 +294,9 @@ int main(int argc, char** argv) {
   row(f, 4, "hit_rate", prr, &bench::PrrSchedPoint::hit_rate);
   row(f, 4, "avg_grant_us", prr, &bench::PrrSchedPoint::avg_grant_us);
   row(f, 4, "host_seconds", prr, &bench::PrrSchedPoint::host_seconds, true);
-  std::fprintf(f, "  }\n}\n");
+  std::fprintf(f, "  },\n");
+  claims_section(f, claims);
+  std::fprintf(f, "}\n");
   std::fclose(f);
 
   std::printf("run_all: wrote %s\n", out_path);
