@@ -111,7 +111,7 @@ inline AblationRun run_ablation(const Knobs& k, u64 seed, double sim_ms) {
   cfg.kernel.use_asid = k.asid;
   cfg.kernel.quantum_ms = k.quantum_ms;
   cfg.platform.large_prrs = cfg.platform.small_prrs = k.prr_pairs;
-  auto sys = build<ucos::VirtualizedSystem>(cfg);
+  auto sys = std::make_unique<ucos::VirtualizedSystem>(cfg);
   sys->manager().set_policy(k.policy);
   sys->manager().set_blocking_reconfig(k.blocking);
   const Measurement m = measure(*sys, sim_ms);
@@ -293,7 +293,7 @@ inline constexpr std::pair<hwtask::TaskId, u32> kHwSwFfts[] = {
 
 inline HwSwRow run_hw_vs_sw(hwtask::TaskId task, u32 points) {
   Platform platform;
-  auto kernel = build<nova::Kernel>(platform);
+  auto kernel = std::make_unique<nova::Kernel>(platform);
   hwmgr::ManagerService manager(*kernel);
   manager.install(2);
   auto guest = std::make_unique<detail::MeasureGuest>();

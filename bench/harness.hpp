@@ -11,7 +11,6 @@
 
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 
@@ -70,19 +69,6 @@ inline void collect_memory_rates(Measurement& m, cpu::Core& core) {
 
 }  // namespace detail
 
-/// Serializes build(): one mutex for every type built.
-inline std::mutex build_mutex;
-
-/// Constructs a system object. Kernel construction draws a scheduler stamp
-/// from a process-wide counter that is not synchronized (nova/sched.cpp), so
-/// systems are built one at a time even when they then run on parallel host
-/// threads.
-template <typename T, typename... Args>
-std::unique_ptr<T> build(Args&&... args) {
-  std::lock_guard lock(build_mutex);
-  return std::make_unique<T>(std::forward<Args>(args)...);
-}
-
 /// Runs `sys` for `sim_ms` and reads the Table III latencies, trap counts
 /// and memory hit rates.
 inline Measurement measure(ucos::VirtualizedSystem& sys, double sim_ms) {
@@ -130,7 +116,7 @@ inline Measurement run_virtualized(u32 guests, double sim_ms, u64 seed) {
   ucos::SystemConfig cfg;
   cfg.num_guests = guests;
   cfg.seed = seed;
-  return measure(*build<ucos::VirtualizedSystem>(cfg), sim_ms);
+  return measure(*std::make_unique<ucos::VirtualizedSystem>(cfg), sim_ms);
 }
 
 }  // namespace minova::bench

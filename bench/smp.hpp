@@ -26,7 +26,7 @@ inline SmpPoint run_smp_point(u32 cores, double sim_ms, u64 seed = 42) {
   cfg.kernel.num_cores = cores;
   cfg.num_guests = 4;
   cfg.seed = seed;
-  auto sys = build<ucos::VirtualizedSystem>(cfg);
+  auto sys = std::make_unique<ucos::VirtualizedSystem>(cfg);
   SmpPoint p;
   p.cores = cores;
   p.m = measure(*sys, sim_ms);

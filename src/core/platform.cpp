@@ -33,7 +33,7 @@ Platform::Platform(const PlatformConfig& cfg)
 
 void Platform::pump() {
   events_.run_due(clock_.now());
-  cpu().set_irq_line(gic_.line_asserted());
+  cpu().set_irq_line(gic_.irq_asserted());
 }
 
 void Platform::configure_lanes(u32 n) {

@@ -96,12 +96,6 @@ int Gic::highest_pending(u8 cpu_mask) const {
   return best;
 }
 
-bool Gic::irq_asserted() const { return highest_pending(0xFFu) >= 0; }
-
-bool Gic::irq_asserted_for(u8 cpu_mask) const {
-  return highest_pending(cpu_mask) >= 0;
-}
-
 u32 Gic::acknowledge_for(u8 cpu_mask) {
   const int id = highest_pending(cpu_mask);
   if (id < 0) return kSpuriousIrq;
@@ -122,11 +116,16 @@ void Gic::eoi(u32 id) {
 }
 
 void Gic::update_line() {
-  const bool asserted = irq_asserted();
-  if (asserted != line_state_) {
-    line_state_ = asserted;
-    if (irq_line_) irq_line_(asserted);
+  u8 cpus = 0;
+  for (u32 w = 0; w < candidates_.size(); ++w) {
+    for (u64 bits = candidates_[w]; bits != 0; bits &= bits - 1) {
+      const IrqState& s = state_[w * 64 + u32(std::countr_zero(bits))];
+      if (s.prio < priority_mask_) cpus |= s.targets;
+    }
   }
+  const bool was = irq_asserted();
+  asserted_cpus_ = cpus;
+  if (irq_asserted() != was && irq_line_) irq_line_(irq_asserted());
 }
 
 }  // namespace minova::irq

@@ -62,13 +62,12 @@ class Gic {
 
   /// True when some enabled interrupt is pending above the mask (the state
   /// of the nIRQ line towards the core).
-  bool irq_asserted() const;
-  /// The same value as last driven onto the line: every mutator re-derives
-  /// it, so reading it costs nothing.
-  bool line_asserted() const { return line_state_; }
+  bool irq_asserted() const { return asserted_cpus_ != 0; }
   /// Per-CPU view of the same: pending, enabled, above the mask and
   /// targeted at a CPU in `cpu_mask`.
-  bool irq_asserted_for(u8 cpu_mask) const;
+  bool irq_asserted_for(u8 cpu_mask) const {
+    return (asserted_cpus_ & cpu_mask) != 0;
+  }
 
   u32 num_irqs() const { return u32(state_.size()); }
 
@@ -89,6 +88,8 @@ class Gic {
   /// Re-derive `id`'s bit in `candidates_` after its enable, pending or
   /// active bit changed.
   void refresh(u32 id);
+  /// Re-derive `asserted_cpus_` and drive the line on a change. Every
+  /// mutator ends here, so the queries above read a settled set.
   void update_line();
 
   std::vector<IrqState> state_;
@@ -96,8 +97,10 @@ class Gic {
   /// IDs a query visits (DESIGN.md §10.6).
   std::vector<u64> candidates_;
   u8 priority_mask_ = 0xFF;  // 0xFF = no masking
+  /// OR of the target masks of the candidates above the priority mask: bit
+  /// i set <=> CPU interface i sees an asserted interrupt (DESIGN.md §10.6).
+  u8 asserted_cpus_ = 0;
   IrqLine irq_line_;
-  bool line_state_ = false;
   u64 raised_count_ = 0;
   u64 acked_count_ = 0;
 };

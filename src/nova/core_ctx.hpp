@@ -69,7 +69,7 @@ struct CoreContext {
   /// its in-flight shootdown IPIs drain.
   u64 shootdown_ack_epoch = 0;
 
-  // Per-core accounting (KernelInspector::core(i), bench_smp).
+  // Per-core accounting (KernelInspector::core(i), run_all's `smp` section).
   u64 ipis_sent = 0;
   u64 ipis_received = 0;
   u64 shootdowns_acked = 0;

@@ -499,12 +499,12 @@ void Kernel::smp_sabotage_for_test(u32 kind) {
   if (cores_.size() < 2) return;
   switch (kind) {
     case 1: {
-      // kCorePartition: link a runnable PD into a second core's run queue.
-      // enqueue() adopts the PD (fresh stamp), so the first core's list
-      // keeps a node the membership flags no longer admit to.
+      // kCorePartition: a half-completed migration. A runnable PD moves to
+      // a second core's run queue, but its run_core still names the first.
       for (auto& p : pds_) {
         if (p == nullptr || p->guest() == nullptr) continue;
         if (!cores_[p->run_core].sched.is_runnable(p.get())) continue;
+        cores_[p->run_core].sched.take(p.get());
         cores_[(p->run_core + 1) % cores_.size()].sched.enqueue(p.get());
         return;
       }

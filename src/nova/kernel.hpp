@@ -115,8 +115,8 @@ struct KernelConfig {
   // exercised up to 8). Default 1: every simulated quantity of the unicore
   // kernel — the configuration all Table III goldens were recorded on —
   // must stay bit-identical, and any num_cores > 1 necessarily changes
-  // scheduling interleavings. SMP runs opt in (bench_smp, fuzzer --cores,
-  // the MININOVA_TEST_CORES suites).
+  // scheduling interleavings. SMP runs opt in (run_all's `smp` section,
+  // fuzzer --cores, the MININOVA_TEST_CORES suites).
   u32 num_cores = 1;
   // Conservative-window synchronization: one slice of the lagging core may
   // run at most this far ahead before control returns to the outer loop,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <span>
 
 #include "mem/phys_mem.hpp"
@@ -9,7 +10,12 @@
 namespace minova::nova {
 
 KernelHeap::KernelHeap(paddr_t base, u32 size)
-    : base_(base), size_(size), next_(base), ctrl_next_(base + size) {
+    : base_(base),
+      size_(size),
+      next_(base),
+      ctrl_next_(base + size),
+      objects_(base, /*down=*/false),
+      ctrl_(base + size, /*down=*/true) {
   MINOVA_CHECK(is_aligned(base_, kClassAlign));
   MINOVA_CHECK(is_aligned(u64(base_) + size_, kClassAlign));
 }
@@ -23,43 +29,37 @@ paddr_t KernelHeap::try_alloc(u32 bytes, u32 align) {
 }
 
 paddr_t KernelHeap::pool_alloc(u32 bytes, u32 align, bool abort_on_exhaustion) {
+  MINOVA_CHECK_MSG(align >= kClassAlign && std::has_single_bit(align),
+                   "kernel heap alignment must be a power of two >= 64");
   const u32 cls = size_class(bytes);
-  const paddr_t recycled = recycle_from(free_lists_, blocks_, cls, align);
-  if (recycled != 0) {
-    bytes_live_ += cls;
-    ++live_blocks_;
-    ++alloc_count_;
-    return recycled;
+  paddr_t pa = recycle(objects_, cls, align);
+  if (pa == 0) {
+    // Bump path — byte-identical to the historical allocator: the watermark
+    // advances by the *requested* size, never the rounded class.
+    pa = paddr_t(align_up(next_, align));
+    if (u64(pa) + bytes > u64(ctrl_next_)) {
+      MINOVA_CHECK_MSG(!abort_on_exhaustion, "kernel heap exhausted");
+      return 0;
+    }
+    next_ = pa + bytes;
+    record(objects_, pa, bytes, cls);
   }
-
-  // Bump path — byte-identical to the historical allocator: the watermark
-  // advances by the *requested* size, never the rounded class.
-  const paddr_t start = paddr_t(align_up(next_, align));
-  if (u64(start) + bytes > u64(ctrl_next_)) {
-    MINOVA_CHECK_MSG(!abort_on_exhaustion, "kernel heap exhausted");
-    return 0;
-  }
-  next_ = start + bytes;
-  blocks_[start] = Block{bytes, cls, /*live=*/true};
-  bytes_live_ += cls;
-  ++live_blocks_;
+  objects_.bytes_live += cls;
+  ++objects_.live;
   ++alloc_count_;
-  return start;
+  return pa;
 }
 
-paddr_t KernelHeap::recycle_from(FreeLists& lists, Registry& blocks, u32 cls,
-                                 u32 align) {
-  auto it = lists.find(cls);
-  if (it == lists.end()) return 0;
-  auto& list = it->second;
+paddr_t KernelHeap::recycle(Region& r, u32 cls, u32 align) {
+  if (cls / kClassAlign >= r.free.size()) return 0;
+  auto& list = r.free[cls / kClassAlign];
   // LIFO, skipping blocks whose address does not satisfy the (rare)
   // stricter-than-class alignment request.
   for (std::size_t i = list.size(); i-- > 0;) {
     const paddr_t pa = list[i];
-    if (align != 0 && !is_aligned(pa, align)) continue;
+    if (!is_aligned(pa, align)) continue;
     list.erase(list.begin() + std::ptrdiff_t(i));
-    if (list.empty()) lists.erase(it);
-    Block& b = blocks.at(pa);
+    Block& b = r.slots[r.offset(pa) / kClassAlign];
     verify_poison_and_scrub(pa, b.bytes);
     b.live = true;
     ++recycle_count_;
@@ -68,53 +68,51 @@ paddr_t KernelHeap::recycle_from(FreeLists& lists, Registry& blocks, u32 cls,
   return 0;
 }
 
-void KernelHeap::free(paddr_t pa) {
-  release_into(free_lists_, blocks_, pa, "object");
-  const Block& b = blocks_.at(pa);
-  bytes_live_ -= b.class_bytes;
-  --live_blocks_;
+void KernelHeap::record(Region& r, paddr_t pa, u32 bytes, u32 cls) {
+  const u32 slot = r.offset(pa) / kClassAlign;
+  if (slot >= r.slots.size()) r.slots.resize(slot + 1);
+  r.slots[slot] = Block{bytes, cls, /*live=*/true};
+}
+
+void KernelHeap::release(Region& r, paddr_t pa, const char* not_owned) {
+  const u32 off = r.offset(pa);
+  Block* b = nullptr;
+  if (off % kClassAlign == 0 && off / kClassAlign < r.slots.size())
+    b = &r.slots[off / kClassAlign];
+  MINOVA_CHECK_MSG(b != nullptr && b->class_bytes != 0, not_owned);
+  MINOVA_CHECK_MSG(b->live, "kernel heap double free");
+  b->live = false;
+  poison(pa, b->bytes);
+  const u32 k = b->class_bytes / kClassAlign;
+  if (k >= r.free.size()) r.free.resize(k + 1);
+  r.free[k].push_back(pa);
+  r.bytes_live -= b->class_bytes;
+  --r.live;
   ++free_count_;
 }
 
-void KernelHeap::release_into(FreeLists& lists, Registry& blocks, paddr_t pa,
-                              const char* region) {
-  auto it = blocks.find(pa);
-  if (it == blocks.end()) {
-    MINOVA_CHECK_MSG(false, region[0] == 'o'
-                                ? "free of address not owned by kernel heap"
-                                : "free of address not in control region");
-  }
-  MINOVA_CHECK_MSG(it->second.live, "kernel heap double free");
-  it->second.live = false;
-  poison(pa, it->second.bytes);
-  lists[it->second.class_bytes].push_back(pa);
+void KernelHeap::free(paddr_t pa) {
+  release(objects_, pa, "free of address not owned by kernel heap");
 }
 
 paddr_t KernelHeap::alloc_ctrl(u32 bytes) {
   const u32 cls = size_class(bytes);
-  const paddr_t recycled = recycle_from(ctrl_free_, ctrl_blocks_, cls, 0);
-  if (recycled != 0) {
-    ctrl_bytes_live_ += cls;
-    ++ctrl_live_;
-    ++alloc_count_;
-    return recycled;
+  paddr_t pa = recycle(ctrl_, cls, kClassAlign);
+  if (pa == 0) {
+    MINOVA_CHECK_MSG(u64(next_) + cls <= u64(ctrl_next_),
+                     "kernel heap exhausted (control region)");
+    ctrl_next_ -= cls;
+    pa = ctrl_next_;
+    record(ctrl_, pa, bytes, cls);
   }
-  MINOVA_CHECK_MSG(u64(next_) + cls <= u64(ctrl_next_),
-                   "kernel heap exhausted (control region)");
-  ctrl_next_ -= cls;
-  ctrl_blocks_[ctrl_next_] = Block{bytes, cls, /*live=*/true};
-  ctrl_bytes_live_ += cls;
-  ++ctrl_live_;
+  ctrl_.bytes_live += cls;
+  ++ctrl_.live;
   ++alloc_count_;
-  return ctrl_next_;
+  return pa;
 }
 
 void KernelHeap::free_ctrl(paddr_t pa) {
-  release_into(ctrl_free_, ctrl_blocks_, pa, "ctrl");
-  const Block& b = ctrl_blocks_.at(pa);
-  ctrl_bytes_live_ -= b.class_bytes;
-  --ctrl_live_;
-  ++free_count_;
+  release(ctrl_, pa, "free of address not in control region");
 }
 
 // Poison and scrub are uncharged host work: they move whole chunks through

@@ -11,6 +11,8 @@
 //     watermark only moves when no recycled block fits. A workload that
 //     never frees therefore sees the *byte-identical* address sequence of
 //     the original bump allocator — existing golden results stay valid.
+//     Block records sit in a vector indexed by address / 64 (DESIGN.md
+//     §12.1), so every lookup is an index.
 //   * `free()` poisons the block (when a PhysMem is attached), checks for
 //     double frees, and recycles it into its class list. Reuse verifies the
 //     poison is intact (use-after-free oracle) and re-zeroes the block.
@@ -20,7 +22,6 @@
 //     instead of tripping MINOVA_CHECK, so callers can fail gracefully.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "nova/kmem.hpp"
@@ -50,7 +51,8 @@ class KernelHeap {
   /// Pure host-side writes — no simulated cost.
   void attach_ram(mem::PhysMem* ram) { ram_ = ram; }
 
-  /// Allocate, aborting on exhaustion (legacy contract).
+  /// Allocate, aborting on exhaustion (legacy contract). `align` is a power
+  /// of two no smaller than kClassAlign, so every block starts on a slot.
   paddr_t alloc(u32 bytes, u32 align = 64);
   /// Allocate, returning 0 on exhaustion instead of aborting.
   paddr_t try_alloc(u32 bytes, u32 align = 64);
@@ -70,9 +72,9 @@ class KernelHeap {
 
   // ---- pool accounting (leak oracles, benches) ----
   /// Bytes held by live blocks (size-class rounded), both regions.
-  u32 bytes_live() const { return bytes_live_ + ctrl_bytes_live_; }
-  u32 live_blocks() const { return live_blocks_; }
-  u32 ctrl_live() const { return ctrl_live_; }
+  u32 bytes_live() const { return objects_.bytes_live + ctrl_.bytes_live; }
+  u32 live_blocks() const { return objects_.live; }
+  u32 ctrl_live() const { return ctrl_.live; }
   /// High-water marks of the two bump pointers. Neither pointer ever
   /// retreats (frees recycle into the pools), so each mark is the pointer's
   /// current extent; churn with recycling keeps both flat.
@@ -89,16 +91,35 @@ class KernelHeap {
  private:
   struct Block {
     u32 bytes = 0;        // requested size (poison/scrub extent)
-    u32 class_bytes = 0;  // size-class key for the free list
+    u32 class_bytes = 0;  // size class; 0 = no block starts at this slot
     bool live = false;
   };
-  using Registry = std::map<paddr_t, Block>;
-  using FreeLists = std::map<u32, std::vector<paddr_t>>;
+  /// One allocation region. `slots` holds a record per 64-byte slot,
+  /// indexed by the distance from the region's origin (the window base for
+  /// objects, the window top for control blocks) / 64; `free` is one LIFO
+  /// list per size class, indexed by class / 64. Both grow with the
+  /// region's watermark, so a lookup is an index, never a search.
+  struct Region {
+    Region(paddr_t o, bool down) : origin(o), downward(down) {}
+
+    paddr_t origin;
+    bool downward;
+    std::vector<Block> slots;
+    std::vector<std::vector<paddr_t>> free;
+    u32 bytes_live = 0;
+    u32 live = 0;
+
+    /// Distance of `pa` from the origin; wraps to a huge value outside the
+    /// region, so it then indexes no slot.
+    u32 offset(paddr_t pa) const {
+      return downward ? u32(origin - pa) : u32(pa - origin);
+    }
+  };
 
   paddr_t pool_alloc(u32 bytes, u32 align, bool abort_on_exhaustion);
-  paddr_t recycle_from(FreeLists& lists, Registry& blocks, u32 cls, u32 align);
-  void release_into(FreeLists& lists, Registry& blocks, paddr_t pa,
-                    const char* region);
+  paddr_t recycle(Region& r, u32 cls, u32 align);
+  void record(Region& r, paddr_t pa, u32 bytes, u32 cls);
+  void release(Region& r, paddr_t pa, const char* not_owned);
   void poison(paddr_t pa, u32 bytes);
   void verify_poison_and_scrub(paddr_t pa, u32 bytes);
 
@@ -108,15 +129,9 @@ class KernelHeap {
   paddr_t ctrl_next_;  // downward bump pointer (control region)
   mem::PhysMem* ram_ = nullptr;
 
-  Registry blocks_;
-  FreeLists free_lists_;
-  Registry ctrl_blocks_;
-  FreeLists ctrl_free_;
+  Region objects_;
+  Region ctrl_;
 
-  u32 bytes_live_ = 0;
-  u32 ctrl_bytes_live_ = 0;
-  u32 live_blocks_ = 0;
-  u32 ctrl_live_ = 0;
   u64 alloc_count_ = 0;
   u64 free_count_ = 0;
   u64 recycle_count_ = 0;

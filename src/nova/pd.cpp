@@ -10,7 +10,7 @@ ProtectionDomain::ProtectionDomain(PdId id, std::string name, u32 priority,
       name_(std::move(name)),
       priority_(priority),
       caps_(caps),
-      portals_(PortalTable::build(caps)),
+      portals_(&PortalTable::for_caps(caps)),
       heap_(&heap),
       ctrl_pa_(heap.alloc_ctrl(kPdCtrlBytes)),
       space_(std::move(space)),

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <deque>
-#include <list>
 #include <memory>
 #include <string>
 
@@ -76,8 +75,9 @@ class ProtectionDomain {
   u32 caps() const { return caps_; }
   bool has_cap(PdCaps c) const { return (caps_ & c) != 0; }
 
-  /// The PD's capability-portal dispatch table (built once from `caps`).
-  const PortalTable& portals() const { return portals_; }
+  /// The PD's capability-portal dispatch table: the one shared table for
+  /// its `caps` (PortalTable::for_caps).
+  const PortalTable& portals() const { return *portals_; }
 
   Vcpu& vcpu() { return vcpu_; }
   const Vcpu& vcpu() const { return vcpu_; }
@@ -117,11 +117,13 @@ class ProtectionDomain {
   // Scheduling bookkeeping (owned by the scheduler/kernel).
   cycles_t quantum_left = 0;
   bool booted = false;
-  // O(1) queue membership: the scheduler stores this PD's position in its
-  // run-queue level (or the suspended list) so enqueue/suspend/remove need
-  // no list scans at VM density. `sched_owner` scopes the membership to one
-  // scheduler instance — a PD handed to a different scheduler starts clean.
-  std::list<ProtectionDomain*>::iterator sched_it{};
+  // O(1) queue membership: the scheduler's queues are intrusive lists
+  // threaded through these links (a PD sits in at most one queue), so
+  // enqueue/suspend/remove need no list scans at VM density. `sched_owner`
+  // scopes the membership to one scheduler instance — a PD handed to a
+  // different scheduler starts clean.
+  ProtectionDomain* sched_prev = nullptr;
+  ProtectionDomain* sched_next = nullptr;
   u64 sched_owner = 0;
   bool in_run_queue = false;
   bool in_suspended = false;
@@ -160,7 +162,7 @@ class ProtectionDomain {
   std::string name_;
   u32 priority_;
   u32 caps_;
-  PortalTable portals_;
+  const PortalTable* portals_;
   KernelHeap* heap_;
   paddr_t ctrl_pa_;
   std::unique_ptr<mmu::AddressSpace> space_;

@@ -1,6 +1,7 @@
 #include "nova/portal.hpp"
 
 #include "nova/handlers.hpp"
+#include "nova/pd.hpp"
 
 namespace minova::nova {
 
@@ -73,6 +74,17 @@ PortalTable PortalTable::build(u32 caps) {
     if ((caps & s.required_caps) != s.required_caps) p.flags |= kPortalDenied;
   }
   return table;
+}
+
+const PortalTable& PortalTable::for_caps(u32 caps) {
+  // Denial depends only on the PdCaps bits, so eight tables cover every mask.
+  constexpr u32 kAllCaps = kCapMapOther | kCapPlControl | kCapHwClient;
+  static const std::array<PortalTable, kAllCaps + 1> tables = [] {
+    std::array<PortalTable, kAllCaps + 1> t;
+    for (u32 c = 0; c <= kAllCaps; ++c) t[c] = build(c);
+    return t;
+  }();
+  return tables[caps & kAllCaps];
 }
 
 PortalCost portal_cost_class(Hypercall h) { return spec(h).cost; }

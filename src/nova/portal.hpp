@@ -1,13 +1,13 @@
-// Capability portals: the per-PD exception-dispatch table (paper §III.C).
+// Capability portals: the PD's exception-dispatch table (paper §III.C).
 //
 // Every hypercall number resolves through the caller's portal table to a
 // `Portal` — the handler function, the capability bits the caller must
 // hold, the kernel text region charged for the handler ("cost region") and
-// descriptive flags. The table is built once at PD creation from the PD's
-// capability set, so authorization at the hypercall gate is a single table
-// lookup (the denied bit is precomputed) instead of ad-hoc `has_cap`
-// checks scattered through handler bodies, and every denial is counted
-// uniformly in `kernel.portal_denied`.
+// descriptive flags. One table is built per capability set and shared by
+// every PD holding that set, so authorization at the hypercall gate is a
+// single table lookup (the denied bit is precomputed) instead of ad-hoc
+// `has_cap` checks scattered through handler bodies, and every denial is
+// counted uniformly in `kernel.portal_denied`.
 //
 // Handlers receive a narrow `KernelOps&` window onto the kernel rather
 // than friend access to the whole `Kernel` object; they live in the
@@ -52,12 +52,16 @@ struct Portal {
   bool denied() const { return (flags & kPortalDenied) != 0; }
 };
 
-/// Immutable per-PD dispatch table, one portal per hypercall number.
+/// Immutable dispatch table, one portal per hypercall number. Every PD with
+/// the same capability set shares one table.
 class PortalTable {
  public:
   /// Build the table for a PD holding `caps` (a PdCaps mask): installs the
   /// handler for every hypercall and precomputes each portal's denied bit.
   static PortalTable build(u32 caps);
+  /// The process-wide table for `caps`, built on first use: one per
+  /// capability mask, so creating a PD copies no table.
+  static const PortalTable& for_caps(u32 caps);
 
   const Portal& operator[](Hypercall h) const { return portals_[u32(h)]; }
   const Portal& at(u32 number) const { return portals_[number]; }

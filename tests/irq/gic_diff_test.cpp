@@ -143,7 +143,6 @@ void run_campaign(u64 seed, u32 num_irqs, u64 steps) {
       ASSERT_EQ(gic.irq_asserted_for(mask), ref.asserted_for(mask))
           << "assertion divergence at step " << step << " mask " << u32(mask);
     ASSERT_EQ(gic.irq_asserted(), ref.line()) << "step " << step;
-    ASSERT_EQ(gic.line_asserted(), ref.line()) << "step " << step;
     ASSERT_EQ(edges, ref.edges()) << "line edge divergence at step " << step;
   }
   // The traces must actually reach the interesting states.

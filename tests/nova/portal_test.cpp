@@ -75,6 +75,21 @@ TEST(PortalTableTest, ExhaustiveCapabilityDenialMatrix) {
   }
 }
 
+TEST(PortalTableTest, OneSharedTablePerCapabilitySet) {
+  // Every PD with the same caps points at one table, identical to a freshly
+  // built one; bits outside PdCaps select the same table.
+  for (u32 caps = 0; caps < 8; ++caps) {
+    const PortalTable& shared = PortalTable::for_caps(caps);
+    EXPECT_EQ(&shared, &PortalTable::for_caps(caps));
+    EXPECT_EQ(&shared, &PortalTable::for_caps(caps | 0x100u));
+    const PortalTable built = PortalTable::build(caps);
+    for (u32 h = 0; h < kNumHypercalls; ++h) {
+      EXPECT_EQ(shared.at(h).handler, built.at(h).handler);
+      EXPECT_EQ(shared.at(h).flags, built.at(h).flags) << "caps=" << caps;
+    }
+  }
+}
+
 TEST(PortalTableTest, CostClassesMatchTheBootTimeLayout) {
   // The mm/hw groupings drive the code-layout placement: they must stay in
   // sync with the handler text sizes Kernel::boot places.

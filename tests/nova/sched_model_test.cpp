@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "core/platform.hpp"
@@ -12,18 +14,34 @@
 namespace minova::nova {
 namespace {
 
-/// Reference: per-priority FIFO of runnable PDs; pick = front of highest
-/// non-empty level.
+/// Reference: per-priority FIFOs of runnable PDs plus a FIFO suspend
+/// queue, all plain vectors; pick = front of highest non-empty level.
 struct RefModel {
-  std::array<std::vector<ProtectionDomain*>, Scheduler::kNumPriorities> level;
+  using Queue = std::vector<ProtectionDomain*>;
+  std::array<Queue, Scheduler::kNumPriorities> level;
+  Queue suspended;
+
+  static bool contains(const Queue& q, const ProtectionDomain* pd) {
+    return std::find(q.begin(), q.end(), pd) != q.end();
+  }
+  static void erase(Queue& q, const ProtectionDomain* pd) {
+    q.erase(std::remove(q.begin(), q.end(), pd), q.end());
+  }
 
   void enqueue(ProtectionDomain* pd) {
     auto& l = level[pd->priority()];
-    if (std::find(l.begin(), l.end(), pd) == l.end()) l.push_back(pd);
+    if (contains(l, pd)) return;
+    erase(suspended, pd);
+    l.push_back(pd);
   }
-  void dequeue(ProtectionDomain* pd) {
-    auto& l = level[pd->priority()];
-    l.erase(std::remove(l.begin(), l.end(), pd), l.end());
+  void suspend(ProtectionDomain* pd) {
+    if (contains(suspended, pd)) return;
+    erase(level[pd->priority()], pd);
+    suspended.push_back(pd);
+  }
+  void take(ProtectionDomain* pd) {
+    erase(level[pd->priority()], pd);
+    erase(suspended, pd);
   }
   void rotate(ProtectionDomain* pd) {
     auto& l = level[pd->priority()];
@@ -37,7 +55,66 @@ struct RefModel {
       if (!level[p].empty()) return level[p].front();
     return nullptr;
   }
+  /// Highest level first, front to back within a level.
+  ProtectionDomain* pick_unparked() const {
+    for (u32 p = Scheduler::kNumPriorities; p-- > 0;)
+      for (ProtectionDomain* pd : level[p])
+        if (!pd->parked) return pd;
+    return nullptr;
+  }
+  /// Highest level first, back to front within a level.
+  ProtectionDomain* steal_unparked() const {
+    for (u32 p = Scheduler::kNumPriorities; p-- > 0;)
+      for (auto it = level[p].rbegin(); it != level[p].rend(); ++it)
+        if (!(*it)->parked) return *it;
+    return nullptr;
+  }
+  std::size_t runnable() const {
+    std::size_t n = 0;
+    for (const auto& l : level) n += l.size();
+    return n;
+  }
 };
+
+std::vector<ProtectionDomain*> to_vector(Scheduler::QueueView q) {
+  std::vector<ProtectionDomain*> v;
+  for (ProtectionDomain* pd : q) v.push_back(pd);
+  return v;
+}
+
+/// Everything observable about one scheduler must match its reference: the
+/// full order of every level and of the suspend queue, the picks with and
+/// without a parked set, the steal candidate and the membership queries.
+void expect_matches(const Scheduler& s, const RefModel& ref,
+                    const std::vector<std::unique_ptr<ProtectionDomain>>& pds,
+                    int step) {
+  for (u32 p = 0; p < Scheduler::kNumPriorities; ++p) {
+    ASSERT_EQ(to_vector(s.level_queue(p)), ref.level[p])
+        << "level " << p << " order diverged at step " << step;
+    if (!ref.level[p].empty()) {
+      ASSERT_EQ(s.level_queue(p).back(), ref.level[p].back()) << step;
+    }
+  }
+  ASSERT_EQ(to_vector(s.suspended_queue()), ref.suspended)
+      << "suspend queue diverged at step " << step;
+  ASSERT_EQ(s.pick(), ref.pick()) << "diverged at step " << step;
+  auto unparked = [](const ProtectionDomain* p) { return !p->parked; };
+  ASSERT_EQ(s.pick_eligible(unparked), ref.pick_unparked()) << step;
+  ASSERT_EQ(s.steal_candidate(unparked), ref.steal_unparked()) << step;
+  ASSERT_EQ(s.runnable_count(), ref.runnable()) << step;
+  for (const auto& pd : pds) {
+    ASSERT_EQ(s.is_runnable(pd.get()),
+              RefModel::contains(ref.level[pd->priority()], pd.get()))
+        << pd->name() << " at step " << step;
+    ASSERT_EQ(s.is_suspended(pd.get()),
+              RefModel::contains(ref.suspended, pd.get()))
+        << pd->name() << " at step " << step;
+    bool higher = false;
+    for (u32 p = pd->priority() + 1; p < Scheduler::kNumPriorities; ++p)
+      higher = higher || !ref.level[p].empty();
+    ASSERT_EQ(s.higher_priority_ready(pd.get()), higher) << step;
+  }
+}
 
 class SchedModelTest : public ::testing::TestWithParam<u64> {
  protected:
@@ -45,7 +122,7 @@ class SchedModelTest : public ::testing::TestWithParam<u64> {
       : heap_(kKernelHeapBase + 3 * kMiB, 2 * kMiB),
         alloc_(platform_.dram(), kKernelHeapBase, 3 * kMiB),
         builder_(platform_.dram(), alloc_),
-        sched_(1000) {
+        sched_{Scheduler(1000), Scheduler(1000)} {
     for (u32 i = 0; i < 8; ++i) {
       pds_.push_back(std::make_unique<ProtectionDomain>(
           PdId(i), "pd" + std::to_string(i), i % 4, heap_, platform_.gic(),
@@ -57,36 +134,75 @@ class SchedModelTest : public ::testing::TestWithParam<u64> {
   KernelHeap heap_;
   mmu::PageTableAllocator alloc_;
   VmSpaceBuilder builder_;
-  Scheduler sched_;
+  std::array<Scheduler, 2> sched_;
   std::vector<std::unique_ptr<ProtectionDomain>> pds_;
 };
 
+// Every PD lives on one of two schedulers (two cores). Operations go to the
+// PD's home scheduler; a re-home takes it off there and enqueues or
+// suspends it on the other, which adopts it under its own stamp — the
+// steal/migrate sequence. A seeded parked set exercises the filtered picks.
 TEST_P(SchedModelTest, AgreesWithReferenceOverRandomOps) {
   util::Xoshiro256 rng(GetParam());
-  RefModel ref;
-  for (int step = 0; step < 600; ++step) {
-    ProtectionDomain* pd = pds_[rng.next_below(pds_.size())].get();
-    switch (rng.next_below(4)) {
+  std::array<RefModel, 2> ref;
+  std::vector<u32> home(pds_.size(), 0);
+  for (int step = 0; step < 1500; ++step) {
+    const std::size_t i = std::size_t(rng.next_below(pds_.size()));
+    ProtectionDomain* pd = pds_[i].get();
+    Scheduler& s = sched_[home[i]];
+    RefModel& r = ref[home[i]];
+    switch (rng.next_below(7)) {
       case 0:
-        sched_.enqueue(pd);
-        ref.enqueue(pd);
+        s.enqueue(pd);
+        r.enqueue(pd);
         break;
       case 1:
-        sched_.suspend(pd);
-        ref.dequeue(pd);
+        s.suspend(pd);
+        r.suspend(pd);
         break;
       case 2:
         // rotate is only meaningful for the head of its level; both models
         // apply the same conditional.
-        sched_.rotate(pd);
-        ref.rotate(pd);
+        s.rotate(pd);
+        r.rotate(pd);
         break;
       case 3:
-        sched_.remove(pd);
-        ref.dequeue(pd);
+        s.remove(pd);
+        r.take(pd);
+        break;
+      case 4: {
+        // take() keeps the run state and the remaining quantum.
+        const PdState state = pd->state();
+        const cycles_t left = pd->quantum_left;
+        s.take(pd);
+        r.take(pd);
+        ASSERT_EQ(pd->state(), state);
+        ASSERT_EQ(pd->quantum_left, left);
+        break;
+      }
+      case 5: {
+        const u32 to = 1 - home[i];
+        s.take(pd);
+        r.take(pd);
+        if (rng.next_bool(0.7)) {
+          sched_[to].enqueue(pd);
+          ref[to].enqueue(pd);
+        } else {
+          sched_[to].suspend(pd);
+          ref[to].suspend(pd);
+        }
+        ASSERT_FALSE(s.is_runnable(pd) || s.is_suspended(pd));
+        home[i] = to;
+        break;
+      }
+      case 6:
+        pd->parked = !pd->parked;
         break;
     }
-    ASSERT_EQ(sched_.pick(), ref.pick()) << "diverged at step " << step;
+    for (u32 c = 0; c < 2; ++c) {
+      ASSERT_NO_FATAL_FAILURE(expect_matches(sched_[c], ref[c], pds_, step))
+          << "scheduler " << c;
+    }
   }
 }
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "core/platform.hpp"
+#include "nova/inspector.hpp"
+#include "nova/kernel.hpp"
 #include "nova/kmem.hpp"
 
 namespace minova::nova {
@@ -141,6 +148,41 @@ TEST_F(SchedTest, ServicePreemptionScenario) {
   EXPECT_EQ(sched_.pick(), service);
   sched_.suspend(service);  // removes itself after handling
   EXPECT_EQ(sched_.pick(), os1);
+}
+
+// Kernels may be built on any host thread (run_all's claim pool builds one
+// per claim): every scheduler must still draw a process-unique stamp, or one
+// kernel's scheduler would read another's membership flags as its own. Under
+// TSan an unsynchronized stamp counter is reported here.
+TEST(SchedStampTest, KernelsBuiltOnFourHostThreadsGetDistinctStamps) {
+  constexpr u32 kThreads = 4;
+  constexpr u32 kKernelsPerThread = 4;
+  KernelConfig cfg;
+  cfg.num_cores = 2;
+  std::vector<std::vector<u64>> stamps(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (u32 t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (u32 k = 0; k < kKernelsPerThread; ++k) {
+        Platform platform;
+        Kernel kernel(platform, cfg);
+        const KernelInspector insp(kernel);
+        for (u32 c = 0; c < insp.num_cores(); ++c)
+          stamps[t].push_back(insp.core(c).runqueue().stamp());
+      }
+    });
+  for (auto& th : threads) th.join();
+
+  std::set<u64> distinct;
+  std::size_t total = 0;
+  for (const auto& v : stamps) {
+    distinct.insert(v.begin(), v.end());
+    total += v.size();
+  }
+  EXPECT_EQ(total, std::size_t(kThreads * kKernelsPerThread * cfg.num_cores));
+  EXPECT_EQ(distinct.size(), total);
 }
 
 }  // namespace
