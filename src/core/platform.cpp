@@ -9,13 +9,12 @@ Platform::Platform(const PlatformConfig& cfg)
       gic_(mem::kNumIrqs),
       cpu_(clock_, dram_, bus_),
       ptimer_(clock_, events_, gic_),
-      gtimer_(clock_),
       ttc_(clock_, events_, gic_),
       library_(hwtask::TaskLibrary::evaluation_set(cfg.large_prrs,
                                                    cfg.small_prrs)),
       fault_(clock_, stats_, cfg.fault),
       prrctl_(clock_, events_, gic_, bus_, library_,
-              pl::make_floorplan(cfg.large_prrs, cfg.small_prrs)),
+              cfg.large_prrs + cfg.small_prrs),
       pcap_(clock_, events_, gic_, prrctl_),
       uart0_(clock_, events_, gic_) {
   lanes_.push_back(&cpu_);

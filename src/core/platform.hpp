@@ -58,14 +58,12 @@ class Platform {
   sim::StatsRegistry& stats() { return stats_; }
   sim::TraceBuffer& trace() { return trace_; }
   mem::PhysMem& dram() { return dram_; }
-  mem::PhysMem& ocm() { return ocm_; }
   mem::Bus& bus() { return bus_; }
   irq::Gic& gic() { return gic_; }
   /// The CPU lane the simulator is currently modeling. With one lane (the
   /// default) this is *the* Cortex-A9 core, exactly as before SMP.
   cpu::Core& cpu() { return *lanes_[active_lane_]; }
   timer::PrivateTimer& private_timer() { return ptimer_; }
-  timer::GlobalTimer& global_timer() { return gtimer_; }
   timer::Ttc& ttc() { return ttc_; }
   hwtask::TaskLibrary& task_library() { return library_; }
   sim::FaultInjector& fault() { return fault_; }
@@ -86,7 +84,6 @@ class Platform {
   cpu::Core& lane(u32 i) { return *lanes_[i]; }
   /// Select which lane `cpu()` returns. Host-side bookkeeping only.
   void set_active_lane(u32 i) { active_lane_ = i; }
-  u32 active_lane() const { return active_lane_; }
 
  private:
   PlatformConfig cfg_;
@@ -104,7 +101,6 @@ class Platform {
   std::vector<std::unique_ptr<cpu::Core>> extra_lanes_;
   u32 active_lane_ = 0;
   timer::PrivateTimer ptimer_;
-  timer::GlobalTimer gtimer_;
   timer::Ttc ttc_;
   hwtask::TaskLibrary library_;
   sim::FaultInjector fault_;

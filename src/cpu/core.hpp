@@ -108,7 +108,6 @@ class Core {
 
   // ---- IRQ line from the GIC ----
   void set_irq_line(bool asserted) { irq_line_ = asserted; }
-  bool irq_line() const { return irq_line_; }
   /// Line asserted and not masked by CPSR.I.
   bool irq_deliverable() const { return irq_line_ && !cpsr_.irq_masked; }
 

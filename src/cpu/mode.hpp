@@ -28,19 +28,6 @@ constexpr bool is_privileged(Mode m) {
   return privilege_of(m) == PrivilegeLevel::kPl1;
 }
 
-constexpr const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::kUsr: return "USR";
-    case Mode::kFiq: return "FIQ";
-    case Mode::kIrq: return "IRQ";
-    case Mode::kSvc: return "SVC";
-    case Mode::kAbt: return "ABT";
-    case Mode::kUnd: return "UND";
-    case Mode::kSys: return "SYS";
-  }
-  return "?";
-}
-
 /// Exception kinds routed through the vector table (paper §III: interrupts
 /// via IRQ/FIQ, privileged-instruction traps via UND, memory faults via ABT,
 /// hypercalls via SVC).
@@ -65,19 +52,6 @@ constexpr Mode mode_for_exception(Exception e) {
     case Exception::kFiq: return Mode::kFiq;
   }
   return Mode::kSvc;
-}
-
-constexpr const char* exception_name(Exception e) {
-  switch (e) {
-    case Exception::kReset: return "RESET";
-    case Exception::kUndefined: return "UND";
-    case Exception::kSupervisorCall: return "SVC";
-    case Exception::kPrefetchAbort: return "PABT";
-    case Exception::kDataAbort: return "DABT";
-    case Exception::kIrq: return "IRQ";
-    case Exception::kFiq: return "FIQ";
-  }
-  return "?";
 }
 
 }  // namespace minova::cpu

@@ -51,7 +51,6 @@ class RegisterFile {
   void set(Mode mode, unsigned index, u32 value);
 
   u32 pc() const { return pc_; }
-  void set_pc(u32 pc) { pc_ = pc; }
 
   /// Convenience accessors for the current-mode SP/LR.
   u32 sp(Mode mode) const { return get(mode, 13); }

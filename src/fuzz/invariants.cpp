@@ -331,7 +331,7 @@ void InvariantSuite::check_portal_caps(std::vector<Violation>& out) const {
     for (u32 n = 0; n < nova::kNumHypercalls; ++n) {
       const u32 need = nova::portal_required_caps(nova::Hypercall(n));
       const bool should_deny = (pd->caps() & need) != need;
-      if (pd->portals().at(n).denied() != should_deny)
+      if (pd->portals().at(n).denied != should_deny)
         add(out, Oracle::kPortalCaps,
             "pd '" + pd->name() + "' portal " + std::to_string(n) +
                 (should_deny ? " not denied despite missing caps (need "

@@ -7,12 +7,15 @@
 // bit-identical replay; `--out DIR` writes failing reports + shrunk
 // reproducers as files (CI artifact upload).
 //
-// Exit status: 0 when every scenario held all invariants, 1 otherwise.
+// Exit status: 0 when every scenario held all invariants, 1 otherwise; 2 on
+// a bad command line, before any scenario runs.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "fuzz/shrink.hpp"
@@ -42,8 +45,30 @@ struct Args {
   bool lifecycle = false;
   bool do_shrink = false;
   bool verbose = false;
+  bool help = false;
   std::string out_dir;
 };
+
+constexpr const char* kUsage =
+    "usage: mininova_fuzz [--seed-base N] [--seeds N] [--seed N] [--steps N]\n"
+    "                     [--heavy N] [--sabotage STEP]\n"
+    "                     [--sabotage-oracle NAME] [--hw-sched]\n"
+    "                     [--supervisor] [--cores N] [--threads N]\n"
+    "                     [--compute] [--mt-check] [--lifecycle] [--shrink]\n"
+    "                     [--out DIR] [--verbose]\n";
+
+// A whole non-negative integer (decimal, or 0x-prefixed hex) that fits `T`.
+template <typename T>
+bool parse_num(const char* v, T& out) {
+  if (v == nullptr || !(*v >= '0' && *v <= '9')) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 0);
+  if (*end != '\0' || errno == ERANGE || n > std::numeric_limits<T>::max())
+    return false;
+  out = T(n);
+  return true;
+}
 
 bool parse(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
@@ -51,23 +76,29 @@ bool parse(int argc, char** argv, Args& a) {
     auto val = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value; a missing or malformed one fails the parse.
+    auto num = [&](auto& out) {
+      const char* v = val();
+      if (parse_num(v, out)) return true;
+      std::fprintf(stderr, "%s needs a non-negative integer, got %s\n",
+                   arg.c_str(), v != nullptr ? v : "nothing");
+      return false;
+    };
     if (arg == "--seed-base") {
-      if (const char* v = val()) a.seed_base = std::strtoull(v, nullptr, 0);
+      if (!num(a.seed_base)) return false;
     } else if (arg == "--seeds") {
-      if (const char* v = val()) a.seeds = minova::u32(std::strtoul(v, nullptr, 0));
+      if (!num(a.seeds)) return false;
     } else if (arg == "--seed") {
-      if (const char* v = val()) {
-        a.seed = std::strtoull(v, nullptr, 0);
-        a.single = true;
-      }
+      if (!num(a.seed)) return false;
+      a.single = true;
     } else if (arg == "--steps") {
-      if (const char* v = val()) a.steps = std::strtoull(v, nullptr, 0);
+      if (!num(a.steps)) return false;
     } else if (arg == "--heavy") {
-      if (const char* v = val()) a.heavy = std::strtoull(v, nullptr, 0);
+      if (!num(a.heavy)) return false;
     } else if (arg == "--sabotage") {
       // Corrupt state at the given step: a self-test hook that demonstrates
       // detection, replay, and shrinking on a known-bad run.
-      if (const char* v = val()) a.sabotage = std::strtoull(v, nullptr, 0);
+      if (!num(a.sabotage)) return false;
     } else if (arg == "--sabotage-oracle") {
       // The oracle --sabotage's mutant must trip, by its report name
       // (default quantum-bound; the sv-* mutants need --supervisor, the
@@ -95,13 +126,11 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (arg == "--cores") {
       // Simulated cores: SMP shards run work stealing, IPIs and cross-core
       // TLB shootdown under the three SMP oracles.
-      if (const char* v = val())
-        a.cores = minova::u32(std::strtoul(v, nullptr, 0));
+      if (!num(a.cores)) return false;
     } else if (arg == "--threads") {
       // Host threads executing the SMP compute batch. Never changes any
       // simulated number — see --mt-check.
-      if (const char* v = val())
-        a.threads = minova::u32(std::strtoul(v, nullptr, 0));
+      if (!num(a.threads)) return false;
     } else if (arg == "--compute") {
       // Chaos guests mix in pure-compute burst steps so SMP runs exercise
       // the host-parallel batch path.
@@ -119,15 +148,14 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (arg == "--verbose" || arg == "-v") {
       a.verbose = true;
     } else if (arg == "--out") {
-      if (const char* v = val()) a.out_dir = v;
+      const char* v = val();
+      if (v == nullptr) {
+        std::fputs("--out needs a directory\n", stderr);
+        return false;
+      }
+      a.out_dir = v;
     } else if (arg == "--help" || arg == "-h") {
-      std::puts(
-          "mininova_fuzz [--seed-base N] [--seeds N] [--seed N] [--steps N]\n"
-          "              [--heavy N] [--sabotage STEP]\n"
-          "              [--sabotage-oracle NAME] [--hw-sched]\n"
-          "              [--supervisor] [--cores N] [--threads N] [--compute]\n"
-          "              [--mt-check] [--lifecycle] [--shrink] [--out DIR]\n"
-          "              [--verbose]");
+      a.help = true;
       return false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
@@ -169,7 +197,10 @@ int handle_failure(const Args& a, const ScenarioOptions& opts,
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parse(argc, argv, a)) return 2;
+  if (!parse(argc, argv, a)) {
+    std::fputs(kUsage, a.help ? stdout : stderr);
+    return 2;
+  }
   if (a.verbose && a.single) {
     // Replay debugging: surface the manager's decision log alongside the
     // scenario report (grants, preemptions, retries, cache traffic).

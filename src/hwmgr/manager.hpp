@@ -191,7 +191,6 @@ class ManagerService final : public nova::HwService {
   void set_policy(AllocPolicy p) { policy_ = p; }
   AllocPolicy policy() const { return policy_; }
   void set_retry_policy(const RetryPolicy& p) { retry_ = p; }
-  const RetryPolicy& retry_policy() const { return retry_; }
   void set_sched_config(const SchedConfig& c) { sched_ = c; }
   const SchedConfig& sched_config() const { return sched_; }
   PrrHealth prr_health(u32 idx) const { return prr_table_[idx].health; }

@@ -12,8 +12,6 @@
 // save/restore oracle — hence a header of its own next to the task library.
 #pragma once
 
-#include <array>
-
 #include "util/types.hpp"
 
 namespace minova::hwtask {
@@ -27,29 +25,5 @@ inline constexpr u32 kStateInconsistent = 1;
 constexpr u32 consistency_offset(u32 data_section_size) {
   return data_section_size - kConsistencyWords * 4;
 }
-
-/// In-memory image of the record, with pack/unpack mirroring the exact word
-/// order the manager writes through svc_write_client_data.
-struct ConsistencyRecord {
-  u32 state = kStateConsistent;
-  u32 task = 0;
-  std::array<u32, 8> regs{};  // interface register group, ascending offsets
-
-  std::array<u32, kConsistencyWords> pack() const {
-    std::array<u32, kConsistencyWords> w{};
-    w[0] = state;
-    w[1] = task;
-    for (u32 i = 0; i < 8; ++i) w[2 + i] = regs[i];
-    return w;
-  }
-
-  static ConsistencyRecord unpack(const std::array<u32, kConsistencyWords>& w) {
-    ConsistencyRecord r;
-    r.state = w[0];
-    r.task = w[1];
-    for (u32 i = 0; i < 8; ++i) r.regs[i] = w[2 + i];
-    return r;
-  }
-};
 
 }  // namespace minova::hwtask

@@ -7,7 +7,6 @@
 // core is currently "configured" into a region.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,7 +30,5 @@ class IpCore {
   /// PL processing latency (excluding DMA) for `in_bytes` of input.
   virtual cycles_t latency_cycles(u32 in_bytes) const = 0;
 };
-
-using IpCoreFactory = std::unique_ptr<IpCore> (*)();
 
 }  // namespace minova::hwtask

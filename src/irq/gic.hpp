@@ -58,7 +58,6 @@ class Gic {
   /// End of interrupt: drops the active state.
   void eoi(u32 id);
   void set_priority_mask(u8 mask) { priority_mask_ = mask; update_line(); }
-  u8 priority_mask() const { return priority_mask_; }
 
   /// True when some enabled interrupt is pending above the mask (the state
   /// of the nIRQ line towards the core).

@@ -41,17 +41,4 @@ struct Fault {
   }
 };
 
-constexpr const char* fault_name(FaultType t) {
-  switch (t) {
-    case FaultType::kNone: return "none";
-    case FaultType::kTranslationL1: return "translation-L1";
-    case FaultType::kTranslationL2: return "translation-L2";
-    case FaultType::kDomain: return "domain";
-    case FaultType::kPermission: return "permission";
-    case FaultType::kExternalAbort: return "external-abort";
-    case FaultType::kExecuteNever: return "execute-never";
-  }
-  return "?";
-}
-
 }  // namespace minova::mmu

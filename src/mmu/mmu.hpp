@@ -8,13 +8,14 @@
 // domain between Client and NoAccess on guest privilege changes without
 // touching the TLB.
 //
-// A per-core micro-TLB (direct-mapped, keyed on (asid, va>>12)) sits in
-// front of the main TLB, mirroring the A9's L1 micro-TLBs. It is a pure
-// host-side accelerator: a micro hit replays the exact bookkeeping a main
-// TLB hit would have performed (`Tlb::touch`), so hit/miss sequences, LRU
-// order and charged cycles are bit-identical with it in place. Cached
-// entry pointers are revalidated against `Tlb::generation()`, which every
-// insert and flush bumps; TTBR/ASID writes clear the micro-TLB outright.
+// A micro-TLB (direct-mapped, keyed on (asid, va>>12)) sits in front of
+// the main TLB, mirroring the A9's L1 micro-TLBs; each simulated core owns
+// a lane, so each core has its own. It is a pure host-side accelerator: a
+// micro hit replays the exact bookkeeping a main TLB hit would have
+// performed (`Tlb::touch`), so hit/miss sequences, LRU order and charged
+// cycles are bit-identical with it in place. Cached entry pointers are
+// revalidated against `Tlb::generation()`, which every insert and flush
+// bumps; TTBR/ASID writes clear the micro-TLB outright.
 //
 // A live micro entry may also carry the host bytes of its 4 KB page in the
 // table RAM (`bind_host`), so a data access to bound RAM skips the bus
@@ -23,7 +24,6 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "cache/hierarchy.hpp"
 #include "cache/tlb.hpp"
@@ -104,51 +104,17 @@ class Mmu {
   /// bookkeeping of `n` such hits. No-op with the MMU off.
   void credit_hits(vaddr_t va, u64 n);
 
-  // ---- micro-TLB banks (SMP) ----
-  // Each simulated core owns one bank, mirroring the A9's per-CPU L1
-  // micro-TLBs; the SMP run loop selects the active core's bank before its
-  // slice. The default single bank is the unicore layout, bit-identical to
-  // the pre-SMP micro-TLB.
-
-  /// Size the bank array (one per simulated core). Existing contents are
-  /// dropped; the active bank resets to 0.
-  void configure_utlb_banks(u32 n) {
-    ubanks_.assign(n == 0 ? 1 : n, {});
-    ubank_epoch_.assign(ubanks_.size(), 0);
-    active_bank_ = 0;
+  /// Drop every micro-TLB entry (TTBR/ASID writes do this implicitly;
+  /// main-TLB maintenance invalidates via the generation check instead).
+  void utlb_flush() {
+    for (auto& u : utlb_) u.entry = nullptr;
+    ++utlb_epoch_;
   }
-  u32 utlb_banks() const { return u32(ubanks_.size()); }
-  void set_active_utlb_bank(u32 i) { active_bank_ = i % u32(ubanks_.size()); }
-  u32 active_utlb_bank() const { return active_bank_; }
-
-  /// Drop every entry of the *active* bank (TTBR/ASID switches do this
-  /// implicitly; main-TLB maintenance invalidates via the generation check
-  /// instead).
-  void utlb_flush() { utlb_flush_bank(active_bank_); }
-  void utlb_flush_bank(u32 i) {
-    for (auto& u : ubanks_[i % u32(ubanks_.size())]) u.entry = nullptr;
-    ++ubank_epoch_[i % u32(ubanks_.size())];
-  }
-  void utlb_flush_all_banks() {
-    for (u32 i = 0; i < u32(ubanks_.size()); ++i) utlb_flush_bank(i);
-  }
-  /// Flush count of bank `i` (KernelInspector's per-core uTLB generation).
-  u64 utlb_bank_epoch(u32 i) const {
-    return ubank_epoch_[i % u32(ubank_epoch_.size())];
-  }
-
-  /// Restore CP15 translation state without the flush side effects of
-  /// set_ttbr0/set_asid. SMP core-interleave only: the incoming core's bank
-  /// was built under exactly this (TTBR, ASID) pair, so flushing it would
-  /// throw away a still-valid micro-TLB for no architectural reason.
-  void restore_context(paddr_t ttbr, u32 dacr, u32 asid) {
-    ttbr0_ = ttbr;
-    dacr_ = dacr;
-    asid_ = asid & 0xFFu;
-  }
+  /// Flush count of the micro-TLB (KernelInspector's per-core uTLB
+  /// generation).
+  u64 utlb_epoch() const { return utlb_epoch_; }
 
   const MicroTlbStats& micro_stats() const { return ustats_; }
-  void reset_micro_stats() { ustats_ = {}; }
 
  private:
   struct WalkOut {
@@ -175,10 +141,9 @@ class Mmu {
 
   // Micro-TLB: direct-mapped on the low bits of the virtual page. An entry
   // is live while `entry != nullptr`, the (asid, vpage) key matches, and
-  // `gen` equals the main TLB's current generation. One bank per simulated
-  // core; bank 0 alone reproduces the unicore micro-TLB exactly. `host`,
-  // when set, is the page's frame in `ram_`, valid while the entry is live
-  // and `ram_.discard_epoch()` still equals `host_epoch`.
+  // `gen` equals the main TLB's current generation. `host`, when set, is
+  // the page's frame in `ram_`, valid while the entry is live and
+  // `ram_.discard_epoch()` still equals `host_epoch`.
   static constexpr u32 kMicroTlbEntries = 16;  // power of two
   struct MicroEntry {
     const cache::TlbEntry* entry = nullptr;
@@ -189,16 +154,14 @@ class Mmu {
     u64 host_epoch = 0;
   };
   MicroEntry& micro_slot(vaddr_t vpage) {
-    return ubanks_[active_bank_][vpage & (kMicroTlbEntries - 1)];
+    return utlb_[vpage & (kMicroTlbEntries - 1)];
   }
   bool live(const MicroEntry& u, vaddr_t vpage) const {
     return u.entry != nullptr && u.vpage == vpage && u.asid == asid_ &&
            u.gen == tlb_.generation();
   }
-  using MicroBank = std::array<MicroEntry, kMicroTlbEntries>;
-  std::vector<MicroBank> ubanks_{1};
-  std::vector<u64> ubank_epoch_{std::vector<u64>(1, 0)};
-  u32 active_bank_ = 0;
+  std::array<MicroEntry, kMicroTlbEntries> utlb_{};
+  u64 utlb_epoch_ = 0;
   MicroTlbStats ustats_;
 };
 

@@ -28,7 +28,6 @@ paddr_t PageTableAllocator::alloc(u32 bytes, u32 align, bool is_l1) {
   // previous owner's descriptors).
   for (u32 off = 0; off < bytes; off += 4) ram_.write32(start + off, 0);
   bytes_live_ += bytes;
-  ++live_tables_;
   return start;
 }
 
@@ -40,7 +39,6 @@ void PageTableAllocator::free_table(paddr_t pa, bool is_l1, u32 bytes) {
   it->second.live = false;
   (is_l1 ? free_l1_ : free_l2_).push_back(pa);
   bytes_live_ -= bytes;
-  --live_tables_;
 }
 
 paddr_t PageTableAllocator::alloc_l1() {
@@ -70,7 +68,6 @@ u32 AddressSpace::read_l1(u32 index) const {
 
 void AddressSpace::write_l1(u32 index, u32 raw) {
   ram_.write32(l1_base_ + index * 4, raw);
-  ++descriptor_writes_;
 }
 
 void AddressSpace::map_section(vaddr_t va, paddr_t pa, const MapAttrs& attrs) {
@@ -108,7 +105,6 @@ void AddressSpace::map_page(vaddr_t va, paddr_t pa, const MapAttrs& attrs) {
   l2.ng = attrs.ng;
   l2.xn = attrs.xn;
   ram_.write32(l1.l2_base + l2_index(va) * 4, l2.encode());
-  ++descriptor_writes_;
 }
 
 void AddressSpace::map_range(vaddr_t va, paddr_t pa, u32 len,
@@ -133,7 +129,6 @@ bool AddressSpace::unmap_page(vaddr_t va) {
       const paddr_t slot = l1.l2_base + l2_index(va) * 4;
       if (!L2Desc::decode(ram_.read32(slot)).valid) return false;
       ram_.write32(slot, 0);
-      ++descriptor_writes_;
       return true;
     }
   }
@@ -163,7 +158,6 @@ bool AddressSpace::protect_page(vaddr_t va, Ap ap) {
   if (!l2.valid) return false;
   l2.ap = ap;
   ram_.write32(slot, l2.encode());
-  ++descriptor_writes_;
   return true;
 }
 

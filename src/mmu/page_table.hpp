@@ -36,10 +36,8 @@ class PageTableAllocator {
 
   /// Pool watermark (never decreases; churn with recycling keeps it flat).
   u32 bytes_used() const { return next_ - base_; }
-  u32 bytes_total() const { return size_; }
   /// Bytes held by live (allocated, not freed) tables — the leak oracle.
   u32 bytes_live() const { return bytes_live_; }
-  u32 live_tables() const { return live_tables_; }
 
  private:
   paddr_t alloc(u32 bytes, u32 align, bool is_l1);
@@ -58,7 +56,6 @@ class PageTableAllocator {
   std::vector<paddr_t> free_l1_;
   std::vector<paddr_t> free_l2_;
   u32 bytes_live_ = 0;
-  u32 live_tables_ = 0;
 };
 
 struct MapAttrs {
@@ -112,10 +109,6 @@ class AddressSpace {
   /// megabytes without issuing per-page walks.
   bool l1_present(vaddr_t va) const;
 
-  /// Words of descriptor memory this space has touched; the VM-switch and
-  /// map hypercall cost models charge cache accesses against these writes.
-  u32 descriptor_writes() const { return descriptor_writes_; }
-
  private:
   u32 read_l1(u32 index) const;
   void write_l1(u32 index, u32 raw);
@@ -124,7 +117,6 @@ class AddressSpace {
   PageTableAllocator& alloc_;
   paddr_t l1_base_;
   std::vector<paddr_t> l2_tables_;  // L2s materialized by this space
-  mutable u32 descriptor_writes_ = 0;
 };
 
 }  // namespace minova::mmu

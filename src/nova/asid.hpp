@@ -69,10 +69,6 @@ class AsidAllocator {
   bool current(const AsidTag& t) const { return t.gen == gen_; }
 
   u32 generation() const { return gen_; }
-  /// Tags handed out and not yet released in this generation.
-  u32 live_in_generation() const {
-    return (next_fresh_ - 1) - u32(recycled_.size());
-  }
 
  private:
   u32 next_fresh_ = 1;

@@ -31,7 +31,7 @@ namespace minova::nova {
 /// later), exactly like a hardware SGI would cost on the A9 MPCore.
 enum class IpiKind : u8 {
   kIpiReschedule = 0,  // remote core has new runnable work (unpark, vIRQ)
-  kIpiTlbShootdown,    // invalidate your micro-TLB bank; ack the epoch
+  kIpiTlbShootdown,    // invalidate your micro-TLB; ack the epoch
   kIpiVmMigrate,       // a VM was re-homed onto you (arg = PdId)
 };
 

@@ -153,9 +153,6 @@ struct HypercallArgs {
 struct HypercallResult {
   HcStatus status = HcStatus::kSuccess;
   u32 r1 = 0;  // secondary return value
-  /// True when the call woke a higher-priority protection domain and the
-  /// caller should yield at the next preemption point.
-  bool need_resched = false;
 
   bool ok() const { return i32(status) >= 0; }
 };

@@ -45,9 +45,6 @@ class KernelInspector {
   PdId irq_owner(u32 irq) const {
     return irq < mem::kNumIrqs ? k_.irq_owner_[irq] : kInvalidPd;
   }
-  PdId pcap_owner() const { return k_.pcap_owner_; }
-  /// VFP ownership is per lane; this reports the active core's bank.
-  PdId vfp_owner() const { return k_.vfp_owner_[k_.active_core_]; }
 
   /// Core 0's run queue — kept for unicore oracles/tests; SMP-aware code
   /// should sweep `core(i).runqueue()` for i in [0, num_cores()).
@@ -69,12 +66,12 @@ class KernelInspector {
     u32 id() const { return cc_.id; }
     const ProtectionDomain* current_vm() const { return cc_.current; }
     const Scheduler& runqueue() const { return cc_.sched; }
-    /// Generation counter of this core's private micro-TLB bank (on its
-    /// own lane): bumps on every bank flush, local or shootdown-driven. A
-    /// cross-core shootdown is observable as a remote bank's generation
-    /// advancing when the IPI drains.
+    /// Generation counter of the micro-TLB on this core's lane: bumps on
+    /// every flush, local or shootdown-driven. A cross-core shootdown is
+    /// observable as a remote core's generation advancing when the IPI
+    /// drains.
     u64 utlb_generation() const {
-      return plat_.lane(cc_.id).mmu().utlb_bank_epoch(cc_.id);
+      return plat_.lane(cc_.id).mmu().utlb_epoch();
     }
     cycles_t local_now() const { return cc_.local_now; }
     u64 pending_ipis() const { return u64(cc_.ipis.size()); }

@@ -148,6 +148,10 @@ Kernel::Kernel(Platform& platform, const KernelConfig& cfg)
                       LaneClock{sim::Clock(platform.clock().freq_hz())});
   vfp_owner_.assign(cfg_.num_cores, kInvalidPd);
   l2ctrl_owner_.assign(cfg_.num_cores, kInvalidPd);
+  // A round's batch holds at most one step per core, so threads beyond the
+  // core count would never get work.
+  cfg_.host_threads =
+      std::min(std::max(cfg_.host_threads, 1u), cfg_.num_cores);
   if (cfg_.host_threads > 1)
     pool_ = std::make_unique<HostPool>(cfg_.host_threads - 1);
   // Default-off supervisor (DESIGN.md §16): without it every run-loop and
@@ -190,14 +194,10 @@ void Kernel::boot() {
   }
 
   // Enable the MMU on the kernel-only space — on every lane: each
-  // simulated core's private MMU boots into the kernel space. Banks are
-  // indexed by core id on every lane (bank 0 == the unicore micro-TLB);
-  // lane i only ever activates bank i.
+  // simulated core's private MMU boots into the kernel space.
   kernel_space_ = space_builder_.build_kernel_space();
   for (u32 i = 0; i < u32(cores_.size()); ++i) {
     auto& mmu = platform_.lane(i).mmu();
-    mmu.configure_utlb_banks(u32(cores_.size()));
-    mmu.set_active_utlb_bank(i);
     mmu.set_ttbr0(kernel_space_->root());
     mmu.set_dacr(dacr_host_kernel());
     mmu.set_asid(0);
@@ -352,19 +352,11 @@ bool Kernel::destroy_vm(PdId id) {
       return irq_live_on_sibling(irq, cc.id);
     });
     // Never leave TTBR pointing at tables about to be recycled: fall back
-    // to the kernel-only space until the next dispatch. The destroying
-    // core flushes its micro-TLB via set_*; a remote lane's context is
-    // rewritten flushlessly plus an explicit bank flush (same observable
-    // costs as the pre-lane saved-context path).
+    // to the kernel-only space until the next dispatch.
     auto& mmu = platform_.lane(cc.id).mmu();
-    if (cc.id == active_core_) {
-      mmu.set_ttbr0(kernel_space_->root());
-      mmu.set_asid(0);
-      mmu.set_dacr(dacr_host_kernel());
-    } else {
-      mmu.restore_context(kernel_space_->root(), dacr_host_kernel(), 0);
-      mmu.utlb_flush_bank(cc.id);
-    }
+    mmu.set_ttbr0(kernel_space_->root());
+    mmu.set_asid(0);
+    mmu.set_dacr(dacr_host_kernel());
     cc.current = nullptr;
   }
   for (auto& owner : irq_owner_)
@@ -395,12 +387,12 @@ bool Kernel::destroy_vm(PdId id) {
   }
 
   // The tag's next owner must not inherit this VM's translations — on any
-  // lane: flush the dying ASID from every main TLB, every micro-TLB bank,
-  // and account a cross-core shootdown round before the tag is reissued.
+  // lane: flush the dying ASID from every main TLB and micro-TLB, and
+  // account a cross-core shootdown round before the tag is reissued.
   for (u32 i = 0; i < u32(cores_.size()); ++i) {
     auto& lm = platform_.lane(i).mmu();
     lm.tlb_flush_asid(pd->vcpu().asid());
-    lm.utlb_flush_all_banks();
+    lm.utlb_flush();
   }
   tlb_shootdown(0);
   asid_alloc_.release({pd->vcpu().asid(), pd->vcpu().asid_gen()});
@@ -435,15 +427,7 @@ AsidTag Kernel::alloc_asid() {
       const AsidTag cur = asid_alloc_.allocate(nested);
       MINOVA_CHECK(!nested);
       cc.current->vcpu().set_asid_tag(cur.asid, cur.gen);
-      if (cc.id == active_core_) {
-        platform_.cpu().mmu().set_asid(cur.asid);
-      } else {
-        // Flushless re-tag of the remote lane (its translations were just
-        // retired by the broadcast above; a set_asid-style flush here would
-        // double-charge it).
-        auto& lm = platform_.lane(cc.id).mmu();
-        lm.restore_context(lm.ttbr0(), lm.dacr(), cur.asid);
-      }
+      platform_.lane(cc.id).mmu().set_asid(cur.asid);
     }
   }
   return tag;
@@ -577,13 +561,9 @@ void Kernel::ensure_space(ProtectionDomain& pd) {
   // Preserve the live DACR: the guest may have dropped to user mode before
   // its first touch.
   pd.vcpu().set_mmu_context(pd.space().root(), pd.vcpu().dacr());
-  if (cur_core().current == &pd)
-    platform_.cpu().mmu().set_ttbr0(pd.space().root());
   for (auto& cc : cores_)
-    if (cc.id != active_core_ && cc.current == &pd) {
-      auto& lm = platform_.lane(cc.id).mmu();
-      lm.restore_context(pd.space().root(), lm.dacr(), lm.asid());
-    }
+    if (cc.current == &pd)
+      platform_.lane(cc.id).mmu().set_ttbr0(pd.space().root());
 }
 
 IvcChannel& Kernel::create_channel(ProtectionDomain& a, ProtectionDomain& b) {
@@ -718,11 +698,12 @@ HypercallResult Kernel::hypercall_gate(ProtectionDomain& caller,
     core.spend(2);
     trap.exec(rg_dispatch_);
 
-    // Portal resolution: one table lookup yields the handler, its text
-    // region and the precomputed authorization verdict.
+    // Portal resolution: one table lookup yields the handler and the
+    // precomputed authorization verdict; the handler's text region is
+    // indexed by the hypercall number.
     const Portal& portal = caller.portals().at(u32(args.number));
-    trap.exec(rg_handlers_[portal.cost_region]);
-    if (portal.denied()) {
+    trap.exec(rg_handlers_[u32(args.number)]);
+    if (portal.denied) {
       c_portal_denied_.inc();
       res.status = HcStatus::kDenied;
     } else {

@@ -125,7 +125,7 @@ struct KernelConfig {
   // Host threads executing the per-round compute batch (DESIGN.md §14).
   // Purely a host-speed knob: every simulated number is bit-identical at
   // any value (enforced by the differential tests and the TSan CI leg).
-  // 1 = fully single-threaded, the default.
+  // 1 = fully single-threaded, the default. Clamped to [1, num_cores].
   u32 host_threads = 1;
 
   // Ablation switches (paper design decisions).
@@ -294,8 +294,6 @@ class Kernel {
   /// callers go through KernelInspector::core(i).runqueue().
   Scheduler& scheduler() { return cores_[0].sched; }
   KernelHeap& heap() { return heap_; }
-  /// Page-table pool accounting (footprint/density instrumentation).
-  const mmu::PageTableAllocator& pt_pool() const { return pt_alloc_; }
   const KernelConfig& config() const { return cfg_; }
   HwMgrLatencies& hwmgr_latencies() { return hwmgr_lat_; }
   const std::string& console() const { return console_; }

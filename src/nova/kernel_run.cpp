@@ -216,7 +216,7 @@ void Kernel::idle(cycles_t limit) { platform_.idle_until_next_event(limit); }
 
 // The simulator stops modeling core `active_core_` and starts modeling
 // `target`. Every simulated core permanently owns a private lane (its
-// register file, CPSR, VFP bank, MMU, micro-TLB bank and caches live
+// register file, CPSR, VFP bank, MMU, micro-TLB and caches live
 // there), so nothing is swapped: this only repoints `platform_.cpu()`.
 // Host-side only — no simulated cycles may be charged for the simulator's
 // own bookkeeping.
@@ -244,15 +244,15 @@ void Kernel::send_ipi(u32 target, IpiKind kind, u32 arg, u64 epoch) {
 void Kernel::tlb_shootdown(vaddr_t va) {
   if (cores_.size() <= 1) return;
   ++tlb_epoch_;
-  // The initiator's own bank drops immediately (local TLBIMVA already
+  // The initiator's own micro-TLB drops immediately (local TLBIMVA already
   // happened; micro entries also die via the generation check).
-  platform_.cpu().mmu().utlb_flush_bank(active_core_);
+  platform_.cpu().mmu().utlb_flush();
   cur_core().shootdown_ack_epoch = tlb_epoch_;
   for (auto& cc : cores_) {
     if (cc.id == active_core_) continue;
     // TLBIMVAIS semantics: the inner-shareable broadcast invalidates the
     // remote lanes' main TLBs in hardware, immediately and without
-    // charging the remote core. The micro-TLB bank flush and the epoch
+    // charging the remote core. The micro-TLB flush and the epoch
     // acknowledgment still wait for the IPI (the software handshake the
     // completion rule is built on), so the observable ack/generation
     // sequence is unchanged.
@@ -286,10 +286,9 @@ void Kernel::drain_ipis(CoreContext& cc) {
       core.spend(core.caches().access_device());  // EOI
       switch (ipi.kind) {
         case IpiKind::kIpiTlbShootdown:
-          // Active bank == this core's bank while its slice runs. This
-          // lane's main TLB was already invalidated by the initiator's
-          // broadcast; only the micro-TLB bank + ack remain.
-          core.mmu().utlb_flush_bank(cc.id);
+          // This lane's main TLB was already invalidated by the
+          // initiator's broadcast; only the micro-TLB flush + ack remain.
+          core.mmu().utlb_flush();
           cc.shootdown_ack_epoch =
               std::max(cc.shootdown_ack_epoch, ipi.epoch);
           ++cc.shootdowns_acked;

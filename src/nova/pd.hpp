@@ -111,9 +111,6 @@ class ProtectionDomain {
   PdState state() const { return state_; }
   void set_state(PdState s) { state_ = s; }
 
-  /// Control-block address in the heap's control region (footprint benches).
-  paddr_t ctrl_block() const { return ctrl_pa_; }
-
   // Scheduling bookkeeping (owned by the scheduler/kernel).
   cycles_t quantum_left = 0;
   bool booted = false;

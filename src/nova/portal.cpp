@@ -10,7 +10,6 @@ struct Spec {
   Portal::Handler fn = nullptr;
   u32 required_caps = 0;
   PortalCost cost = PortalCost::kSmall;
-  u32 flags = kPortalNone;
 };
 
 Spec spec(Hypercall h) {
@@ -45,14 +44,11 @@ Spec spec(Hypercall h) {
     case Hypercall::kSdTransfer: return {hc::sd_transfer};
     case Hypercall::kDmaRequest: return {hc::dma_request};
     case Hypercall::kHwTaskRequest:
-      return {hc::hwtask_request, kCapHwClient, PortalCost::kHw,
-              kPortalHwPath};
+      return {hc::hwtask_request, kCapHwClient, PortalCost::kHw};
     case Hypercall::kHwTaskRelease:
-      return {hc::hwtask_release, kCapHwClient, PortalCost::kHw,
-              kPortalHwPath};
+      return {hc::hwtask_release, kCapHwClient, PortalCost::kHw};
     case Hypercall::kHwTaskQuery:
-      return {hc::hwtask_query, kCapHwClient, PortalCost::kSmall,
-              kPortalHwPath};
+      return {hc::hwtask_query, kCapHwClient};
     // -- (6) inter-VM communication --
     case Hypercall::kIvcSend: return {hc::ivc_send};
     case Hypercall::kIvcRecv: return {hc::ivc_recv};
@@ -66,12 +62,7 @@ PortalTable PortalTable::build(u32 caps) {
   PortalTable table;
   for (u32 h = 0; h < kNumHypercalls; ++h) {
     const Spec s = spec(Hypercall(h));
-    Portal& p = table.portals_[h];
-    p.handler = s.fn;
-    p.required_caps = s.required_caps;
-    p.cost_region = u8(h);
-    p.flags = s.flags;
-    if ((caps & s.required_caps) != s.required_caps) p.flags |= kPortalDenied;
+    table.portals_[h] = {s.fn, (caps & s.required_caps) != s.required_caps};
   }
   return table;
 }

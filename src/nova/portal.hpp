@@ -1,13 +1,13 @@
 // Capability portals: the PD's exception-dispatch table (paper §III.C).
 //
 // Every hypercall number resolves through the caller's portal table to a
-// `Portal` — the handler function, the capability bits the caller must
-// hold, the kernel text region charged for the handler ("cost region") and
-// descriptive flags. One table is built per capability set and shared by
-// every PD holding that set, so authorization at the hypercall gate is a
-// single table lookup (the denied bit is precomputed) instead of ad-hoc
-// `has_cap` checks scattered through handler bodies, and every denial is
-// counted uniformly in `kernel.portal_denied`.
+// `Portal`: the handler function and whether the caller is denied it. The
+// gate charges the kernel text region indexed by the hypercall number. One
+// table is built per capability set and shared by every PD holding that
+// set, so authorization at the hypercall gate is a single table lookup (the
+// denied bit is precomputed) instead of ad-hoc `has_cap` checks scattered
+// through handler bodies, and every denial is counted uniformly in
+// `kernel.portal_denied`.
 //
 // Handlers receive a narrow `KernelOps&` window onto the kernel rather
 // than friend access to the whole `Kernel` object; they live in the
@@ -32,24 +32,13 @@ enum class PortalCost : u8 {
   kHw,         // hardware-task request path
 };
 
-enum PortalFlags : u32 {
-  kPortalNone = 0,
-  /// Precomputed at table build: the owning PD lacks a required capability;
-  /// the gate rejects the call with kDenied without invoking the handler.
-  kPortalDenied = 1u << 0,
-  /// The Table III instrumented DPR path (hardware-task hypercalls).
-  kPortalHwPath = 1u << 1,
-};
-
 struct Portal {
   using Handler = HypercallResult (*)(KernelOps&, ProtectionDomain&,
                                       const HypercallArgs&);
   Handler handler = nullptr;
-  u32 required_caps = 0;  // PdCaps mask the caller must hold
-  u8 cost_region = 0;     // index into the kernel's per-portal text regions
-  u32 flags = kPortalNone;
-
-  bool denied() const { return (flags & kPortalDenied) != 0; }
+  /// Precomputed at table build: the owning PD lacks a required capability;
+  /// the gate rejects the call with kDenied without invoking the handler.
+  bool denied = false;
 };
 
 /// Immutable dispatch table, one portal per hypercall number. Every PD with

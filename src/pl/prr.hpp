@@ -1,31 +1,20 @@
 // Partially Reconfigurable Region descriptors.
 //
 // The FPGA fabric is floorplanned at initialization into static logic plus
-// a fixed set of PRRs (paper §IV.A). Each PRR has a resource budget (which
-// determines which tasks fit — FFT cores only fit the two large regions)
-// and a register group placed on its own 4 KB page so Mini-NOVA can map it
-// into exactly one client VM at a time (§IV.C).
+// a fixed set of PRRs (paper §IV.A). Which tasks fit which region is the
+// task library's compatibility list (FFT cores only fit the large regions,
+// `TaskLibrary::evaluation_set`). Each PRR has a register group placed on
+// its own 4 KB page so Mini-NOVA can map it into exactly one client VM at a
+// time (§IV.C).
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "hwtask/ip_core.hpp"
 #include "hwtask/library.hpp"
 #include "util/types.hpp"
 
 namespace minova::pl {
-
-struct PrrResources {
-  u32 luts = 0;
-  u32 brams = 0;
-  u32 dsps = 0;
-};
-
-struct PrrConfig {
-  std::string name;
-  PrrResources resources;
-};
 
 /// Run-time state of one PRR inside the controller.
 struct PrrState {
@@ -54,23 +43,5 @@ struct PrrState {
   bool error = false;
   u64 jobs_completed = 0;
 };
-
-/// Generalized floorplan: `num_large` FFT-capable regions followed by
-/// `num_small` QAM-class regions.
-inline std::vector<PrrConfig> make_floorplan(u32 num_large, u32 num_small) {
-  std::vector<PrrConfig> plan;
-  for (u32 i = 0; i < num_large + num_small; ++i) {
-    const bool large = i < num_large;
-    plan.push_back(PrrConfig{
-        .name = "PRR" + std::to_string(i + 1),
-        .resources = large ? PrrResources{5200, 24, 40}
-                           : PrrResources{1600, 6, 8}});
-  }
-  return plan;
-}
-
-/// Default 4-region floorplan of the evaluation platform (paper §V.B): two
-/// large regions able to host FFT cores, two small ones for QAM tasks.
-inline std::vector<PrrConfig> paper_floorplan() { return make_floorplan(2, 2); }
 
 }  // namespace minova::pl

@@ -11,17 +11,16 @@ namespace minova::pl {
 PrrController::PrrController(sim::Clock& clock, sim::EventQueue& events,
                              irq::Gic& gic, mem::Bus& bus,
                              const hwtask::TaskLibrary& library,
-                             std::vector<PrrConfig> floorplan)
+                             u32 num_prrs)
     : clock_(clock),
       events_(events),
       gic_(gic),
       bus_(bus),
       library_(library),
-      configs_(std::move(floorplan)),
+      prrs_(num_prrs),
       irq_in_use_(mem::kNumPlIrqs, false) {
-  MINOVA_CHECK(!configs_.empty());
-  MINOVA_CHECK(configs_.size() <= mem::kPrrMaxRegions);
-  prrs_.resize(configs_.size());
+  MINOVA_CHECK(num_prrs != 0);
+  MINOVA_CHECK(num_prrs <= mem::kPrrMaxRegions);
 }
 
 paddr_t PrrController::reg_group_pa(u32 idx) const {

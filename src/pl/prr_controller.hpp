@@ -82,7 +82,7 @@ class PrrController final : public mem::MmioDevice {
  public:
   PrrController(sim::Clock& clock, sim::EventQueue& events, irq::Gic& gic,
                 mem::Bus& bus, const hwtask::TaskLibrary& library,
-                std::vector<PrrConfig> floorplan);
+                u32 num_prrs);
 
   // MmioDevice: offset is relative to kPrrCtrlBase; pages 0..N-1 are the
   // PRR register groups, the page at kPrrMaxRegions is the global page.
@@ -92,7 +92,6 @@ class PrrController final : public mem::MmioDevice {
 
   u32 num_prrs() const { return u32(prrs_.size()); }
   const PrrState& prr(u32 idx) const { return prrs_[idx]; }
-  const PrrConfig& prr_config(u32 idx) const { return configs_[idx]; }
 
   /// Physical base address of PRR `idx`'s register group page.
   paddr_t reg_group_pa(u32 idx) const;
@@ -141,7 +140,6 @@ class PrrController final : public mem::MmioDevice {
   irq::Gic& gic_;
   mem::Bus& bus_;
   const hwtask::TaskLibrary& library_;
-  std::vector<PrrConfig> configs_;
   std::vector<PrrState> prrs_;
   u32 prr_select_ = 0;
   u32 irq_alloc_result_ = PrrState::kNoIrq;

@@ -98,9 +98,6 @@ class FaultInjector {
 
   cycles_t stall_cycles() const { return cfg_.stall_cycles; }
 
-  void set_probability(FaultSite site, double p) {
-    cfg_.sites[u32(site)].probability = p;
-  }
   void set_schedule(FaultSite site, std::vector<u64> attempts) {
     cfg_.sites[u32(site)].schedule = std::move(attempts);
   }

@@ -121,9 +121,6 @@ class StatsRegistry {
   void merge_from(const StatsRegistry& other);
 
   const std::map<std::string, u64>& counters() const { return counters_; }
-  const std::map<std::string, LatencyStat>& latencies() const {
-    return latencies_;
-  }
 
  private:
   std::map<std::string, u64> counters_;

@@ -56,18 +56,4 @@ class PrivateTimer {
   u64 expirations_ = 0;
 };
 
-/// 64-bit global timer: free-running counter at CPU/2, readable by anyone.
-/// Used as the time base for latency measurements inside the simulation
-/// (the modeled software "reads" it the way the paper's instrumentation
-/// read the A9 global timer).
-class GlobalTimer {
- public:
-  explicit GlobalTimer(const sim::Clock& clock) : clock_(clock) {}
-  u64 read() const { return clock_.now() / 2; }
-  double read_us() const { return clock_.cycles_to_us(clock_.now()); }
-
- private:
-  const sim::Clock& clock_;
-};
-
 }  // namespace minova::timer

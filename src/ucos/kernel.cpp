@@ -167,10 +167,6 @@ int Kernel::highest_ready() const {
   return -1;
 }
 
-bool Kernel::task_ready(u8 prio) const {
-  return tcbs_[prio].state == TaskState::kReady;
-}
-
 bool Kernel::run_one_unit(workloads::Services& svc) {
   svc.exec(rg_sched_, 0.5);
   const int p = highest_ready();

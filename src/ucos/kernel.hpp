@@ -60,9 +60,6 @@ class TaskCtx {
   bool q_pend(QueueId q, u32& out);
   bool q_post(QueueId q, u32 msg);
 
-  /// Voluntary yield hint: mark the task ready but end the unit.
-  void yield() {}
-
  private:
   Kernel& os_;
   workloads::Services& svc_;
@@ -106,7 +103,6 @@ class Kernel {
 
   const KernelStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
-  bool task_ready(u8 prio) const;
   u64 tick_count() const { return stats_.ticks; }
 
  private:

@@ -106,7 +106,6 @@ void NativeSystem::handle_irqs() {
       core.exception_return(cpu::Mode::kSvc);
       break;
     }
-    ++irqs_handled_;
     if (irq == mem::kIrqTtc0_0) {
       os_->tick(svc);
     } else if (irq == mem::kIrqDevcfg) {

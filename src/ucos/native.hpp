@@ -29,7 +29,6 @@ class NativeSystem {
   Kernel& os() { return *os_; }
   hwmgr::NativeAllocator& allocator() { return *alloc_; }
   const workloads::ThwStats* thw_stats() const { return app_->thw_stats(); }
-  u64 irqs_handled() const { return irqs_handled_; }
 
  private:
   class NativeSvc;
@@ -46,7 +45,6 @@ class NativeSystem {
   u32 granted_prr_ = 0;
   bool hw_completion_ = false;
   bool pcap_done_ = false;
-  u64 irqs_handled_ = 0;
 };
 
 }  // namespace minova::ucos

@@ -22,7 +22,6 @@ const char* level_name(LogLevel level) {
 }  // namespace
 
 void set_global_log_level(LogLevel level) { g_level = level; }
-LogLevel global_log_level() { return g_level; }
 void set_log_component_filter(std::string prefix) {
   g_component_filter = std::move(prefix);
 }
@@ -38,14 +37,6 @@ void Logger::vlog(LogLevel level, const char* fmt, std::va_list args) const {
   std::fprintf(stderr, "[%s] %s: ", level_name(level), tag_.c_str());
   std::vfprintf(stderr, fmt, args);
   std::fputc('\n', stderr);
-}
-
-void Logger::log(LogLevel level, const char* fmt, ...) const {
-  if (!enabled(level)) return;
-  std::va_list args;
-  va_start(args, fmt);
-  vlog(level, fmt, args);
-  va_end(args);
 }
 
 #define MINOVA_DEFINE_LEVEL_FN(name, level)                 \

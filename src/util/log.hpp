@@ -15,7 +15,6 @@ enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 /// Process-wide minimum level. Defaults to kWarn so tests/benches are quiet.
 void set_global_log_level(LogLevel level);
-LogLevel global_log_level();
 
 /// Restrict an elevated level to components whose tag starts with `prefix`.
 /// Empty prefix (default) applies the global level to everything.
@@ -26,9 +25,6 @@ class Logger {
   explicit Logger(std::string tag) : tag_(std::move(tag)) {}
 
   bool enabled(LogLevel level) const;
-
-  void log(LogLevel level, const char* fmt, ...) const
-      __attribute__((format(printf, 3, 4)));
 
   void trace(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
   void debug(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));

@@ -123,7 +123,6 @@ u32 GsmWorkload::run_unit(Services& svc) {
     const std::span<const u8> lar_bytes(
         reinterpret_cast<const u8*>(encoded.lar.data()), encoded.lar.size());
     if (!svc.write_block(buffer_va_ + u32(raw.size()), lar_bytes)) return fr;
-    ++frames_;
   }
   return kFramesPerUnit;
 }

@@ -45,8 +45,6 @@ class GsmWorkload {
   /// Encode a few frames; returns frames processed.
   u32 run_unit(Services& svc);
 
-  u64 frames_done() const { return frames_; }
-
   /// The synthetic voiced speech (pitch pulses, formant-ish tones, noise)
   /// for the phases phase, phase + 1, ... (mod 2^32), one noise draw from
   /// `rng` per sample.
@@ -57,7 +55,6 @@ class GsmWorkload {
   vaddr_t buffer_va_;
   util::Xoshiro256 rng_;
   GsmEncoder enc_;
-  u64 frames_ = 0;
   u32 phase_ = 0;
 };
 

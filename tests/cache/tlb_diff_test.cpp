@@ -8,8 +8,8 @@
 // (DESIGN.md §10).
 #include <gtest/gtest.h>
 
-#include "cache/ref_tlb.hpp"
 #include "cache/tlb.hpp"
+#include "ref/ref_tlb.hpp"
 #include "util/rng.hpp"
 
 namespace minova::cache {

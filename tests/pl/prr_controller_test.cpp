@@ -17,7 +17,7 @@ class PlTest : public ::testing::Test {
   PlTest()
       : dram_(0, 32 * kMiB),
         library_(hwtask::TaskLibrary::paper_evaluation_set()),
-        ctl_(clock_, events_, gic_, bus_, library_, paper_floorplan()),
+        ctl_(clock_, events_, gic_, bus_, library_, /*num_prrs=*/4),
         pcap_(clock_, events_, gic_, ctl_) {
     bus_.add_ram(&dram_);
     bus_.add_device(mem::kPrrCtrlBase,

@@ -85,14 +85,6 @@ TEST_F(TimerTest, RestartReplacesDeadline) {
   EXPECT_EQ(t.expirations(), 1u);
 }
 
-TEST_F(TimerTest, GlobalTimerTracksClock) {
-  GlobalTimer g(clock_);
-  EXPECT_EQ(g.read(), 0u);
-  clock_.advance(660);
-  EXPECT_EQ(g.read(), 330u);  // CPU/2
-  EXPECT_DOUBLE_EQ(g.read_us(), 1.0);
-}
-
 TEST_F(TimerTest, TtcIntervalModeRaisesChannelIrq) {
   Ttc ttc(clock_, events_, gic_);
   gic_.enable_irq(mem::kIrqTtc0_0 + 1);
