@@ -236,7 +236,9 @@ class GuestSvcShim final : public workloads::Services {
     return workloads::HwReqStatus::kError;
   }
   bool hw_release(u32) override { return false; }
-  bool hw_reconfig_done() override { return true; }
+  workloads::ReconfigStatus hw_reconfig_status() override {
+    return workloads::ReconfigStatus::kReady;
+  }
   bool hw_take_completion() override { return false; }
   vaddr_t hw_iface_va() const override { return nova::kGuestHwIfaceVa; }
   vaddr_t hw_data_va() const override { return nova::kGuestHwDataVa; }

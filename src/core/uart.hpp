@@ -44,7 +44,6 @@ class Uart final : public mem::MmioDevice {
 
   u32 mmio_read(u32 offset) override;
   void mmio_write(u32 offset, u32 value) override;
-  const char* mmio_name() const override { return "uart"; }
 
   /// Everything the device has transmitted so far.
   const std::string& transmitted() const { return tx_log_; }

@@ -63,7 +63,7 @@ void Core::exec_code(const CodeRegion& region, double executed_fraction) {
 
 Core::MemResult Core::data_access(vaddr_t va, mmu::AccessKind kind,
                                   u32* read_out, u32 write_val,
-                                  unsigned size_bytes, HostWord* bound) {
+                                  HostWord* bound) {
   MemResult res;
   auto tr = mmu_.translate(va, kind, privileged());
   clock_->advance(tr.cost + 1);  // +1: AGU/TLB lookup pipeline cost
@@ -78,12 +78,12 @@ Core::MemResult Core::data_access(vaddr_t va, mmu::AccessKind kind,
   if (tr.host != nullptr) {
     // Bound RAM: no device overlaps the page, so the bus would route this
     // access to the same host bytes.
-    MINOVA_CHECK(size_bytes == 1 || is_aligned(pa, 4));
+    MINOVA_CHECK(is_aligned(pa, 4));
     clock_->advance(hierarchy_.access_data(pa, write));
     if (write)
-      std::memcpy(tr.host, &write_val, size_bytes);
+      std::memcpy(tr.host, &write_val, sizeof write_val);
     else if (read_out)
-      *read_out = size_bytes == 1 ? *tr.host : load_word(tr.host);
+      *read_out = load_word(tr.host);
     if (bound) *bound = HostWord{tr.host, pa};
     if (read_out) res.value = *read_out;
     return res;
@@ -97,20 +97,11 @@ Core::MemResult Core::data_access(vaddr_t va, mmu::AccessKind kind,
 
   mem::Bus::Result br;
   if (write) {
-    if (size_bytes == 1)
-      br = bus_.write8(pa, u8(write_val));
-    else
-      br = bus_.write32(pa, write_val);
+    br = bus_.write32(pa, write_val);
   } else {
-    if (size_bytes == 1) {
-      u8 v = 0;
-      br = bus_.read8(pa, v);
-      if (read_out) *read_out = v;
-    } else {
-      u32 v = 0;
-      br = bus_.read32(pa, v);
-      if (read_out) *read_out = v;
-    }
+    u32 v = 0;
+    br = bus_.read32(pa, v);
+    if (read_out) *read_out = v;
   }
   if (br != mem::Bus::Result::kOk) {
     res.ok = false;
@@ -140,7 +131,7 @@ Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
   MemResult first_fault;
   while (words > 0) {
     HostWord bound;
-    const MemResult r = data_access(va, kind, nullptr, 0, 4, &bound);
+    const MemResult r = data_access(va, kind, nullptr, 0, &bound);
     u32 k = 0;  // further words of this run charged in closed form
     if (r.ok) {
       // The word reached bound RAM: the rest of its line are certain
@@ -176,24 +167,13 @@ Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
 
 Core::MemResult Core::vread32(vaddr_t va) {
   u32 v = 0;
-  MemResult r = data_access(va, mmu::AccessKind::kRead, &v, 0, 4);
+  MemResult r = data_access(va, mmu::AccessKind::kRead, &v, 0);
   r.value = v;
   return r;
 }
 
 Core::MemResult Core::vwrite32(vaddr_t va, u32 value) {
-  return data_access(va, mmu::AccessKind::kWrite, nullptr, value, 4);
-}
-
-Core::MemResult Core::vread8(vaddr_t va) {
-  u32 v = 0;
-  MemResult r = data_access(va, mmu::AccessKind::kRead, &v, 0, 1);
-  r.value = v;
-  return r;
-}
-
-Core::MemResult Core::vwrite8(vaddr_t va, u8 value) {
-  return data_access(va, mmu::AccessKind::kWrite, nullptr, value, 1);
+  return data_access(va, mmu::AccessKind::kWrite, nullptr, value);
 }
 
 template <typename Byte>

@@ -70,8 +70,6 @@ class Core {
 
   MemResult vread32(vaddr_t va);
   MemResult vwrite32(vaddr_t va, u32 value);
-  MemResult vread8(vaddr_t va);
-  MemResult vwrite8(vaddr_t va, u8 value);
 
   /// Bulk transfers with per-cache-line cost accounting: the workload and
   /// DMA-staging paths move whole buffers; sequential line-granular accesses
@@ -118,8 +116,7 @@ class Core {
     paddr_t pa = 0;
   };
   MemResult data_access(vaddr_t va, mmu::AccessKind kind, u32* read_out,
-                        u32 write_val, unsigned size_bytes,
-                        HostWord* bound = nullptr);
+                        u32 write_val, HostWord* bound = nullptr);
   /// The one body of vread_block/vwrite_block: a const `Byte` writes.
   template <typename Byte>
   MemResult block_access(vaddr_t va, std::span<Byte> data);

@@ -36,6 +36,38 @@ constexpr u64 kLaneDynBase = 256;  // dynamic VM k uses kLaneDynBase + k
 /// Ceiling on concurrently live dynamic VMs in lifecycle mode.
 constexpr u32 kMaxDynamicVms = 4;
 
+/// A chaos VM's guest config and scheduling priority.
+struct ChaosVm {
+  workloads::ChaosConfig cfg;
+  u32 priority = 0;
+};
+
+/// Draw one chaos VM from its own derivation lane. Static and dynamic VMs
+/// differ only in `ivc` and `crash_fraction`. Those and the compute
+/// fraction are constants, not draws, so arming them shifts no Derive
+/// stream: the supervisor lane keeps the legacy streams, and the mt shards
+/// compare digests across thread counts, not against compute-off runs.
+ChaosVm derive_chaos_vm(const ScenarioOptions& opts, u64 lane, bool ivc,
+                        double crash_fraction) {
+  Derive d(opts.seed, lane);
+  ChaosVm vm;
+  workloads::ChaosConfig& cfg = vm.cfg;
+  cfg.seed = d.next();
+  cfg.mem_ops = opts.mem_ops;
+  cfg.hwtask_ops = opts.hwtask;
+  cfg.ivc_ops = ivc;
+  cfg.sched_ops = opts.hw_sched;
+  cfg.compute_fraction = opts.compute ? 0.4 : 0.0;
+  cfg.crash_fraction = crash_fraction;
+  cfg.max_ops_per_step = 2 + u32(d.below(4));
+  cfg.vtimer_period_us = 400 + u32(d.below(2400));
+  const u32 ntasks = 1 + u32(d.below(3));
+  for (u32 t = 0; t < ntasks; ++t)
+    cfg.tasks.push_back(hwtask::TaskId(1 + d.below(9)));
+  vm.priority = 1 + u32(d.below(5));
+  return vm;
+}
+
 /// Fold one chaos guest's stats into an accumulator (used for both
 /// lifecycle-destroyed dynamic VMs and supervisor-reaped incarnations, so
 /// dead guests' work stays part of the replay contract).
@@ -196,33 +228,15 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
   std::vector<workloads::ChaosConfig> cfgs;  // restart factories re-use these
   for (u32 i = 0; i < opts.num_vms; ++i) {
     if (((opts.active_mask >> i) & 1) == 0) continue;
-    Derive d(opts.seed, kLaneVmBase + i);
-    workloads::ChaosConfig cfg;
-    cfg.seed = d.next();
-    cfg.mem_ops = opts.mem_ops;
-    cfg.hwtask_ops = opts.hwtask;
-    cfg.ivc_ops = opts.ivc;
-    cfg.sched_ops = opts.hw_sched;
-    // Constant, not derived: enabling compute must not shift any Derive
-    // stream (the shards compare digests across thread counts, not against
-    // compute-off runs).
-    cfg.compute_fraction = opts.compute ? 0.4 : 0.0;
-    // Likewise constant: the supervisor lane arms fault-seeking behaviour
-    // without shifting any legacy stream.
-    cfg.crash_fraction = opts.supervisor ? 0.01 : 0.0;
-    cfg.max_ops_per_step = 2 + u32(d.below(4));
-    cfg.vtimer_period_us = 400 + u32(d.below(2400));
-    const u32 ntasks = 1 + u32(d.below(3));
-    for (u32 t = 0; t < ntasks; ++t)
-      cfg.tasks.push_back(hwtask::TaskId(1 + d.below(9)));
-    const u32 priority = 1 + u32(d.below(5));
-    auto guest = std::make_unique<workloads::ChaosGuest>(cfg);
+    ChaosVm vm = derive_chaos_vm(opts, kLaneVmBase + i, opts.ivc,
+                                 opts.supervisor ? 0.01 : 0.0);
+    auto guest = std::make_unique<workloads::ChaosGuest>(vm.cfg);
     workloads::ChaosGuest* raw = guest.get();
-    auto& pd = kernel.create_vm("chaos" + std::to_string(i), priority,
+    auto& pd = kernel.create_vm("chaos" + std::to_string(i), vm.priority,
                                 std::move(guest));
     pds.push_back(&pd);
     guests.push_back(raw);
-    cfgs.push_back(std::move(cfg));
+    cfgs.push_back(std::move(vm.cfg));
   }
 
   // ---- IVC ring over the instantiated VMs ----
@@ -343,24 +357,13 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
   auto churn = [&]() {
     const u64 roll = lifecycle_d.below(4);
     if (roll == 0 && dynamic.size() < kMaxDynamicVms) {
-      Derive d(opts.seed, kLaneDynBase + dyn_created);
-      workloads::ChaosConfig cfg;
-      cfg.seed = d.next();
-      cfg.mem_ops = opts.mem_ops;
-      cfg.hwtask_ops = opts.hwtask;
-      cfg.ivc_ops = false;  // dynamic VMs never join IVC channels
-      cfg.sched_ops = opts.hw_sched;
-      cfg.compute_fraction = opts.compute ? 0.4 : 0.0;
-      cfg.max_ops_per_step = 2 + u32(d.below(4));
-      cfg.vtimer_period_us = 400 + u32(d.below(2400));
-      const u32 ntasks = 1 + u32(d.below(3));
-      for (u32 t2 = 0; t2 < ntasks; ++t2)
-        cfg.tasks.push_back(hwtask::TaskId(1 + d.below(9)));
-      const u32 priority = 1 + u32(d.below(5));
-      auto guest = std::make_unique<workloads::ChaosGuest>(cfg);
+      // Dynamic VMs never join IVC channels and are not supervised.
+      const ChaosVm vm = derive_chaos_vm(opts, kLaneDynBase + dyn_created,
+                                         /*ivc=*/false, /*crash_fraction=*/0.0);
+      auto guest = std::make_unique<workloads::ChaosGuest>(vm.cfg);
       workloads::ChaosGuest* raw = guest.get();
       auto& pd = kernel.create_vm("dyn" + std::to_string(dyn_created),
-                                  priority, std::move(guest));
+                                  vm.priority, std::move(guest));
       dynamic.push_back(DynVm{pd.id(), raw});
       ++dyn_created;
     } else if (roll == 1 && !dynamic.empty()) {

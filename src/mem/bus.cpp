@@ -65,33 +65,4 @@ Bus::Result Bus::write32(paddr_t pa, u32 value) {
   return Result::kBusError;
 }
 
-Bus::Result Bus::read8(paddr_t pa, u8& out) {
-  if (find_dev(pa)) {
-    u32 word = 0;
-    // Device registers are word-oriented; byte reads return the addressed
-    // byte lane, as AXI-lite slaves commonly do.
-    const Result r = read32(align_down(pa, 4), word);
-    if (r != Result::kOk) return r;
-    out = u8(word >> ((pa & 3u) * 8));
-    return Result::kOk;
-  }
-  if (PhysMem* ram = ram_at(pa, 1)) {
-    out = ram->read8(pa);
-    return Result::kOk;
-  }
-  return Result::kBusError;
-}
-
-Bus::Result Bus::write8(paddr_t pa, u8 value) {
-  if (find_dev(pa)) {
-    // Byte writes to devices are not used by the modeled software.
-    return Result::kBusError;
-  }
-  if (PhysMem* ram = ram_at(pa, 1)) {
-    ram->write8(pa, value);
-    return Result::kOk;
-  }
-  return Result::kBusError;
-}
-
 }  // namespace minova::mem

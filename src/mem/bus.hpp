@@ -22,7 +22,6 @@ class MmioDevice {
   virtual ~MmioDevice() = default;
   virtual u32 mmio_read(u32 offset) = 0;
   virtual void mmio_write(u32 offset, u32 value) = 0;
-  virtual const char* mmio_name() const = 0;
 };
 
 class Bus {
@@ -37,8 +36,6 @@ class Bus {
 
   Result read32(paddr_t pa, u32& out);
   Result write32(paddr_t pa, u32 value);
-  Result read8(paddr_t pa, u8& out);
-  Result write8(paddr_t pa, u8 value);
 
   /// Direct RAM access for DMA masters and loaders; returns nullptr when the
   /// address is not RAM-backed.

@@ -24,54 +24,23 @@ u8* PhysMem::frame_for(paddr_t pa) const {
 }
 
 namespace {
-// Accesses are naturally aligned in the simulated software, so a single
-// frame always covers a scalar access.
 template <typename T>
 T load(const u8* frame, u32 off) {
   T v;
   std::memcpy(&v, frame + off, sizeof(T));
   return v;
 }
-template <typename T>
-void store(u8* frame, u32 off, T v) {
-  std::memcpy(frame + off, &v, sizeof(T));
-}
 }  // namespace
 
-#define MINOVA_SCALAR_OFF(pa) ((pa - base_) % kFrameSize)
-
-u8 PhysMem::read8(paddr_t pa) const {
-  return load<u8>(frame_for(pa), MINOVA_SCALAR_OFF(pa));
-}
-u16 PhysMem::read16(paddr_t pa) const {
-  MINOVA_CHECK(is_aligned(pa, 2));
-  return load<u16>(frame_for(pa), MINOVA_SCALAR_OFF(pa));
-}
+// An aligned word never straddles a frame.
 u32 PhysMem::read32(paddr_t pa) const {
   MINOVA_CHECK(is_aligned(pa, 4));
-  return load<u32>(frame_for(pa), MINOVA_SCALAR_OFF(pa));
-}
-u64 PhysMem::read64(paddr_t pa) const {
-  MINOVA_CHECK(is_aligned(pa, 8));
-  return load<u64>(frame_for(pa), MINOVA_SCALAR_OFF(pa));
-}
-void PhysMem::write8(paddr_t pa, u8 v) {
-  store<u8>(frame_for(pa), MINOVA_SCALAR_OFF(pa), v);
-}
-void PhysMem::write16(paddr_t pa, u16 v) {
-  MINOVA_CHECK(is_aligned(pa, 2));
-  store<u16>(frame_for(pa), MINOVA_SCALAR_OFF(pa), v);
+  return load<u32>(frame_for(pa), (pa - base_) % kFrameSize);
 }
 void PhysMem::write32(paddr_t pa, u32 v) {
   MINOVA_CHECK(is_aligned(pa, 4));
-  store<u32>(frame_for(pa), MINOVA_SCALAR_OFF(pa), v);
+  std::memcpy(frame_for(pa) + (pa - base_) % kFrameSize, &v, sizeof v);
 }
-void PhysMem::write64(paddr_t pa, u64 v) {
-  MINOVA_CHECK(is_aligned(pa, 8));
-  store<u64>(frame_for(pa), MINOVA_SCALAR_OFF(pa), v);
-}
-
-#undef MINOVA_SCALAR_OFF
 
 void PhysMem::read_block(paddr_t pa, std::span<u8> out) const {
   std::size_t done = 0;

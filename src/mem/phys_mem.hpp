@@ -28,14 +28,9 @@ class PhysMem {
     return pa >= base_ && u64(pa) + len <= u64(base_) + size_;
   }
 
-  u8 read8(paddr_t pa) const;
-  u16 read16(paddr_t pa) const;
+  /// Word access; `pa` must be 4-byte aligned.
   u32 read32(paddr_t pa) const;
-  u64 read64(paddr_t pa) const;
-  void write8(paddr_t pa, u8 v);
-  void write16(paddr_t pa, u16 v);
   void write32(paddr_t pa, u32 v);
-  void write64(paddr_t pa, u64 v);
 
   /// Bulk copies (DMA, bitstream load). Cross-frame safe.
   void read_block(paddr_t pa, std::span<u8> out) const;

@@ -23,7 +23,6 @@ class ProtectionDomain;
 enum class StepExit : u8 {
   kBudget = 0,   // consumed the whole budget (still runnable)
   kYield,        // nothing to do until the next tick/IRQ
-  kResched,      // a hypercall requested rescheduling
   kHalt,         // guest finished for good
 };
 

@@ -91,11 +91,6 @@ class Scheduler {
     return nullptr;
   }
 
-  /// Highest-priority runnable PD, or nullptr. Does not rotate.
-  ProtectionDomain* pick() const {
-    return nonempty_ == 0 ? nullptr : levels_[top_level(nonempty_)].head;
-  }
-
   /// Highest-priority runnable PD satisfying `eligible`, or nullptr. Visits
   /// only non-empty levels; when the head of the highest one qualifies this
   /// is a single head load.
@@ -115,11 +110,6 @@ class Scheduler {
 
   bool is_runnable(const ProtectionDomain* pd) const;
   bool is_suspended(const ProtectionDomain* pd) const;
-
-  /// True when a runnable PD has higher priority than `pd`.
-  bool higher_priority_ready(const ProtectionDomain* pd) const {
-    return (nonempty_ >> (pd->priority() + 1)) != 0;
-  }
 
   cycles_t default_quantum() const { return default_quantum_; }
   /// This instance's process-unique stamp (see next_stamp()).

@@ -102,7 +102,6 @@ class Vcpu {
   u32 dacr_ = 0;
   VtimerState vtimer_;
   cpu::VfpBank vfp_;
-  std::array<u32, kL2CtrlWords> l2ctrl_{};
 };
 
 }  // namespace minova::nova

@@ -57,7 +57,6 @@ class Pcap final : public mem::MmioDevice {
 
   u32 mmio_read(u32 offset) override;
   void mmio_write(u32 offset, u32 value) override;
-  const char* mmio_name() const override { return "pcap"; }
 
   bool busy() const { return busy_; }
   u64 transfers_completed() const { return transfers_completed_; }

@@ -88,7 +88,6 @@ class PrrController final : public mem::MmioDevice {
   // PRR register groups, the page at kPrrMaxRegions is the global page.
   u32 mmio_read(u32 offset) override;
   void mmio_write(u32 offset, u32 value) override;
-  const char* mmio_name() const override { return "prr-controller"; }
 
   u32 num_prrs() const { return u32(prrs_.size()); }
   const PrrState& prr(u32 idx) const { return prrs_[idx]; }

@@ -41,35 +41,9 @@ double LatencyStat::percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-void LatencyStat::merge(const LatencyStat& other) {
-  if (other.samples_.empty()) return;
-  if (samples_.empty()) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-  // Appending a foreign run generally breaks sortedness; recompute lazily.
-  if (sorted_ && !(other.sorted_ && (samples_.empty() ||
-                                     other.samples_.front() >=
-                                         samples_.back()))) {
-    sorted_ = false;
-  }
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-}
-
-void StatsRegistry::merge_from(const StatsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, stat] : other.latencies_)
-    latencies_[name].merge(stat);
-}
-
 void StatsRegistry::reset() {
   // Keep the counter nodes: CounterHandles point into them.
   for (auto& [name, value] : counters_) value = 0;
-  latencies_.clear();
 }
 
 }  // namespace minova::sim

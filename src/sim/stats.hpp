@@ -1,8 +1,10 @@
 // Lightweight statistics registry.
 //
-// Components register named counters and latency accumulators; benches and
-// tests read them back to validate behaviour (e.g. cache miss growth with
-// guest count) without plumbing bespoke probes through every layer.
+// Components register named counters; benches and tests read them back to
+// validate behaviour (e.g. cache miss growth with guest count) without
+// plumbing bespoke probes through every layer. The registry holds counters
+// only: a component that records latencies owns its `LatencyStat`s (the
+// kernel's `HwMgrLatencies`, `NativeAllocator::exec_us()`).
 //
 // Hot paths must not pay a string hash per event: components resolve a
 // name once (usually at construction) into a `CounterHandle` — a stable
@@ -75,10 +77,6 @@ class LatencyStat {
     min_ = 0.0;
     max_ = 0.0;
   }
-  /// Fold another accumulator into this one. Samples are appended in
-  /// `other`'s insertion order, so merging per-core accumulators in core-id
-  /// order yields the same vector on every run regardless of host threading.
-  void merge(const LatencyStat& other);
   const std::vector<double>& samples() const { return samples_; }
 
  private:
@@ -104,27 +102,13 @@ class StatsRegistry {
     return CounterHandle(&counters_[name]);
   }
 
-  LatencyStat& latency(const std::string& name) { return latencies_[name]; }
-  const LatencyStat* find_latency(const std::string& name) const {
-    auto it = latencies_.find(name);
-    return it == latencies_.end() ? nullptr : &it->second;
-  }
-
-  /// Zero every counter in place (interned handles stay valid) and drop
-  /// all latency accumulators.
+  /// Zero every counter in place (interned handles stay valid).
   void reset();
-
-  /// Key-wise accumulate another registry into this one: counter values add,
-  /// latency stats merge. Keys live in std::map, so the resulting iteration
-  /// (and thus any JSON emit) order is lexicographic and independent of the
-  /// merge order — golden diffs stay byte-stable.
-  void merge_from(const StatsRegistry& other);
 
   const std::map<std::string, u64>& counters() const { return counters_; }
 
  private:
   std::map<std::string, u64> counters_;
-  std::map<std::string, LatencyStat> latencies_;
 };
 
 }  // namespace minova::sim

@@ -58,9 +58,6 @@ class UcosGuest::GuestSvc final : public workloads::Services {
     return ctx_.hypercall(Hypercall::kHwTaskRelease, task).status ==
            nova::HcStatus::kSuccess;
   }
-  bool hw_reconfig_done() override {
-    return hw_reconfig_status() == workloads::ReconfigStatus::kReady;
-  }
   workloads::ReconfigStatus hw_reconfig_status() override {
     // Two acknowledgement methods (§IV.E stage 6): the PCAP completion IRQ
     // latched by the handler, or explicit polling via hypercall. Only the

@@ -1,13 +1,14 @@
 // uC/OS-II-style real-time kernel (the guest OS of the paper's evaluation,
 // §V.A).
 //
-// Faithful to the uC/OS-II model: up to 64 tasks with unique fixed
-// priorities (0 = highest), strictly preemptive highest-priority-ready
-// scheduling driven by a periodic tick, counting semaphores, single-slot
-// mailboxes and message queues, and time delays. Task bodies are run-once
-// work units: a blocking call (pend/delay) marks the task not-ready and the
-// unit returns — the scheduling decisions and their costs match the real
-// kernel at unit granularity.
+// The part of the uC/OS-II model the guests use: up to 64 tasks with unique
+// fixed priorities (0 = highest), strictly preemptive highest-priority-ready
+// scheduling driven by a periodic tick, and time delays. Task bodies are
+// run-once work units: a delay marks the task not-ready and the unit
+// returns — the scheduling decisions and their costs match the real kernel
+// at unit granularity. The guests' tasks never communicate, so the model
+// has no semaphores, mailboxes or queues; it still lays out the text of
+// those OS services, which shapes every guest image's I-cache footprint.
 //
 // The kernel is environment-agnostic: it runs identically inside a
 // paravirtualized Mini-NOVA guest (port_paravirt -> hypercalls) and
@@ -16,10 +17,8 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "cpu/code_region.hpp"
 #include "util/types.hpp"
@@ -32,13 +31,8 @@ class Kernel;
 inline constexpr u8 kMaxTasks = 64;
 inline constexpr u8 kIdlePrio = kMaxTasks - 1;  // OS idle task
 
-/// Handle to kernel objects.
-using SemId = u32;
-using MboxId = u32;
-using QueueId = u32;
-
-/// Per-unit context handed to task bodies. Blocking calls take effect when
-/// the unit returns (uC/OS-II would context-switch inside the call; at unit
+/// Per-unit context handed to task bodies. A delay takes effect when the
+/// unit returns (uC/OS-II would context-switch inside the call; at unit
 /// granularity the next `run_one_unit` simply picks the new highest-ready).
 class TaskCtx {
  public:
@@ -50,15 +44,6 @@ class TaskCtx {
 
   /// OSTimeDly: sleep for `ticks` timer ticks.
   void dly(u32 ticks);
-  /// OSSemPend with zero timeout semantics: returns true when the count was
-  /// available; otherwise blocks the task and returns false.
-  bool sem_pend(SemId sem);
-  void sem_post(SemId sem);
-  /// OSMboxPend: receive into `out`; blocks (returns false) when empty.
-  bool mbox_pend(MboxId mbox, u32& out);
-  bool mbox_post(MboxId mbox, u32 msg);  // false when full (slot occupied)
-  bool q_pend(QueueId q, u32& out);
-  bool q_post(QueueId q, u32 msg);
 
  private:
   Kernel& os_;
@@ -72,8 +57,6 @@ struct KernelStats {
   u64 ticks = 0;
   u64 context_switches = 0;
   u64 units_run = 0;
-  u64 sem_posts = 0;
-  u64 sem_pends_blocked = 0;
 };
 
 class Kernel {
@@ -84,14 +67,6 @@ class Kernel {
 
   /// OSTaskCreate. Priority must be unused and < kIdlePrio.
   void create_task(std::string name, u8 prio, TaskFn fn);
-
-  SemId sem_create(u32 initial);
-  MboxId mbox_create();
-  QueueId q_create(u32 capacity);
-
-  /// ISR-safe post operations (used by interrupt handlers).
-  void sem_post(SemId sem);
-  bool mbox_post(MboxId mbox, u32 msg);
 
   /// OSTimeTick: advance delays, wake expired tasks. Charges the tick
   /// handler's footprint.
@@ -108,42 +83,23 @@ class Kernel {
  private:
   friend class TaskCtx;
 
-  enum class TaskState : u8 { kUnused, kReady, kDelayed, kPendSem, kPendMbox,
-                              kPendQueue };
+  enum class TaskState : u8 { kUnused, kReady, kDelayed };
 
   struct Tcb {
     std::string name;
     TaskState state = TaskState::kUnused;
     u32 delay = 0;
-    u32 wait_obj = 0;  // sem/mbox/queue id while pending
     TaskFn fn;
   };
 
-  struct Sem {
-    u32 count = 0;
-  };
-  struct Mbox {
-    bool full = false;
-    u32 msg = 0;
-  };
-  struct Queue {
-    u32 capacity;
-    std::deque<u32> msgs;
-  };
-
-  void make_ready(u8 prio);
   int highest_ready() const;
-  void wake_pending_on(TaskState kind, u32 obj);
 
   std::string name_;
   std::array<Tcb, kMaxTasks> tcbs_;
-  std::vector<Sem> sems_;
-  std::vector<Mbox> mboxes_;
-  std::vector<Queue> queues_;
   int last_ran_ = -1;
   KernelStats stats_;
 
-  cpu::CodeRegion rg_sched_, rg_tick_, rg_switch_, rg_services_;
+  cpu::CodeRegion rg_sched_, rg_tick_, rg_switch_;
 };
 
 }  // namespace minova::ucos

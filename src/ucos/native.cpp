@@ -7,6 +7,7 @@
 namespace minova::ucos {
 
 using workloads::HwReqStatus;
+using workloads::ReconfigStatus;
 
 // ---- native Services port ----------------------------------------------------
 
@@ -44,10 +45,14 @@ class NativeSystem::NativeSvc final : public workloads::Services {
     return grant.status;
   }
   bool hw_release(u32 task) override { return owner_.alloc_->release(task); }
-  bool hw_reconfig_done() override {
-    if (owner_.pcap_done_) return true;
+  // The native allocator has no software fallback: a transfer is ready
+  // or still in flight.
+  ReconfigStatus hw_reconfig_status() override {
+    if (owner_.pcap_done_) return ReconfigStatus::kReady;
     const auto r = owner_.platform_.cpu().vread32(mem::kDevcfgBase + 0x04);
-    return r.ok && (r.value & 0b10u) != 0;  // DONE bit
+    return r.ok && (r.value & 0b10u) != 0  // DONE bit
+               ? ReconfigStatus::kReady
+               : ReconfigStatus::kInFlight;
   }
   bool hw_take_completion() override {
     if (!owner_.hw_completion_) return false;

@@ -50,15 +50,8 @@ class Services {
   virtual HwReqStatus hw_request(u32 task_id, vaddr_t iface_va,
                                  vaddr_t data_va) = 0;
   virtual bool hw_release(u32 task_id) = 0;
-  /// True when a previously reported reconfiguration has completed.
-  virtual bool hw_reconfig_done() = 0;
-  /// Three-way reconfiguration outcome. The default keeps legacy
-  /// environments (which cannot fail) working: done maps to kReady,
-  /// not-done to kInFlight.
-  virtual ReconfigStatus hw_reconfig_status() {
-    return hw_reconfig_done() ? ReconfigStatus::kReady
-                              : ReconfigStatus::kInFlight;
-  }
+  /// Outcome of a previously reported reconfiguration.
+  virtual ReconfigStatus hw_reconfig_status() = 0;
   /// Consume a hardware-task completion notification (IRQ-driven): true
   /// once the accelerator's completion interrupt has been delivered since
   /// the last call.

@@ -63,7 +63,6 @@ class StubDevice : public mem::MmioDevice {
     ++writes;
     last_write = value + offset;
   }
-  const char* mmio_name() const override { return "stub"; }
   u64 reads = 0;
   u64 writes = 0;
   u32 last_write = 0;
@@ -130,9 +129,8 @@ Core::MemResult external_abort(vaddr_t va, bool write) {
       .value = 0};
 }
 
-/// One scalar data access, charged the way the access chain defines it.
-Core::MemResult ref_access(Core& c, vaddr_t va, bool write, u32 value,
-                           unsigned size) {
+/// One word access, charged the way the access chain defines it.
+Core::MemResult ref_access(Core& c, vaddr_t va, bool write, u32 value) {
   const auto tr = c.mmu().translate(
       va, write ? AccessKind::kWrite : AccessKind::kRead, c.privileged());
   c.clock().advance(tr.cost + 1);
@@ -144,16 +142,10 @@ Core::MemResult ref_access(Core& c, vaddr_t va, bool write, u32 value,
     c.clock().advance(c.caches().access_data(tr.pa, write));
   mem::Bus::Result br;
   u32 out = 0;
-  if (write) {
-    br = size == 1 ? c.bus().write8(tr.pa, u8(value))
-                   : c.bus().write32(tr.pa, value);
-  } else if (size == 1) {
-    u8 v = 0;
-    br = c.bus().read8(tr.pa, v);
-    out = v;
-  } else {
+  if (write)
+    br = c.bus().write32(tr.pa, value);
+  else
     br = c.bus().read32(tr.pa, out);
-  }
   if (br != mem::Bus::Result::kOk) return external_abort(va, write);
   return Core::MemResult{.ok = true, .fault = {}, .value = out};
 }
@@ -163,7 +155,7 @@ Core::MemResult ref_touch(Core& c, vaddr_t va, u32 words, bool write,
                           Core::RunFaults faults) {
   Core::MemResult first;
   for (u32 w = 0; w < words; ++w) {
-    const auto r = ref_access(c, va + w * 4, write, 0, 4);
+    const auto r = ref_access(c, va + w * 4, write, 0);
     if (r.ok) continue;
     if (first.ok) first = r;
     if (faults == Core::RunFaults::kStop) break;
@@ -243,18 +235,14 @@ class AccessRunDiffTest : public ::testing::Test {
   }
 
   /// Returns rig A's result.
-  Core::MemResult scalar(vaddr_t va, bool write, u32 value, unsigned size) {
-    Core::MemResult ra;
-    if (size == 1)
-      ra = write ? a_.core.vwrite8(va, u8(value)) : a_.core.vread8(va);
-    else
-      ra = write ? a_.core.vwrite32(va, value) : a_.core.vread32(va);
-    const auto rb = ref_access(b_.core, va, write, value, size);
+  Core::MemResult scalar(vaddr_t va, bool write, u32 value) {
+    const auto ra = write ? a_.core.vwrite32(va, value) : a_.core.vread32(va);
+    const auto rb = ref_access(b_.core, va, write, value);
     expect_same_result(ra, rb);
     if (!write) {
       EXPECT_EQ(ra.value, rb.value) << "va=" << std::hex << va;
     }
-    check(va, size);
+    check(va, 4);
     return ra;
   }
 
@@ -432,16 +420,16 @@ TEST_F(AccessRunDiffTest, ReadAfterDiscardOfBoundPage) {
   const vaddr_t va = kPageVa + 3 * 4096;
   const paddr_t frame = page_frame(3);
   touch(va, 64, true);   // binds the page
-  scalar(va + 8, true, 0xDEAD'BEEFu, 4);
-  ASSERT_EQ(scalar(va + 8, false, 0, 4).value, 0xDEAD'BEEFu);
+  scalar(va + 8, true, 0xDEAD'BEEFu);
+  ASSERT_EQ(scalar(va + 8, false, 0).value, 0xDEAD'BEEFu);
   both([&](Rig& r) { r.dram.discard(frame, 4096); });
   // The binding died with the frame: the read sees the discard's zero
   // (a stale host pointer would read freed memory).
-  const auto r = scalar(va + 8, false, 0, 4);
+  const auto r = scalar(va + 8, false, 0);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.value, 0u);
   touch(va, 64, false);
-  scalar(va + 12, true, 7, 4);
+  scalar(va + 12, true, 7);
 }
 
 // ---- random storm -----------------------------------------------------------
@@ -471,9 +459,7 @@ TEST_F(AccessRunDiffTest, RandomStorm) {
     } else if (op < 58) {
       write_block(va, u32(rng.next_range(1, 9000)), step);
     } else if (op < 78) {
-      const unsigned size = rng.next() & 1 ? 4 : 1;
-      scalar(size == 4 ? align_down(va, 4) : va, rng.next() & 1,
-             u32(rng.next()), size);
+      scalar(align_down(va, 4), rng.next() & 1, u32(rng.next()));
     } else if (op < 84) {
       const u32 s = u32(rng.next_below(2));
       both([&](Rig& r) { r.switch_space(s); });

@@ -17,7 +17,6 @@ class FakeDevice : public MmioDevice {
     last_write_off = offset;
     regs[offset / 4] = value;
   }
-  const char* mmio_name() const override { return "fake"; }
 
   u32 regs[16]{};
   u32 last_read_off = ~0u;
@@ -67,13 +66,6 @@ TEST_F(BusTest, RamAtChecksLength) {
   EXPECT_NE(bus_.ram_at(0x0, 1 * kMiB), nullptr);
   EXPECT_EQ(bus_.ram_at(0x0, 1 * kMiB + 1), nullptr);
   EXPECT_EQ(bus_.ram_at(0x4000'0000u), nullptr);
-}
-
-TEST_F(BusTest, ByteReadFromDeviceSelectsLane) {
-  dev_.regs[0] = 0x44332211u;
-  u8 b = 0;
-  EXPECT_EQ(bus_.read8(0x4000'0002u, b), Bus::Result::kOk);
-  EXPECT_EQ(b, 0x33u);
 }
 
 TEST_F(BusTest, OverlappingDeviceWindowsRejected) {

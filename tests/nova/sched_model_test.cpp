@@ -76,6 +76,11 @@ struct RefModel {
   }
 };
 
+/// The highest-priority runnable PD: `pick_eligible` with no filter.
+ProtectionDomain* pick(const Scheduler& s) {
+  return s.pick_eligible([](const ProtectionDomain*) { return true; });
+}
+
 std::vector<ProtectionDomain*> to_vector(Scheduler::QueueView q) {
   std::vector<ProtectionDomain*> v;
   for (ProtectionDomain* pd : q) v.push_back(pd);
@@ -97,7 +102,7 @@ void expect_matches(const Scheduler& s, const RefModel& ref,
   }
   ASSERT_EQ(to_vector(s.suspended_queue()), ref.suspended)
       << "suspend queue diverged at step " << step;
-  ASSERT_EQ(s.pick(), ref.pick()) << "diverged at step " << step;
+  ASSERT_EQ(pick(s), ref.pick()) << "diverged at step " << step;
   auto unparked = [](const ProtectionDomain* p) { return !p->parked; };
   ASSERT_EQ(s.pick_eligible(unparked), ref.pick_unparked()) << step;
   ASSERT_EQ(s.steal_candidate(unparked), ref.steal_unparked()) << step;
@@ -109,10 +114,6 @@ void expect_matches(const Scheduler& s, const RefModel& ref,
     ASSERT_EQ(s.is_suspended(pd.get()),
               RefModel::contains(ref.suspended, pd.get()))
         << pd->name() << " at step " << step;
-    bool higher = false;
-    for (u32 p = pd->priority() + 1; p < Scheduler::kNumPriorities; ++p)
-      higher = higher || !ref.level[p].empty();
-    ASSERT_EQ(s.higher_priority_ready(pd.get()), higher) << step;
   }
 }
 
@@ -273,12 +274,11 @@ TEST_F(SchedPropertyTest, PreemptionByHigherPriorityKeepsVictimSlice) {
   low->quantum_left = 250;  // mid-slice
 
   sched_.enqueue(&high);
-  ASSERT_EQ(sched_.pick(), &high);  // low is preempted, stays runnable
-  EXPECT_TRUE(sched_.higher_priority_ready(low));
+  ASSERT_EQ(pick(sched_), &high);  // low is preempted, stays runnable
   EXPECT_EQ(low->quantum_left, 250u);
 
   sched_.remove(&high);
-  ASSERT_EQ(sched_.pick(), low);
+  ASSERT_EQ(pick(sched_), low);
   EXPECT_EQ(low->quantum_left, 250u);  // resumes exactly where it left off
 }
 
@@ -311,10 +311,10 @@ TEST_F(SchedPropertyTest, QuantumPreservedAtEveryCycleOffset) {
     ASSERT_EQ(c + pd->quantum_left, kQuantum) << "offset " << c;
     // Preemption by a higher-priority arrival; the victim stays queued.
     sched.enqueue(&high);
-    ASSERT_EQ(sched.pick(), &high);
+    ASSERT_EQ(pick(sched), &high);
     ASSERT_EQ(c + pd->quantum_left, kQuantum) << "offset " << c;
     sched.remove(&high);
-    ASSERT_EQ(sched.pick(), pd);
+    ASSERT_EQ(pick(sched), pd);
     ASSERT_EQ(c + pd->quantum_left, kQuantum) << "offset " << c;
   }
 }
@@ -329,14 +329,14 @@ TEST_F(SchedPropertyTest, ExpiryReArmsFullQuantumAtBackOfLevel) {
     sched_.enqueue(pd.get());
   }
   for (u32 round = 0; round < 4 * u32(pds_.size()); ++round) {
-    ProtectionDomain* head = sched_.pick();
+    ProtectionDomain* head = pick(sched_);
     ASSERT_NE(head, nullptr);
     ASSERT_EQ(head, sched_.level_queue(kPrio).front());
     head->quantum_left = 0;
     sched_.rotate(head);
     EXPECT_EQ(head->quantum_left, kQuantum) << "round " << round;
     EXPECT_EQ(sched_.level_queue(kPrio).back(), head) << "round " << round;
-    EXPECT_NE(sched_.pick(), head);  // the other five are all ahead now
+    EXPECT_NE(pick(sched_), head);  // the other five are all ahead now
   }
 }
 
@@ -349,7 +349,7 @@ TEST_F(SchedPropertyTest, NoStarvationWithinNQuantaAtOneLevel) {
   std::vector<u32> last_seen(n, 0);
   std::vector<u32> dispatches(n, 0);
   for (u32 round = 1; round <= 10 * n; ++round) {
-    ProtectionDomain* pd = sched_.pick();
+    ProtectionDomain* pd = pick(sched_);
     ASSERT_NE(pd, nullptr);
     const u32 idx = u32(pd->id());
     EXPECT_LE(round - last_seen[idx], n) << "pd" << idx << " starved";
@@ -380,7 +380,7 @@ TEST_F(SchedPropertyTest, NoStarvationUnderRandomSuspendResumeChurn) {
     else
       sched_.enqueue(victim);
 
-    ProtectionDomain* pd = sched_.pick();
+    ProtectionDomain* pd = pick(sched_);
     ASSERT_NE(pd, nullptr);  // pds_[0] is always runnable
     if (pd == pds_[0].get()) {
       since_dispatch = 0;

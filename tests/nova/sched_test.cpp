@@ -15,6 +15,11 @@
 namespace minova::nova {
 namespace {
 
+/// The highest-priority runnable PD: `pick_eligible` with no filter.
+ProtectionDomain* pick(const Scheduler& s) {
+  return s.pick_eligible([](const ProtectionDomain*) { return true; });
+}
+
 class SchedTest : public ::testing::Test {
  protected:
   SchedTest()
@@ -39,7 +44,7 @@ class SchedTest : public ::testing::Test {
 };
 
 TEST_F(SchedTest, EmptySchedulerPicksNothing) {
-  EXPECT_EQ(sched_.pick(), nullptr);
+  EXPECT_EQ(pick(sched_), nullptr);
   EXPECT_EQ(sched_.runnable_count(), 0u);
 }
 
@@ -48,9 +53,9 @@ TEST_F(SchedTest, HighestPriorityWins) {
   auto* high = make_pd("high", 2);
   sched_.enqueue(low);
   sched_.enqueue(high);
-  EXPECT_EQ(sched_.pick(), high);
+  EXPECT_EQ(pick(sched_), high);
   sched_.remove(high);
-  EXPECT_EQ(sched_.pick(), low);
+  EXPECT_EQ(pick(sched_), low);
 }
 
 TEST_F(SchedTest, RoundRobinWithinPriorityLevel) {
@@ -58,13 +63,13 @@ TEST_F(SchedTest, RoundRobinWithinPriorityLevel) {
   auto* b = make_pd("b", 1);
   auto* c = make_pd("c", 1);
   for (auto* pd : {a, b, c}) sched_.enqueue(pd);
-  EXPECT_EQ(sched_.pick(), a);
+  EXPECT_EQ(pick(sched_), a);
   sched_.rotate(a);
-  EXPECT_EQ(sched_.pick(), b);
+  EXPECT_EQ(pick(sched_), b);
   sched_.rotate(b);
-  EXPECT_EQ(sched_.pick(), c);
+  EXPECT_EQ(pick(sched_), c);
   sched_.rotate(c);
-  EXPECT_EQ(sched_.pick(), a);  // full circle
+  EXPECT_EQ(pick(sched_), a);  // full circle
 }
 
 TEST_F(SchedTest, EnqueueArmsFullQuantumOnlyWhenExhausted) {
@@ -94,7 +99,7 @@ TEST_F(SchedTest, SuspendRemovesFromRunQueue) {
   auto* a = make_pd("a", 1);
   sched_.enqueue(a);
   sched_.suspend(a);
-  EXPECT_EQ(sched_.pick(), nullptr);
+  EXPECT_EQ(pick(sched_), nullptr);
   EXPECT_TRUE(sched_.is_suspended(a));
   EXPECT_FALSE(sched_.is_runnable(a));
   EXPECT_EQ(a->state(), PdState::kSuspended);
@@ -104,7 +109,7 @@ TEST_F(SchedTest, EnqueueFromSuspendQueue) {
   auto* a = make_pd("a", 1);
   sched_.suspend(a);
   sched_.enqueue(a);
-  EXPECT_EQ(sched_.pick(), a);
+  EXPECT_EQ(pick(sched_), a);
   EXPECT_FALSE(sched_.is_suspended(a));
   EXPECT_EQ(a->state(), PdState::kReady);
 }
@@ -116,21 +121,11 @@ TEST_F(SchedTest, DoubleEnqueueIsIdempotent) {
   EXPECT_EQ(sched_.runnable_count(), 1u);
 }
 
-TEST_F(SchedTest, HigherPriorityReadyDetection) {
-  auto* guest = make_pd("guest", 1);
-  auto* manager = make_pd("manager", 2);
-  sched_.enqueue(guest);
-  EXPECT_FALSE(sched_.higher_priority_ready(guest));
-  sched_.enqueue(manager);
-  EXPECT_TRUE(sched_.higher_priority_ready(guest));
-  EXPECT_FALSE(sched_.higher_priority_ready(manager));
-}
-
 TEST_F(SchedTest, RemoveHaltsPd) {
   auto* a = make_pd("a", 1);
   sched_.enqueue(a);
   sched_.remove(a);
-  EXPECT_EQ(sched_.pick(), nullptr);
+  EXPECT_EQ(pick(sched_), nullptr);
   EXPECT_EQ(a->state(), PdState::kHalted);
 }
 
@@ -143,11 +138,11 @@ TEST_F(SchedTest, ServicePreemptionScenario) {
   sched_.enqueue(os1);
   sched_.enqueue(os2);
   sched_.suspend(service);  // services idle in the suspend queue
-  EXPECT_EQ(sched_.pick(), os1);
+  EXPECT_EQ(pick(sched_), os1);
   sched_.enqueue(service);  // invoked
-  EXPECT_EQ(sched_.pick(), service);
+  EXPECT_EQ(pick(sched_), service);
   sched_.suspend(service);  // removes itself after handling
-  EXPECT_EQ(sched_.pick(), os1);
+  EXPECT_EQ(pick(sched_), os1);
 }
 
 // Kernels may be built on any host thread (run_all's claim pool builds one

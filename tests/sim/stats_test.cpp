@@ -48,10 +48,8 @@ TEST(StatsRegistry, CountersDefaultZeroAndIncrement) {
 TEST(StatsRegistry, ResetClearsEverything) {
   StatsRegistry reg;
   reg.counter("c") = 7;
-  reg.latency("l").add(1.0);
   reg.reset();
   EXPECT_EQ(reg.counter_value("c"), 0u);
-  EXPECT_EQ(reg.find_latency("l"), nullptr);
 }
 
 TEST(StatsRegistry, CounterHandleAliasesNamedCounter) {
@@ -140,82 +138,6 @@ TEST(LatencyStat, MonotoneStreamKeepsSortedCacheValid) {
   s.add(-1.0);  // out of order: cache invalidated, query still right
   EXPECT_DOUBLE_EQ(s.percentile(0), -1.0);
   EXPECT_DOUBLE_EQ(s.min(), -1.0);
-}
-
-TEST(LatencyStat, MergeCombinesSamplesAndExtremes) {
-  LatencyStat a, b;
-  for (double v : {5.0, 1.0, 9.0}) a.add(v);
-  for (double v : {0.5, 12.0, 3.0}) b.add(v);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 6u);
-  EXPECT_DOUBLE_EQ(a.min(), 0.5);
-  EXPECT_DOUBLE_EQ(a.max(), 12.0);
-  // Samples arrive in other's insertion order — merging per-core stats in
-  // core-id order reproduces the same vector on every run.
-  const std::vector<double> want{5.0, 1.0, 9.0, 0.5, 12.0, 3.0};
-  EXPECT_EQ(a.samples(), want);
-  EXPECT_DOUBLE_EQ(a.percentile(0), 0.5);
-  EXPECT_DOUBLE_EQ(a.percentile(100), 12.0);
-}
-
-TEST(LatencyStat, MergeWithEmptySides) {
-  LatencyStat a, empty;
-  a.add(2.0);
-  a.add(4.0);
-  a.merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-
-  LatencyStat c;
-  c.merge(a);  // adopt other's samples and extremes wholesale
-  EXPECT_EQ(c.count(), 2u);
-  EXPECT_DOUBLE_EQ(c.min(), 2.0);
-  EXPECT_DOUBLE_EQ(c.max(), 4.0);
-  EXPECT_DOUBLE_EQ(c.mean(), 3.0);
-}
-
-TEST(LatencyStat, MergePreservesSortedCacheForMonotoneAppend) {
-  LatencyStat a, b;
-  for (int i = 0; i < 50; ++i) a.add(double(i));
-  for (int i = 50; i < 100; ++i) b.add(double(i));
-  EXPECT_DOUBLE_EQ(a.percentile(50), 24.5);  // both sides sorted
-  a.merge(b);  // b.front() >= a.back(): concatenation is still sorted
-  EXPECT_DOUBLE_EQ(a.percentile(50), 49.5);
-  EXPECT_DOUBLE_EQ(a.percentile(100), 99.0);
-
-  // Non-monotone merge must still produce correct percentiles.
-  LatencyStat lo;
-  lo.add(-5.0);
-  a.merge(lo);
-  EXPECT_DOUBLE_EQ(a.percentile(0), -5.0);
-  EXPECT_EQ(a.count(), 101u);
-}
-
-TEST(StatsRegistry, MergeFromAddsCountersAndMergesLatencies) {
-  StatsRegistry a, b;
-  a.counter("vm_switches") = 10;
-  a.counter("only_in_a") = 1;
-  b.counter("vm_switches") = 32;
-  b.counter("only_in_b") = 7;
-  a.latency("irq_us").add(3.0);
-  b.latency("irq_us").add(1.0);
-  b.latency("switch_us").add(2.5);
-
-  a.merge_from(b);
-  EXPECT_EQ(a.counter_value("vm_switches"), 42u);
-  EXPECT_EQ(a.counter_value("only_in_a"), 1u);
-  EXPECT_EQ(a.counter_value("only_in_b"), 7u);
-  EXPECT_EQ(a.latency("irq_us").count(), 2u);
-  EXPECT_DOUBLE_EQ(a.latency("irq_us").min(), 1.0);
-  EXPECT_EQ(a.latency("switch_us").count(), 1u);
-
-  // std::map keys: iteration order is lexicographic regardless of which
-  // side a key came from, so emitted reports stay byte-stable.
-  std::vector<std::string> keys;
-  for (const auto& [k, v] : a.counters()) keys.push_back(k);
-  const std::vector<std::string> want{"only_in_a", "only_in_b",
-                                      "vm_switches"};
-  EXPECT_EQ(keys, want);
 }
 
 }  // namespace

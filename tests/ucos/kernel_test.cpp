@@ -1,5 +1,5 @@
 // uC/OS-II-style kernel semantics: unique priorities, preemptive
-// highest-ready scheduling, delays, semaphores, mailboxes and queues.
+// highest-ready scheduling and delays.
 #include "ucos/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -35,7 +35,9 @@ class TestSvc final : public workloads::Services {
     return workloads::HwReqStatus::kError;
   }
   bool hw_release(u32) override { return false; }
-  bool hw_reconfig_done() override { return true; }
+  workloads::ReconfigStatus hw_reconfig_status() override {
+    return workloads::ReconfigStatus::kReady;
+  }
   bool hw_take_completion() override { return false; }
   vaddr_t hw_iface_va() const override { return 0; }
   vaddr_t hw_data_va() const override { return 0; }
@@ -106,85 +108,6 @@ TEST_F(UcosTest, DlyZeroStillYieldsOneTick) {
   EXPECT_FALSE(os_.run_one_unit(svc_));
   os_.tick(svc_);
   EXPECT_TRUE(os_.run_one_unit(svc_));
-}
-
-TEST_F(UcosTest, SemaphorePendPost) {
-  const SemId sem = os_.sem_create(0);
-  int acquired = 0;
-  os_.create_task("waiter", 5, [&](TaskCtx& t) {
-    if (t.sem_pend(sem)) ++acquired;
-  });
-  os_.run_one_unit(svc_);  // blocks
-  EXPECT_EQ(acquired, 0);
-  EXPECT_FALSE(os_.run_one_unit(svc_));  // pending
-  os_.sem_post(sem);                     // ISR-style post
-  EXPECT_TRUE(os_.run_one_unit(svc_));
-  EXPECT_EQ(acquired, 1);
-}
-
-TEST_F(UcosTest, SemaphoreCountAccumulates) {
-  const SemId sem = os_.sem_create(2);
-  int acquired = 0;
-  os_.create_task("waiter", 5, [&](TaskCtx& t) {
-    if (t.sem_pend(sem)) ++acquired;
-  });
-  os_.run_one_unit(svc_);
-  os_.run_one_unit(svc_);
-  EXPECT_EQ(acquired, 2);         // initial count consumed
-  os_.run_one_unit(svc_);         // third pend blocks
-  EXPECT_EQ(acquired, 2);
-}
-
-TEST_F(UcosTest, SemPostWakesHighestPriorityPender) {
-  const SemId sem = os_.sem_create(0);
-  std::vector<int> got;
-  for (u8 prio : {7, 4}) {
-    os_.create_task("w" + std::to_string(prio), prio, [&, prio](TaskCtx& t) {
-      if (t.sem_pend(sem)) got.push_back(prio);
-    });
-  }
-  os_.run_one_unit(svc_);  // prio 4 blocks
-  os_.run_one_unit(svc_);  // prio 7 blocks
-  os_.sem_post(sem);
-  os_.run_one_unit(svc_);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 4);  // highest priority (lowest number) first
-}
-
-TEST_F(UcosTest, MailboxDelivery) {
-  const MboxId mb = os_.mbox_create();
-  u32 received = 0;
-  os_.create_task("rx", 5, [&](TaskCtx& t) {
-    u32 m;
-    if (t.mbox_pend(mb, m)) received = m;
-  });
-  os_.run_one_unit(svc_);  // blocks
-  EXPECT_TRUE(os_.mbox_post(mb, 0xFEED));
-  os_.run_one_unit(svc_);
-  EXPECT_EQ(received, 0xFEEDu);
-}
-
-TEST_F(UcosTest, MailboxSingleSlotSemantics) {
-  const MboxId mb = os_.mbox_create();
-  EXPECT_TRUE(os_.mbox_post(mb, 1));
-  EXPECT_FALSE(os_.mbox_post(mb, 2));  // slot occupied, no pender
-}
-
-TEST_F(UcosTest, QueueFifoWithCapacity) {
-  const QueueId q = os_.q_create(2);
-  std::vector<u32> got;
-  os_.create_task("rx", 5, [&](TaskCtx& t) {
-    u32 m;
-    if (t.q_pend(q, m)) got.push_back(m);
-  });
-  os_.run_one_unit(svc_);  // blocks (empty)
-  TaskCtx ctx(os_, svc_, 5);
-  EXPECT_TRUE(ctx.q_post(q, 1));
-  EXPECT_TRUE(ctx.q_post(q, 2));
-  EXPECT_FALSE(ctx.q_post(q, 3));  // full
-  os_.run_one_unit(svc_);
-  os_.run_one_unit(svc_);
-  EXPECT_EQ(got, (std::vector<u32>{1, 2}));
 }
 
 TEST_F(UcosTest, PreemptionAtUnitBoundary) {

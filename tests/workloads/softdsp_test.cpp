@@ -37,7 +37,9 @@ class FlatSvc final : public Services {
     return HwReqStatus::kError;
   }
   bool hw_release(u32) override { return false; }
-  bool hw_reconfig_done() override { return true; }
+  ReconfigStatus hw_reconfig_status() override {
+    return ReconfigStatus::kReady;
+  }
   bool hw_take_completion() override { return false; }
   vaddr_t hw_iface_va() const override { return 0; }
   vaddr_t hw_data_va() const override { return 0; }

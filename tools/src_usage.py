@@ -1,0 +1,401 @@
+#!/usr/bin/env python3
+"""Usage checks for src/: what the simulator does not run.
+
+    python3 tools/src_usage.py [REPO_ROOT]
+
+Three listings over the C++ of src/ bench/ perfbench/ tests/ examples/,
+with comments, string and character literals stripped first:
+
+1. Header check: a src/ header that no file outside tests/ includes.
+2. Uncalled-symbol check: a name declared in a src/ header (a class,
+   enum, enumerator, function, field, constant or alias) that no other
+   token of those trees names. Declarations and out-of-line definitions
+   of the name, and parameter names, do not count as naming it.
+3. Named only by tests/: a name from check 2 that tests/ names and no
+   file of src/ bench/ perfbench/ examples/ does. Informational.
+
+Names are matched as identifiers, not resolved: a name declared in two
+classes counts as used when either is.
+
+Exit status 1 when check 1 lists a header, when check 2 lists a name that
+is not in ALLOWLIST, or when an ALLOWLIST entry is no longer uncalled;
+0 otherwise.
+"""
+
+import pathlib
+import re
+import sys
+from collections import defaultdict
+
+TREES = ("src", "bench", "perfbench", "tests", "examples")
+PROGRAM_TREES = ("src", "bench", "perfbench", "examples")
+SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+
+# The Zynq-7000 memory map, kept whole as documentation of the platform
+# even where the simulator models no device behind an address.
+ALLOWLIST = {
+    ("src/mem/address_map.hpp", name)
+    for name in (
+        "kAxiGp0Size", "kAxiGp1Base", "kAxiGp1Size", "kUart1Base",
+        "kTtc0Base", "kTtcSize", "kMpcorePrivBase", "kGicCpuIfaceBase",
+        "kGlobalTimerBase", "kPrivateTimerBase", "kGicDistBase",
+        "kGicDistSize", "kIrqGlobalTimer", "kIrqPrivateWdt", "kIrqUart1",
+    )
+}
+
+# Identifiers that open a parenthesis at declaration scope without
+# declaring a function.
+NOT_FUNCTIONS = {
+    "static_assert", "alignas", "decltype", "sizeof", "noexcept",
+    "requires", "__attribute__", "operator",
+}
+ACCESS = {"public", "private", "protected"}
+# Tokens after which an identifier names a type, not a parameter.
+TYPE_LEADS = {"(", ",", "::", "const", "volatile", "struct", "class",
+              "typename", "unsigned", "signed"}
+
+
+def strip(text):
+    """Blank comments, string and character literals (the tree has no raw
+    strings) and preprocessor lines. Returns the code and, apart, the
+    bodies of its macro definitions."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if c == "/" and nxt == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == "/" and nxt == "*":
+            end = text.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            out.append("\n" * text.count("\n", i, end))
+            i = end
+        elif c == '"' or (c == "'" and not (out and re.match(r"\w", out[-1]))):
+            # A quote right after a word character is a digit separator.
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == "\\" else 1
+            out.append(c + c)
+            i = j + 1
+        else:
+            out.append(c)
+            i += 1
+    lines = "".join(out).split("\n")
+    macros = []
+    in_directive = in_define = False
+    for k, line in enumerate(lines):
+        if in_directive or line.lstrip().startswith("#"):
+            if not in_directive:
+                in_define = re.match(r"\s*#\s*define\s+\w+", line)
+                if in_define:
+                    line = line[in_define.end():]
+            if in_define:
+                macros.append(line.rstrip("\\"))
+            in_directive = line.rstrip().endswith("\\")
+            lines[k] = ""
+    return "\n".join(lines), "\n".join(macros)
+
+
+TOKEN = re.compile(r"[A-Za-z_]\w*|\d[\w'.]*|::|->|\S")
+
+
+def tokenize(text):
+    """Identifiers, numbers, `::`, `->` and single characters; attributes
+    (`[[...]]`) are dropped."""
+    return TOKEN.findall(re.sub(r"\[\[[^\]]*\]\]", " ", text))
+
+
+def is_ident(t):
+    return bool(re.match(r"[A-Za-z_]", t))
+
+
+def top_level(stmt, toks):
+    """Indices of `stmt` outside (), [] and <> nesting, with the depth
+    each index sits at."""
+    depth = 0
+    for k in stmt:
+        t = toks[k]
+        if t in "([<":
+            depth += 1
+        elif t in ")]>" and depth > 0:
+            depth -= 1
+            continue
+        yield k, depth
+
+
+class Scanner:
+    """Splits one file's tokens into declared-name positions, parameter
+    names and uses by tracking which braces open declaration scopes
+    (namespace, class, enum) and which open code."""
+
+    def __init__(self, toks):
+        self.toks = toks
+        self.decls = []  # token indices that declare a name
+        self.params = set()  # token indices naming a parameter
+
+    def text(self, k):
+        return self.toks[k]
+
+    def declare(self, k):
+        if k is not None and is_ident(self.text(k)):
+            self.decls.append(k)
+
+    def run(self):
+        toks = self.toks
+        stack = [("ns", None)]
+        stmt = []
+        i, n = 0, len(toks)
+        while i < n:
+            t = toks[i]
+            kind, cls = stack[-1]
+            if kind == "code":
+                if t == "{":
+                    stack.append(("code", None))
+                elif t == "}":
+                    stack.pop()
+                i += 1
+                continue
+            if kind == "enum":
+                if t in (",", "}"):
+                    if stmt:
+                        self.declare(stmt[0])
+                    stmt = []
+                    if t == "}":
+                        stack.pop()
+                else:
+                    stmt.append(i)
+                i += 1
+                continue
+            if t == "{":
+                if self.ctor_init_brace(stmt):
+                    i = self.skip_braces(i, stmt)
+                    continue
+                stack.append(self.open_scope(stmt, cls))
+                stmt = []
+            elif t == ";":
+                self.statement(stmt, cls)
+                stmt = []
+            elif t == "}":
+                stmt = []
+                if len(stack) > 1:
+                    stack.pop()
+            elif t == ":" and len(stmt) == 1 and self.text(stmt[0]) in ACCESS:
+                stmt = []
+            else:
+                stmt.append(i)
+            i += 1
+        return self
+
+    def skip_braces(self, i, stmt):
+        depth = 0
+        while True:
+            t = self.toks[i]
+            stmt.append(i)
+            depth += (t == "{") - (t == "}")
+            i += 1
+            if depth == 0:
+                return i
+
+    def ctor_init_brace(self, stmt):
+        """A `{` inside a constructor's member-initializer list."""
+        if not stmt or not is_ident(self.text(stmt[-1])):
+            return False
+        words = [self.text(k) for k in stmt]
+        if "(" not in words or words[0] in ("class", "struct", "union", "enum"):
+            return False
+        depth = 0
+        for w in words:
+            depth += (w == "(") - (w == ")")
+            if w == ":" and depth == 0:
+                return True
+        return False
+
+    def strip_prefix(self, stmt):
+        """Drop `template <...>` heads and `friend` statements."""
+        words = [self.text(k) for k in stmt]
+        if "friend" in words:
+            return []
+        while stmt and self.text(stmt[0]) == "template":
+            if len(stmt) < 2 or self.text(stmt[1]) != "<":
+                stmt = stmt[1:]  # an explicit instantiation
+                continue
+            depth, k = 0, 1
+            while k < len(stmt):
+                w = self.text(stmt[k])
+                depth += (w == "<") - (w == ">")
+                k += 1
+                if depth == 0:
+                    break
+            stmt = stmt[k:]
+        return stmt
+
+    def open_scope(self, stmt, cls):
+        stmt = self.strip_prefix(stmt)
+        words = [self.text(k) for k in stmt]
+        if "namespace" in words or words[:1] == ["extern"]:
+            return ("ns", None)
+        if words and words[0] in ("class", "struct", "union", "enum") \
+                and "(" not in words and "=" not in words:
+            k = 1
+            if words[0] == "enum" and k < len(words) and words[k] in ("class", "struct"):
+                k += 1
+            name = stmt[k] if k < len(stmt) and is_ident(words[k]) else None
+            self.declare(name)
+            if words[0] == "enum":
+                return ("enum", None)
+            return ("ns", words[k] if name is not None else None)
+        self.statement(stmt, cls)
+        return ("code", None)
+
+    def statement(self, stmt, cls):
+        """Record what a declaration-scope statement declares."""
+        stmt = self.strip_prefix(stmt)
+        if not stmt:
+            return
+        words = [self.text(k) for k in stmt]
+        if words[0] == "using":
+            if len(words) > 2 and words[2] == "=":
+                self.declare(stmt[1])
+            return
+        if words[0] in ("class", "struct", "union", "enum", "typedef"):
+            if "(" not in words:
+                return  # forward declaration or elaborated type
+        first_paren = first_eq = None
+        for k, depth in top_level(stmt, self.toks):
+            w = self.text(k)
+            if depth == 1 and w == "(" and first_paren is None:
+                first_paren = stmt.index(k)
+            if depth == 0 and w == "=" and first_eq is None:
+                first_eq = stmt.index(k)
+        if first_paren is not None and (first_eq is None or first_paren < first_eq):
+            self.function(stmt, words, first_paren, cls)
+            return
+        # Variables and fields: the last name before `=`, `[` or `:` of each
+        # comma-separated declarator.
+        end = first_eq if first_eq is not None else len(stmt)
+        declarator = []
+        for k, depth in top_level(stmt[:end], self.toks):
+            w = self.text(k)
+            if depth == 0 and w == ",":
+                self.declare_last(declarator)
+                declarator = []
+            elif depth == 0 or w == "[":
+                declarator.append(k)
+        self.declare_last(declarator)
+
+    def declare_last(self, declarator):
+        for k in declarator:
+            if self.text(k) in ("[", ":"):
+                break
+            last = k
+        else:
+            last = declarator[-1] if declarator else None
+        if last is not None and is_ident(self.text(last)):
+            self.declare(last)
+
+    def function(self, stmt, words, paren, cls):
+        if paren == 0 or any(w in NOT_FUNCTIONS for w in words[:paren + 1]):
+            return
+        name = words[paren - 1]
+        before = words[paren - 2] if paren >= 2 else ""
+        qualifier = words[paren - 3] if paren >= 3 and before == "::" else None
+        if before == "~" or name == cls or name == qualifier:
+            return  # constructor or destructor
+        if not is_ident(name) or name.isupper():
+            return  # a macro
+        self.declare(stmt[paren - 1])
+        # Parameter names: the identifier that closes each parameter.
+        depth = 0
+        for k in range(paren, len(stmt) - 1):
+            w = words[k]
+            depth += (w == "(") - (w == ")")
+            if depth == 0:
+                break
+            if depth == 1 and words[k + 1] in (",", ")", "=", "[") \
+                    and is_ident(w) and words[k - 1] not in TYPE_LEADS:
+                self.params.add(stmt[k])
+
+
+def rel(path, root):
+    return path.relative_to(root).as_posix()
+
+
+def main(argv):
+    root = pathlib.Path(argv[1] if len(argv) > 1 else
+                        pathlib.Path(__file__).parent.parent).resolve()
+    files = sorted(p for tree in TREES for p in (root / tree).rglob("*")
+                   if p.suffix in SUFFIXES and p.is_file())
+
+    includes = defaultdict(set)  # header path under src/ -> includer trees
+    declared = defaultdict(set)  # name -> src/ headers declaring it
+    uses = defaultdict(set)  # name -> trees that name it
+    for path in files:
+        raw = path.read_text(encoding="utf-8", errors="replace")
+        tree = rel(path, root).split("/")[0]
+        for inc in re.findall(r'^\s*#\s*include\s+"([^"]+)"', raw, re.M):
+            target = (path.parent / inc).resolve()
+            key = rel(target, root) if target.is_file() and root in target.parents \
+                else "src/" + inc
+            if key != rel(path, root):
+                includes[key].add(tree)
+        code, macros = strip(raw)
+        toks = tokenize(code)
+        scan = Scanner(toks).run()
+        for t in tokenize(macros):
+            if is_ident(t):
+                uses[t].add(tree)
+        decl_set = set(scan.decls)
+        is_src_header = tree == "src" and path.suffix in (".hpp", ".h")
+        for k, t in enumerate(toks):
+            if not is_ident(t):
+                continue
+            if k in decl_set:
+                if is_src_header:
+                    declared[t].add(rel(path, root))
+            elif k not in scan.params:
+                uses[t].add(tree)
+
+    headers = sorted(rel(p, root) for p in files
+                     if rel(p, root).startswith("src/") and p.suffix in (".hpp", ".h"))
+    orphans = [h for h in headers if not includes[h] - {"tests"}]
+    print("header check: src/ headers no file outside tests/ includes")
+    for h in orphans:
+        print(f"  {h}: included by {sorted(includes[h])}")
+    if not orphans:
+        print("  (none)")
+
+    uncalled, test_only = [], []
+    for name, where in sorted(declared.items()):
+        for header in sorted(where):
+            if not uses[name]:
+                uncalled.append((header, name))
+            elif not uses[name] & set(PROGRAM_TREES):
+                test_only.append((header, name))
+
+    failures = len(orphans)
+    print("uncalled-symbol check: names declared in src/ headers that no "
+          "other token of " + " ".join(t + "/" for t in TREES) + "names")
+    for header, name in sorted(uncalled):
+        allowed = (header, name) in ALLOWLIST
+        failures += not allowed
+        print(f"  {header}: {name}" + ("  (allowlisted)" if allowed else ""))
+    for header, name in sorted(ALLOWLIST - set(uncalled)):
+        failures += 1
+        print(f"  {header}: {name}  (allowlisted, no longer uncalled: "
+              "drop it from ALLOWLIST)")
+
+    print("named only by tests/: names declared in src/ headers that no file "
+          "of " + " ".join(t + "/" for t in PROGRAM_TREES) + "names")
+    for header, name in sorted(test_only):
+        print(f"  {header}: {name}")
+    if not test_only:
+        print("  (none)")
+
+    print("FAIL" if failures else "OK")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
