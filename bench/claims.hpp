@@ -107,7 +107,7 @@ inline AblationRun run_ablation(const Knobs& k, u64 seed, double sim_ms) {
   ucos::SystemConfig cfg;
   cfg.num_guests = k.guests;
   cfg.seed = seed;
-  cfg.kernel.lazy_vfp = cfg.kernel.lazy_l2ctrl = k.lazy;
+  cfg.kernel.lazy_switch = k.lazy;
   cfg.kernel.use_asid = k.asid;
   cfg.kernel.quantum_ms = k.quantum_ms;
   cfg.platform.large_prrs = cfg.platform.small_prrs = k.prr_pairs;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include "harness.hpp"
+#include "nova/inspector.hpp"
 
 namespace minova::bench {
 
@@ -34,7 +35,9 @@ inline SmpPoint run_smp_point(u32 cores, double sim_ms, u64 seed = 42) {
   p.ipis_sent = stats.counter("kernel.ipi.sent");
   p.steals = stats.counter("kernel.smp.steals");
   p.shootdowns_sent = sys->kernel().shootdowns_sent();
-  p.shootdown_acks = stats.counter("kernel.smp.shootdown_acks");
+  const nova::KernelInspector insp(sys->kernel());
+  for (u32 c = 0; c < insp.num_cores(); ++c)
+    p.shootdown_acks += insp.core(c).shootdowns_acked();
   p.cross_core_irqs = stats.counter("kernel.irq.cross_core");
   p.vm_switches = sys->kernel().vm_switch_count();
   return p;

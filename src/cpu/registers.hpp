@@ -55,8 +55,6 @@ class RegisterFile {
   /// Convenience accessors for the current-mode SP/LR.
   u32 sp(Mode mode) const { return get(mode, 13); }
   u32 lr(Mode mode) const { return get(mode, 14); }
-  void set_sp(Mode mode, u32 v) { set(mode, 13, v); }
-  void set_lr(Mode mode, u32 v) { set(mode, 14, v); }
 
   /// Number of 32-bit words a full save/restore of the user-visible state
   /// moves (r0-r14 + pc + psr): used by the vCPU switch cost model.

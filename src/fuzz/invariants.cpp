@@ -123,12 +123,6 @@ std::vector<Violation> InvariantSuite::check_heavy() const {
   return out;
 }
 
-std::vector<Violation> InvariantSuite::check_all() const {
-  std::vector<Violation> out = check_cheap();
-  for (auto& v : check_heavy()) out.push_back(std::move(v));
-  return out;
-}
-
 // ---- (1) frame exclusivity --------------------------------------------------
 //
 // Sweep every PD's guest-reachable VA range and classify each mapped frame:
@@ -884,12 +878,12 @@ void InvariantSuite::check_sv_restart_ledger(std::vector<Violation>& out) const 
     if ((r.live && r.condemned) ||
         (!r.live && r.health == nova::VmHealth::kCrashed))
       ++pending;
-    if (r.restarts_in_window > r.policy.max_restarts)
+    if (r.restarts_in_window > sup->max_restarts())
       add(out, Oracle::kSvRestartLedger,
           "slot " + std::to_string(s) + " records " +
               std::to_string(r.restarts_in_window) +
               " restarts in window, over the policy cap of " +
-              std::to_string(r.policy.max_restarts));
+              std::to_string(sup->max_restarts()));
   }
   if (st.crashes + st.watchdog_fires !=
       st.restarts + st.quarantines + pending)

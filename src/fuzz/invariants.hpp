@@ -137,7 +137,6 @@ class InvariantSuite {
   std::vector<Violation> check_cheap() const;
   /// The scan tier: page-table sweeps and TLB replay (O(pages)).
   std::vector<Violation> check_heavy() const;
-  std::vector<Violation> check_all() const;
 
   /// True for oracles in the scan tier.
   static bool is_heavy(Oracle o);

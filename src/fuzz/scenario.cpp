@@ -36,6 +36,10 @@ constexpr u64 kLaneDynBase = 256;  // dynamic VM k uses kLaneDynBase + k
 /// Ceiling on concurrently live dynamic VMs in lifecycle mode.
 constexpr u32 kMaxDynamicVms = 4;
 
+/// Simulated-time ceiling: a scenario whose guests go quiet ends here even
+/// if `max_steps` events never accumulate.
+constexpr double kMaxSimUs = 400'000.0;
+
 /// A chaos VM's guest config and scheduling priority.
 struct ChaosVm {
   workloads::ChaosConfig cfg;
@@ -93,6 +97,31 @@ void fold_chaos(workloads::ChaosStats& acc, const workloads::ChaosStats& s) {
   acc.crash_wild_stores += s.crash_wild_stores;
   acc.spin_bursts += s.spin_bursts;
   acc.health_polls += s.health_polls;
+}
+
+/// Mix one chaos guest's (or accumulator's) traffic counters into the
+/// clean-run digest; the PRR-scheduler ones only under `hw_sched`, so
+/// legacy digests keep their values.
+void mix_chaos(util::Fnv1a& dg, const workloads::ChaosStats& s,
+               bool hw_sched) {
+  dg.mix(s.ops);
+  dg.mix(s.hypercalls);
+  dg.mix(s.ok);
+  dg.mix(s.rejected);
+  dg.mix(s.faults);
+  dg.mix(s.virqs);
+  dg.mix(s.maps);
+  dg.mix(s.hw_grants);
+  dg.mix(s.hw_releases);
+  dg.mix(s.jobs_started);
+  dg.mix(s.ivc_sends);
+  dg.mix(s.ivc_recvs);
+  if (hw_sched) {
+    dg.mix(s.hw_queued);
+    dg.mix(s.hw_regrants);
+    dg.mix(s.hw_setprios);
+    dg.mix(s.hw_quota_polls);
+  }
 }
 
 /// The mutant that trips a sabotage target, as the kind number one
@@ -198,7 +227,7 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
   if (opts.supervisor) {
     // Supervisor shards: a watchdog tight enough that a spin burst trips it
     // within a slice or two, and a crash-loop policy small enough that a
-    // persistently crashing guest reaches quarantine inside max_sim_ms.
+    // persistently crashing guest reaches quarantine inside kMaxSimUs.
     kcfg.supervisor.enabled = true;
     kcfg.supervisor.watchdog_us = 15'000.0;
     kcfg.supervisor.max_restarts = 2;
@@ -378,9 +407,8 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
   // Drive in fixed simulated-time slices; the hook flags completion. Slice
   // size only affects how much tail simulation runs after `done` — the
   // failure state itself is captured inside the hook.
-  const double limit_us = opts.max_sim_ms * 1000.0;
   double t = 0;
-  while (!done && t < limit_us) {
+  while (!done && t < kMaxSimUs) {
     if (opts.lifecycle) churn();
     kernel.run_for_us(100.0);
     t += 100.0;
@@ -405,24 +433,7 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
       // quarantined): its stats were folded into sv_acc at teardown.
       if (g == nullptr) continue;
       const auto& s = g->stats();
-      dg.mix(s.ops);
-      dg.mix(s.hypercalls);
-      dg.mix(s.ok);
-      dg.mix(s.rejected);
-      dg.mix(s.faults);
-      dg.mix(s.virqs);
-      dg.mix(s.maps);
-      dg.mix(s.hw_grants);
-      dg.mix(s.hw_releases);
-      dg.mix(s.jobs_started);
-      dg.mix(s.ivc_sends);
-      dg.mix(s.ivc_recvs);
-      if (opts.hw_sched) {
-        dg.mix(s.hw_queued);
-        dg.mix(s.hw_regrants);
-        dg.mix(s.hw_setprios);
-        dg.mix(s.hw_quota_polls);
-      }
+      mix_chaos(dg, s, opts.hw_sched);
       if (opts.supervisor) {
         dg.mix(s.crash_wild_jumps);
         dg.mix(s.crash_undefs);
@@ -469,24 +480,7 @@ FuzzResult run_scenario(const ScenarioOptions& in) {
       dg.mix(dyn_destroyed);
       dg.mix(insp.vms_destroyed());
       dg.mix(insp.asid_generation());
-      dg.mix(dyn_acc.ops);
-      dg.mix(dyn_acc.hypercalls);
-      dg.mix(dyn_acc.ok);
-      dg.mix(dyn_acc.rejected);
-      dg.mix(dyn_acc.faults);
-      dg.mix(dyn_acc.virqs);
-      dg.mix(dyn_acc.maps);
-      dg.mix(dyn_acc.hw_grants);
-      dg.mix(dyn_acc.hw_releases);
-      dg.mix(dyn_acc.jobs_started);
-      dg.mix(dyn_acc.ivc_sends);
-      dg.mix(dyn_acc.ivc_recvs);
-      if (opts.hw_sched) {
-        dg.mix(dyn_acc.hw_queued);
-        dg.mix(dyn_acc.hw_regrants);
-        dg.mix(dyn_acc.hw_setprios);
-        dg.mix(dyn_acc.hw_quota_polls);
-      }
+      mix_chaos(dg, dyn_acc, opts.hw_sched);
     }
     if (opts.hw_sched) {
       // Scheduler replay contract: the manager-side counters pin down the

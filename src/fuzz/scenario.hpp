@@ -91,10 +91,6 @@ struct ScenarioOptions {
   /// differ from legacy runs of the same seed (but stay deterministic);
   /// off keeps every pre-supervisor digest bit-identical.
   bool supervisor = false;
-
-  /// Simulated-time ceiling: a scenario whose guests go quiet ends here
-  /// even if `max_steps` events never accumulate.
-  double max_sim_ms = 400.0;
 };
 
 /// Pin every seed-derived top-level choice (currently `num_vms`) so later

@@ -39,14 +39,11 @@ class TaskLibrary {
   std::size_t size() const { return tasks_.size(); }
   std::vector<TaskId> ids() const;
 
-  /// Builds the paper's evaluation task set. PRR indices follow §V.B:
-  /// PRR0/PRR1 are large (FFT-capable), PRR2/PRR3 small (QAM only).
-  /// (The paper numbers them 1-4; we use 0-based indices.)
-  static TaskLibrary paper_evaluation_set() { return evaluation_set(2, 2); }
-
-  /// Generalized floorplan: `num_large` FFT-capable regions at indices
-  /// [0, num_large), `num_small` QAM-only regions after them. Used by the
-  /// PRR-count extension bench.
+  /// Builds the evaluation task set for a floorplan of `num_large`
+  /// FFT-capable regions at indices [0, num_large) and `num_small` QAM-only
+  /// regions after them. The paper's set (§V.B) is evaluation_set(2, 2):
+  /// PRR0/PRR1 large, PRR2/PRR3 small (the paper numbers them 1-4; we use
+  /// 0-based indices).
   static TaskLibrary evaluation_set(u32 num_large, u32 num_small);
 
   // Task IDs of the canonical set, stable across runs.

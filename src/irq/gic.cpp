@@ -52,13 +52,6 @@ bool Gic::is_pending(u32 id) const {
   return state_[id].pending;
 }
 
-void Gic::clear_pending(u32 id) {
-  MINOVA_CHECK(id < state_.size());
-  state_[id].pending = false;
-  refresh(id);
-  update_line();
-}
-
 void Gic::set_target_mask(u32 id, u8 mask) {
   MINOVA_CHECK(id < state_.size());
   state_[id].targets = mask;

@@ -38,7 +38,6 @@ class Gic {
   /// Device-side assertion (edge semantics: latches pending).
   void raise(u32 id);
   bool is_pending(u32 id) const;
-  void clear_pending(u32 id);
 
   /// Per-interrupt CPU target mask (ICDIPTR). Bit i routes the interrupt
   /// to CPU interface i; reset value targets CPU0 only, which is the whole

@@ -147,7 +147,6 @@ Kernel::Kernel(Platform& platform, const KernelConfig& cfg)
   lane_clocks_.assign(cfg_.num_cores,
                       LaneClock{sim::Clock(platform.clock().freq_hz())});
   vfp_owner_.assign(cfg_.num_cores, kInvalidPd);
-  l2ctrl_owner_.assign(cfg_.num_cores, kInvalidPd);
   // A round's batch holds at most one step per core, so threads beyond the
   // core count would never get work.
   cfg_.host_threads =
@@ -364,8 +363,6 @@ bool Kernel::destroy_vm(PdId id) {
   if (pcap_owner_ == id) pcap_owner_ = kInvalidPd;
   for (auto& owner : vfp_owner_)
     if (owner == id) owner = kInvalidPd;
-  for (auto& owner : l2ctrl_owner_)
-    if (owner == id) owner = kInvalidPd;
   if (hw_service_ != nullptr) hw_service_->handle_client_destroyed(id);
   // The next VM on this slab must not read the hardware-task data section
   // (and its §IV.C record) this one left behind. Host-side teardown: the
@@ -547,10 +544,6 @@ void Kernel::write_back_lazy_state(ProtectionDomain& pd, u32 core_id) {
     pd.vcpu().save_vfp(platform_.lane(core_id));
     vfp_owner_[core_id] = kInvalidPd;
   }
-  if (l2ctrl_owner_[core_id] == pd.id()) {
-    pd.vcpu().save_l2ctrl(platform_.lane(core_id));
-    l2ctrl_owner_[core_id] = kInvalidPd;
-  }
 }
 
 void Kernel::ensure_space(ProtectionDomain& pd) {
@@ -643,7 +636,7 @@ bool Kernel::guest_fatal(ProtectionDomain& pd, FatalKind kind) {
 // ---- lazy VFP ---------------------------------------------------------------
 
 void Kernel::vfp_access(ProtectionDomain& pd) {
-  if (!cfg_.lazy_vfp) return;  // active switching keeps it always current
+  if (!cfg_.lazy_switch) return;  // active switching keeps it always current
   // Compute steps must not touch the VFP (it is lazily switched kernel
   // state, not lane-private guest state).
   MINOVA_CHECK(!in_parallel_batch_);

@@ -129,8 +129,9 @@ struct KernelConfig {
   u32 host_threads = 1;
 
   // Ablation switches (paper design decisions).
-  bool lazy_vfp = true;        // Table I: lazy-switch the VFP bank
-  bool lazy_l2ctrl = true;     // Table I: lazy-switch L2 control registers
+  // Table I: lazy-switch the VFP bank and the L2 control registers (one
+  // class of kernel state); false saves and restores both on every switch.
+  bool lazy_switch = true;
   bool use_asid = true;        // §III.C: ASID reload vs full TLB flush
   // Lazy VM construction (density): create_vm defers page-table population
   // to the first guest-memory touch and the vGIC record list to the first
@@ -343,9 +344,9 @@ class Kernel {
   /// enabled. `self` is the core of the VM whose sources are being masked,
   /// which is not always the active core. Always false on a unicore kernel.
   bool irq_live_on_sibling(u32 irq, u32 self) const;
-  /// Write back the VFP bank and L2 control registers `pd` left in core
-  /// `core_id`'s lane, before the PD runs on another core. Charged to the
-  /// active core, which performs the save.
+  /// Write back the VFP bank `pd` left in core `core_id`'s lane, before the
+  /// PD runs on another core. Charged to the active core, which performs
+  /// the save.
   void write_back_lazy_state(ProtectionDomain& pd, u32 core_id);
   /// The ABT/UND-class trap a guest fault takes: vector, abort handler,
   /// the emulated FSR/FAR pair in `pd.sysregs[6..7]`, and, with `inject`,
@@ -455,10 +456,10 @@ class Kernel {
   std::array<cycles_t, mem::kNumIrqs> pl_irq_route_cycles_{};
 
   // Lazy-switch ownership, per lane: each simulated core's private VFP
-  // bank / L2 control registers track which PD's state they hold. Index
-  // [active_core_] is the pre-SMP scalar, bit for bit.
+  // bank tracks which PD's state it holds. Index [active_core_] is the
+  // pre-SMP scalar, bit for bit. No guest touches the L2 control
+  // registers, so under lazy switching they never move and have no owner.
   std::vector<PdId> vfp_owner_;
-  std::vector<PdId> l2ctrl_owner_;
 
   // Bitstream store index.
   std::vector<std::pair<hwtask::TaskId, BitstreamLoc>> bitstreams_;
@@ -483,8 +484,6 @@ class Kernel {
       "kernel.ipi.sent")};
   sim::CounterHandle c_steals_{platform_.stats().handle(
       "kernel.smp.steals")};
-  sim::CounterHandle c_shootdown_acks_{platform_.stats().handle(
-      "kernel.smp.shootdown_acks")};
   HwMgrLatencies hwmgr_lat_;
   // Hardware-task request timestamps (valid while a request is in flight).
   cycles_t hw_req_t0_ = 0;

@@ -292,7 +292,6 @@ void Kernel::drain_ipis(CoreContext& cc) {
           cc.shootdown_ack_epoch =
               std::max(cc.shootdown_ack_epoch, ipi.epoch);
           ++cc.shootdowns_acked;
-          c_shootdown_acks_.inc();
           break;
         case IpiKind::kIpiReschedule:
           break;  // the pick below sees the new work
@@ -477,8 +476,10 @@ void Kernel::vm_switch(ProtectionDomain* to) {
     cur->vgic().mask_all_physical(core, [this](u32 irq) {
       return irq_live_on_sibling(irq, active_core_);
     });
-    if (!cfg_.lazy_vfp) cur->vcpu().save_vfp(core);
-    if (!cfg_.lazy_l2ctrl) cur->vcpu().save_l2ctrl(core);
+    if (!cfg_.lazy_switch) {
+      cur->vcpu().save_vfp(core);
+      cur->vcpu().save_l2ctrl(core);
+    }
   }
   // Lazy ASID revalidation: a VM holding a tag from a retired generation
   // gets a fresh one before its ASID is loaded (rollover already flushed).
@@ -489,8 +490,10 @@ void Kernel::vm_switch(ProtectionDomain* to) {
     core.mmu().tlb_flush_all();
     core.spend(40);
   }
-  if (!cfg_.lazy_vfp) to->vcpu().restore_vfp(core);
-  if (!cfg_.lazy_l2ctrl) to->vcpu().restore_l2ctrl(core);
+  if (!cfg_.lazy_switch) {
+    to->vcpu().restore_vfp(core);
+    to->vcpu().restore_l2ctrl(core);
+  }
   to->vgic().unmask_enabled_physical(core);
   cur = to;
   ++cur_core().vm_switches;

@@ -17,31 +17,29 @@ const char* vm_health_name(VmHealth h) {
 
 Supervisor::Supervisor(Kernel& kernel, const SupervisorConfig& cfg)
     : kernel_(kernel),
+      watchdog_cycles_(cfg.watchdog_us > 0
+                           ? kernel.platform_.clock().us_to_cycles(
+                                 cfg.watchdog_us)
+                           : 0),
+      max_restarts_(cfg.max_restarts),
+      restart_window_cycles_(
+          kernel.platform_.clock().us_to_cycles(cfg.restart_window_us)),
+      backoff_base_cycles_(
+          kernel.platform_.clock().us_to_cycles(cfg.backoff_base_us)),
       c_crashes_(kernel.platform_.stats().handle("kernel.supervisor.crashes")),
       c_watchdog_(
           kernel.platform_.stats().handle("kernel.supervisor.watchdog_fires")),
       c_restarts_(
           kernel.platform_.stats().handle("kernel.supervisor.restarts")),
       c_quarantines_(
-          kernel.platform_.stats().handle("kernel.supervisor.quarantines")) {
-  const auto& clock = kernel_.platform_.clock();
-  default_policy_.watchdog_cycles =
-      cfg.watchdog_us > 0 ? clock.us_to_cycles(cfg.watchdog_us) : 0;
-  default_policy_.max_restarts = cfg.max_restarts;
-  default_policy_.restart_window_cycles =
-      clock.us_to_cycles(cfg.restart_window_us);
-  default_policy_.backoff_base_cycles = clock.us_to_cycles(cfg.backoff_base_us);
-  default_policy_.restart = cfg.restart;
-}
+          kernel.platform_.stats().handle("kernel.supervisor.quarantines")) {}
 
-u32 Supervisor::watch(ProtectionDomain& pd, GuestFactory factory,
-                      const SupervisorPolicy* policy) {
+u32 Supervisor::watch(ProtectionDomain& pd, GuestFactory factory) {
   VmRecord r;
   r.pd = pd.id();
   r.live = true;
   r.name = pd.name();
   r.priority = pd.priority();
-  r.policy = policy != nullptr ? *policy : default_policy_;
   r.factory = std::move(factory);
   r.window_start = kernel_.platform_.clock().now();
   // Channel memberships at watch time are the set a restart re-binds; the
@@ -75,12 +73,12 @@ void Supervisor::condemn(VmRecord& r) {
 
 void Supervisor::on_guest_ran(PdId pd, cycles_t used) {
   VmRecord* r = find(pd);
-  if (r == nullptr || r->condemned || r->policy.watchdog_cycles == 0) return;
+  if (r == nullptr || r->condemned || watchdog_cycles_ == 0) return;
   // CPU-accumulation watchdog: only cycles this VM actually burned count
   // toward the budget, so a starved-but-healthy VM under heavy contention
   // never trips it — a wall-clock deadline would.
   r->cpu_since_pet += used;
-  if (r->cpu_since_pet > r->policy.watchdog_cycles) {
+  if (r->cpu_since_pet > watchdog_cycles_) {
     ++r->watchdog_fires;
     c_watchdog_.inc();
     condemn(*r);
@@ -92,7 +90,7 @@ void Supervisor::on_forwarded_fault(PdId pd) {
   if (r == nullptr) return;
   ++r->forwarded_faults;
   if (r->health == VmHealth::kHealthy &&
-      r->forwarded_faults >= r->policy.degrade_faults)
+      r->forwarded_faults >= kDegradeFaults)
     r->health = VmHealth::kDegraded;
 }
 
@@ -122,13 +120,12 @@ void Supervisor::reap(ProtectionDomain& pd) {
   const cycles_t now = kernel_.platform_.clock().now();
 
   // Roll the crash-loop window before deciding the slot's fate.
-  if (r->policy.restart_window_cycles > 0 &&
-      now - r->window_start > r->policy.restart_window_cycles) {
+  if (restart_window_cycles_ > 0 &&
+      now - r->window_start > restart_window_cycles_) {
     r->restarts_in_window = 0;
     r->window_start = now;
   }
-  const bool quarantine = !r->policy.restart ||
-                          r->restarts_in_window >= r->policy.max_restarts;
+  const bool quarantine = r->restarts_in_window >= max_restarts_;
 
   // Observer fires before teardown: the guest object is still alive so the
   // caller can harvest its stats (the scenario runner's digest needs them).
@@ -153,8 +150,7 @@ void Supervisor::reap(ProtectionDomain& pd) {
     c_quarantines_.inc();
   } else {
     r->health = VmHealth::kCrashed;
-    r->restart_at =
-        now + (r->policy.backoff_base_cycles << r->restarts_in_window);
+    r->restart_at = now + (backoff_base_cycles_ << r->restarts_in_window);
     ++r->restarts_in_window;
     ++crashed_count_;
   }

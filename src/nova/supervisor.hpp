@@ -43,36 +43,21 @@ namespace minova::nova {
 
 class Kernel;
 
-/// Per-VM policy knobs. A slot without an override uses values derived
-/// from the kernel-wide SupervisorConfig.
-struct SupervisorPolicy {
-  /// Simulated-cycle CPU budget a guest may consume without petting the
-  /// watchdog (hypercall / forwarded fault / yield) before it is declared
-  /// hung. 0 disables the watchdog for this VM.
-  cycles_t watchdog_cycles = 0;
-  /// Forwarded (non-fatal) guest faults before health drops to degraded.
-  /// SupervisorConfig has no counterpart: only a per-VM policy changes it.
-  u32 degrade_faults = 16;
-  /// Crashes tolerated inside one restart window before quarantine.
-  u32 max_restarts = 3;
-  /// Sliding window (simulated cycles) the restart counter lives in.
-  cycles_t restart_window_cycles = 0;
-  /// First restart delay; doubles per restart within the window.
-  cycles_t backoff_base_cycles = 0;
-  /// false: a crash quarantines immediately (no restart attempts).
-  bool restart = true;
-};
-
-/// Kernel-wide supervisor configuration (KernelConfig::supervisor). Times
-/// are in microseconds here for config ergonomics; the supervisor converts
-/// them to cycles once at watch() time.
+/// Kernel-wide supervisor configuration (KernelConfig::supervisor), one
+/// policy for every watched VM. Times are in microseconds here for config
+/// ergonomics; the supervisor converts them to cycles once at construction.
 struct SupervisorConfig {
   bool enabled = false;
+  /// CPU budget a guest may consume without petting the watchdog
+  /// (hypercall / forwarded fault / yield) before it is declared hung.
   double watchdog_us = 0.0;  // 0 = watchdog off
+  /// Crashes tolerated inside one restart window before quarantine; 0
+  /// quarantines on the first crash.
   u32 max_restarts = 3;
+  /// Sliding window the restart counter lives in.
   double restart_window_us = 200'000.0;
+  /// First restart delay; doubles per restart within the window.
   double backoff_base_us = 500.0;
-  bool restart = true;
 };
 
 /// Guest-observable health of a watched VM (also the packing returned by
@@ -113,7 +98,6 @@ class Supervisor {
     cycles_t restart_at = 0;  // due time while kCrashed
     std::string name;
     u32 priority = 0;
-    SupervisorPolicy policy;
     GuestFactory factory;
     std::vector<u32> channels;  // IVC channel ids re-bound on restart
   };
@@ -127,17 +111,18 @@ class Supervisor {
 
   Supervisor(Kernel& kernel, const SupervisorConfig& cfg);
 
+  /// Forwarded (non-fatal) guest faults before health drops to degraded.
+  static constexpr u32 kDegradeFaults = 16;
+
   /// Place `pd` under supervision. The factory builds replacement guests on
-  /// restart; `policy` overrides the config-derived defaults when non-null.
-  /// Records the VM's current IVC channel memberships for later re-binding.
-  /// Returns the slot index.
-  u32 watch(ProtectionDomain& pd, GuestFactory factory,
-            const SupervisorPolicy* policy = nullptr);
+  /// restart. Records the VM's current IVC channel memberships for later
+  /// re-binding. Returns the slot index.
+  u32 watch(ProtectionDomain& pd, GuestFactory factory);
 
   void set_observer(HealthObserver obs) { observer_ = std::move(obs); }
 
-  /// Config-derived default policy (what watch() uses absent an override).
-  SupervisorPolicy default_policy() const { return default_policy_; }
+  /// SupervisorConfig::max_restarts: the cap on `restarts_in_window`.
+  u32 max_restarts() const { return max_restarts_; }
 
   // ---- detector hooks (kernel-internal; all O(1) on the watched set) ----
   /// Progress signal: hypercall issued, IRQ acked, fault forwarded, or the
@@ -185,7 +170,11 @@ class Supervisor {
   void condemn(VmRecord& r);
 
   Kernel& kernel_;
-  SupervisorPolicy default_policy_;
+  // SupervisorConfig, converted to cycles once.
+  const cycles_t watchdog_cycles_;  // 0 = watchdog off
+  const u32 max_restarts_;
+  const cycles_t restart_window_cycles_;
+  const cycles_t backoff_base_cycles_;
   HealthObserver observer_;
   std::vector<VmRecord> records_;
   u32 condemned_count_ = 0;  // fast-path gate for condemned()

@@ -41,10 +41,6 @@ bool VGic::register_irq(u32 irq) {
   return false;
 }
 
-void VGic::unregister_irq(u32 irq) {
-  if (VirqRecord* r = find(irq)) *r = VirqRecord{};
-}
-
 void VGic::enable(u32 irq) {
   if (VirqRecord* r = find(irq)) r->enabled = true;
 }

@@ -44,7 +44,6 @@ class VGic {
   /// Register an IRQ source for this VM (idempotent). Returns false when
   /// the record list is full.
   bool register_irq(u32 irq);
-  void unregister_irq(u32 irq);
   bool is_registered(u32 irq) const { return find(irq) != nullptr; }
 
   /// Guest-controlled virtual enable state (via hypercalls).

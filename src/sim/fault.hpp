@@ -90,7 +90,6 @@ class FaultInjector {
                 const FaultConfig& cfg = {});
 
   bool enabled() const { return cfg_.enabled; }
-  void set_enabled(bool on) { cfg_.enabled = on; }
 
   /// Probe the site: true when the fault fires for this attempt. Advances
   /// the site's attempt counter and RNG stream (only while enabled).

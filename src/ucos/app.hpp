@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "cpu/code_region.hpp"
 #include "hwtask/library.hpp"
@@ -20,11 +19,7 @@ inline constexpr u32 kTickUs = 1000;  // uC/OS-II timer tick period
 struct GuestConfig {
   u32 vm_index = 0;       // which physical slab a guest boots from
   u64 seed = 1;
-  bool run_thw = true;    // the hardware-task requester task
   u32 thw_period_ticks = 25;  // pause between T_hw request cycles
-  bool run_adpcm = true;
-  bool run_gsm = true;
-  std::vector<hwtask::TaskId> task_set;  // empty = full FFT+QAM set
 };
 
 /// The application's tasks on one uC/OS-II kernel. Text is placed in
@@ -36,9 +31,7 @@ class App {
   App(Kernel& os, cpu::CodeLayout& code, const hwtask::TaskLibrary& library,
       const GuestConfig& cfg, vaddr_t user, u32 stagger);
 
-  const workloads::ThwStats* thw_stats() const {
-    return thw_ ? &thw_->stats() : nullptr;
-  }
+  const workloads::ThwStats* thw_stats() const { return &thw_->stats(); }
 
  private:
   std::unique_ptr<workloads::ThwWorkload> thw_;

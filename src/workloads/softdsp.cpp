@@ -33,19 +33,6 @@ cycles_t soft_fft(Services& svc, vaddr_t buffer_va, u32 points,
   return cycles_t((after - before) * 660.0);  // us -> cycles at 660 MHz
 }
 
-u32 soft_qam(Services& svc, vaddr_t in_va, u32 bits_bytes, vaddr_t out_va,
-             u32 order, const SoftDspCosts& costs) {
-  std::vector<u8> in(bits_bytes);
-  if (!svc.read_block(in_va, in)) return 0;
-
-  hwtask::QamCore core(order);
-  const auto out = core.process(in);
-
-  svc.spend_insns(u64(out.size() / 8) * costs.insns_per_symbol);
-  if (!svc.write_block(out_va, out)) return 0;
-  return u32(out.size() / 8);
-}
-
 u32 soft_task_equivalent(Services& svc, const hwtask::TaskLibrary& library,
                          hwtask::TaskId task, vaddr_t in_va, u32 in_bytes,
                          vaddr_t out_va, const SoftDspCosts& costs) {

@@ -30,11 +30,6 @@ struct SoftDspCosts {
 cycles_t soft_fft(Services& svc, vaddr_t buffer_va, u32 points,
                   const SoftDspCosts& costs = {});
 
-/// QAM-map `bits_bytes` of payload at `in_va` to I/Q pairs at `out_va` in
-/// software. Returns the symbol count produced.
-u32 soft_qam(Services& svc, vaddr_t in_va, u32 bits_bytes, vaddr_t out_va,
-             u32 order, const SoftDspCosts& costs = {});
-
 /// Run the software equivalent of hardware task `task`: read `in_bytes` of
 /// input at `in_va`, process with the task's behavioral core (bit-identical
 /// to the accelerator), charge the FFT/QAM CPU cost model, write the result

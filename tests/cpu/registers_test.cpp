@@ -15,10 +15,10 @@ TEST(RegisterFile, LowRegistersSharedAcrossModes) {
 
 TEST(RegisterFile, SpLrBankedPerMode) {
   RegisterFile rf;
-  rf.set_sp(Mode::kUsr, 0x1000);
-  rf.set_sp(Mode::kSvc, 0x2000);
-  rf.set_sp(Mode::kIrq, 0x3000);
-  rf.set_lr(Mode::kSvc, 0xAAAA);
+  rf.set(Mode::kUsr, 13, 0x1000);
+  rf.set(Mode::kSvc, 13, 0x2000);
+  rf.set(Mode::kIrq, 13, 0x3000);
+  rf.set(Mode::kSvc, 14, 0xAAAA);
   EXPECT_EQ(rf.sp(Mode::kUsr), 0x1000u);
   EXPECT_EQ(rf.sp(Mode::kSvc), 0x2000u);
   EXPECT_EQ(rf.sp(Mode::kIrq), 0x3000u);
@@ -28,7 +28,7 @@ TEST(RegisterFile, SpLrBankedPerMode) {
 
 TEST(RegisterFile, SysSharesUsrBank) {
   RegisterFile rf;
-  rf.set_sp(Mode::kUsr, 0x1234);
+  rf.set(Mode::kUsr, 13, 0x1234);
   EXPECT_EQ(rf.sp(Mode::kSys), 0x1234u);
 }
 

@@ -23,12 +23,13 @@ using sim::FaultSite;
 
 class RetryTest : public ::testing::Test {
  protected:
-  explicit RetryTest(PlatformConfig pcfg = {})
+  // Fault sites default to p = 0: injection is inert until a test arms a
+  // site.
+  explicit RetryTest(PlatformConfig pcfg = {.fault = {.enabled = true}})
       : platform_(pcfg), kernel_(platform_), manager_(kernel_) {
     manager_.install(/*priority=*/2);
     pd0_ = &kernel_.create_vm("vm0", 1, std::make_unique<StubGuest>());
     kernel_.run_for_us(100);
-    platform_.fault().set_enabled(true);  // sites default to p=0: inert
   }
 
   nova::HypercallResult request(hwtask::TaskId task) {
@@ -184,6 +185,7 @@ class SingleRegionRetryTest : public RetryTest {
  protected:
   static PlatformConfig single_region() {
     PlatformConfig cfg;
+    cfg.fault.enabled = true;
     cfg.large_prrs = 1;
     cfg.small_prrs = 0;
     return cfg;

@@ -8,12 +8,12 @@ namespace minova::hwtask {
 namespace {
 
 TEST(TaskLibrary, PaperSetHasNineTasks) {
-  const TaskLibrary lib = TaskLibrary::paper_evaluation_set();
+  const TaskLibrary lib = TaskLibrary::evaluation_set(2, 2);
   EXPECT_EQ(lib.size(), 9u);
 }
 
 TEST(TaskLibrary, FftTasksOnlyFitLargePrrs) {
-  const TaskLibrary lib = TaskLibrary::paper_evaluation_set();
+  const TaskLibrary lib = TaskLibrary::evaluation_set(2, 2);
   for (TaskId id : {TaskLibrary::kFft256, TaskLibrary::kFft8192}) {
     const TaskInfo* info = lib.find(id);
     ASSERT_NE(info, nullptr);
@@ -22,7 +22,7 @@ TEST(TaskLibrary, FftTasksOnlyFitLargePrrs) {
 }
 
 TEST(TaskLibrary, QamTasksFitAllPrrs) {
-  const TaskLibrary lib = TaskLibrary::paper_evaluation_set();
+  const TaskLibrary lib = TaskLibrary::evaluation_set(2, 2);
   for (TaskId id :
        {TaskLibrary::kQam4, TaskLibrary::kQam16, TaskLibrary::kQam64}) {
     const TaskInfo* info = lib.find(id);
@@ -32,7 +32,7 @@ TEST(TaskLibrary, QamTasksFitAllPrrs) {
 }
 
 TEST(TaskLibrary, BitstreamSizesGrowWithFftSize) {
-  const TaskLibrary lib = TaskLibrary::paper_evaluation_set();
+  const TaskLibrary lib = TaskLibrary::evaluation_set(2, 2);
   u32 prev = 0;
   for (TaskId id = TaskLibrary::kFft256; id <= TaskLibrary::kFft8192; ++id) {
     const TaskInfo* info = lib.find(id);
@@ -43,7 +43,7 @@ TEST(TaskLibrary, BitstreamSizesGrowWithFftSize) {
 }
 
 TEST(TaskLibrary, InstantiateProducesWorkingCore) {
-  const TaskLibrary lib = TaskLibrary::paper_evaluation_set();
+  const TaskLibrary lib = TaskLibrary::evaluation_set(2, 2);
   auto core = lib.instantiate(TaskLibrary::kFft1024);
   ASSERT_NE(core, nullptr);
   EXPECT_EQ(core->name(), "FFT-1024");
@@ -53,13 +53,13 @@ TEST(TaskLibrary, InstantiateProducesWorkingCore) {
 }
 
 TEST(TaskLibrary, FindUnknownReturnsNull) {
-  const TaskLibrary lib = TaskLibrary::paper_evaluation_set();
+  const TaskLibrary lib = TaskLibrary::evaluation_set(2, 2);
   EXPECT_EQ(lib.find(999), nullptr);
   EXPECT_EQ(lib.find(kInvalidTask), nullptr);
 }
 
 TEST(TaskLibrary, IdsSortedAndStable) {
-  const TaskLibrary lib = TaskLibrary::paper_evaluation_set();
+  const TaskLibrary lib = TaskLibrary::evaluation_set(2, 2);
   const auto ids = lib.ids();
   ASSERT_EQ(ids.size(), 9u);
   EXPECT_EQ(ids.front(), TaskLibrary::kFft256);

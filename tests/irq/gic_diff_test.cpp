@@ -2,7 +2,7 @@
 // candidate set as a bitmap and visits only the set bits, must answer every
 // query exactly like `RefGic`, a linear scan over all interrupts that lives
 // only here. After every operation of seeded random traces (enable/disable,
-// raise/clear, acknowledge under several CPU masks, EOI, priority, target
+// raise, acknowledge under several CPU masks, EOI, priority, target
 // and priority-mask writes) both must agree on the acknowledged ID, the
 // per-CPU assertion, the line state and the sequence of line edges. This is
 // what keeps the candidate set invisible to every simulated number
@@ -25,7 +25,6 @@ class RefGic {
   void enable(u32 id) { state_[id].enabled = true; update_line(); }
   void disable(u32 id) { state_[id].enabled = false; update_line(); }
   void raise(u32 id) { state_[id].pending = true; update_line(); }
-  void clear_pending(u32 id) { state_[id].pending = false; update_line(); }
   void eoi(u32 id) { state_[id].active = false; update_line(); }
   void set_priority(u32 id, u8 p) { state_[id].prio = p; update_line(); }
   void set_target_mask(u32 id, u8 m) { state_[id].targets = m; update_line(); }
@@ -105,9 +104,6 @@ void run_campaign(u64 seed, u32 num_irqs, u64 steps) {
     } else if (op < 44) {
       gic.raise(id);
       ref.raise(id);
-    } else if (op < 50) {
-      gic.clear_pending(id);
-      ref.clear_pending(id);
     } else if (op < 70) {
       const u8 mask = pick(kCpuMasks);
       const u32 got = gic.acknowledge_for(mask);

@@ -90,14 +90,6 @@ TEST(Gic, IrqLineCallbackEdges) {
   EXPECT_FALSE(state);
 }
 
-TEST(Gic, ClearPendingDropsIrq) {
-  Gic gic;
-  gic.enable_irq(61);
-  gic.raise(61);
-  gic.clear_pending(61);
-  EXPECT_FALSE(gic.irq_asserted());
-}
-
 TEST(Gic, Counters) {
   Gic gic;
   gic.enable_irq(61);

@@ -9,11 +9,13 @@
 #include "nova/kernel.hpp"
 #include "nova/portal.hpp"
 #include "nova/trap.hpp"
+#include "null_hw_service.hpp"
 #include "stub_guest.hpp"
 
 namespace minova::nova {
 namespace {
 
+using testing::NullHwService;
 using testing::StubGuest;
 
 std::unique_ptr<StubGuest> idle_guest() {
@@ -92,18 +94,6 @@ TEST(PortalTableTest, CostClassesMatchTheBootTimeLayout) {
 }
 
 // ---- gate-level denial ------------------------------------------------------
-
-class NullHwService final : public HwService {
- public:
-  HcStatus handle_request(GuestContext&, const HwTaskRequest&,
-                          u32&) override {
-    return HcStatus::kSuccess;
-  }
-  HcStatus handle_release(GuestContext&, PdId, hwtask::TaskId) override {
-    return HcStatus::kSuccess;
-  }
-  u32 query_reconfig(PdId) override { return 0; }
-};
 
 TEST(PortalGateTest, ManagerWithoutHwClientCapIsDeniedUniformly) {
   Platform platform;

@@ -12,23 +12,14 @@
 #include "nova/inspector.hpp"
 #include "nova/kernel.hpp"
 #include "nova/kmem.hpp"
+#include "null_hw_service.hpp"
 #include "stub_guest.hpp"
 
 namespace minova::nova {
 namespace {
 
+using testing::NullHwService;
 using testing::StubGuest;
-
-class NullHwService final : public HwService {
- public:
-  HcStatus handle_request(GuestContext&, const HwTaskRequest&, u32&) override {
-    return HcStatus::kSuccess;
-  }
-  HcStatus handle_release(GuestContext&, PdId, hwtask::TaskId) override {
-    return HcStatus::kSuccess;
-  }
-  u32 query_reconfig(PdId) override { return 0; }
-};
 
 constexpr vaddr_t kProbeVa = 0x4000'0000u;
 
@@ -121,7 +112,10 @@ TEST(SmpShootdownTest, CrossCoreUnmapInvalidatesRemoteUtlbBeforeNextRead) {
   // succeeded after the unmap, from either core's bank.
   EXPECT_GT(st.fail_stale, 0u) << "probe guest never ran after the unmap";
   EXPECT_EQ(st.ok_stale, 0u) << "stale uTLB entry survived the shootdown";
-  EXPECT_GT(platform.stats().counter_value("kernel.smp.shootdown_acks"), 0u);
+  u64 acked = 0;
+  for (u32 c = 0; c < insp.num_cores(); ++c)
+    acked += insp.core(c).shootdowns_acked();
+  EXPECT_GT(acked, 0u);
 }
 
 TEST(SmpShootdownTest, RepeatedUnmapsKeepCompletionAccountingBalanced) {

@@ -12,23 +12,14 @@
 
 #include "nova/inspector.hpp"
 #include "nova/kernel.hpp"
+#include "null_hw_service.hpp"
 #include "stub_guest.hpp"
 
 namespace minova::nova {
 namespace {
 
+using testing::NullHwService;
 using testing::StubGuest;
-
-class NullHwService final : public HwService {
- public:
-  HcStatus handle_request(GuestContext&, const HwTaskRequest&, u32&) override {
-    return HcStatus::kSuccess;
-  }
-  HcStatus handle_release(GuestContext&, PdId, hwtask::TaskId) override {
-    return HcStatus::kSuccess;
-  }
-  u32 query_reconfig(PdId) override { return 0; }
-};
 
 StubGuest::StepFn burn_step() {
   return [](GuestContext& ctx, cycles_t budget) {

@@ -53,14 +53,20 @@ StubGuest::StepFn polite_step() {
 
 class SupervisorTest : public ::testing::Test {
  protected:
-  SupervisorTest() {
+  SupervisorTest() { boot(/*max_restarts=*/2); }
+
+  /// Rebuild the platform and kernel; 0 restarts quarantines a slot on its
+  /// first crash.
+  void boot(u32 max_restarts) {
     KernelConfig kcfg;
     kcfg.supervisor.enabled = true;
     kcfg.supervisor.watchdog_us = 2'000.0;
-    kcfg.supervisor.max_restarts = 2;
+    kcfg.supervisor.max_restarts = max_restarts;
     kcfg.supervisor.restart_window_us = 1'000'000.0;  // window never rolls
     kcfg.supervisor.backoff_base_us = 200.0;
-    kernel_ = std::make_unique<Kernel>(platform_, kcfg);
+    kernel_.reset();
+    platform_ = std::make_unique<Platform>();
+    kernel_ = std::make_unique<Kernel>(*platform_, kcfg);
   }
 
   ProtectionDomain* make_vm(const std::string& name, StubGuest::StepFn fn,
@@ -73,11 +79,12 @@ class SupervisorTest : public ::testing::Test {
     return [fn](u32) { return std::make_unique<StubGuest>(fn); };
   }
 
-  Platform platform_;
+  std::unique_ptr<Platform> platform_;
   std::unique_ptr<Kernel> kernel_;
 };
 
 TEST_F(SupervisorTest, FatalTrapContainsOnlyTheVictim) {
+  boot(/*max_restarts=*/0);
   bool armed = true;
   ProtectionDomain* crasher =
       make_vm("crasher", crasher_step(&armed, FatalKind::kUndefinedInsn));
@@ -87,21 +94,18 @@ TEST_F(SupervisorTest, FatalTrapContainsOnlyTheVictim) {
 
   Supervisor* sup = kernel_->supervisor();
   ASSERT_NE(sup, nullptr);
-  SupervisorPolicy no_restart = sup->default_policy();
-  no_restart.restart = false;
-  const u32 slot = sup->watch(*crasher, stub_factory(polite_step()),
-                              &no_restart);
+  const u32 slot = sup->watch(*crasher, stub_factory(polite_step()));
 
   kernel_->run_for_us(10'000);
 
   // The victim is gone — reaped through the full destroy_vm teardown — and
-  // its slot is quarantined (restart=false means the first crash retires it).
+  // its slot is quarantined (max_restarts = 0: the first crash retires it).
   EXPECT_EQ(kernel_->pd_by_id(crasher_id), nullptr);
   EXPECT_EQ(sup->record(slot).health, VmHealth::kQuarantined);
   EXPECT_FALSE(sup->record(slot).live);
   EXPECT_EQ(sup->stats().crashes, 1u);
   EXPECT_EQ(sup->stats().quarantines, 1u);
-  EXPECT_EQ(platform_.stats().counter_value("kernel.supervisor.crashes"), 1u);
+  EXPECT_EQ(platform_->stats().counter_value("kernel.supervisor.crashes"), 1u);
 
   // The host kernel survived and the healthy VM kept running.
   const u64 before = healthy_guest->steps;
@@ -111,9 +115,8 @@ TEST_F(SupervisorTest, FatalTrapContainsOnlyTheVictim) {
 }
 
 TEST_F(SupervisorTest, EachFatalKindIsContained) {
+  boot(/*max_restarts=*/0);
   Supervisor* sup = kernel_->supervisor();
-  SupervisorPolicy no_restart = sup->default_policy();
-  no_restart.restart = false;
   u64 expected = 0;
   for (FatalKind kind : {FatalKind::kUndefinedInsn, FatalKind::kPrefetchAbort,
                          FatalKind::kDataAbort}) {
@@ -121,7 +124,7 @@ TEST_F(SupervisorTest, EachFatalKindIsContained) {
     ProtectionDomain* vm = make_vm("crash" + std::to_string(expected),
                                    crasher_step(&armed, kind));
     const PdId id = vm->id();
-    sup->watch(*vm, stub_factory(polite_step()), &no_restart);
+    sup->watch(*vm, stub_factory(polite_step()));
     kernel_->run_for_us(10'000);
     ++expected;
     EXPECT_EQ(kernel_->pd_by_id(id), nullptr) << "kind " << int(kind);
@@ -130,17 +133,14 @@ TEST_F(SupervisorTest, EachFatalKindIsContained) {
 }
 
 TEST_F(SupervisorTest, WatchdogCondemnsSpinnerAndSparesPoliteGuest) {
+  boot(/*max_restarts=*/0);
   ProtectionDomain* spinner = make_vm("spinner", spinner_step());
   ProtectionDomain* polite = make_vm("polite", polite_step());
   const PdId spinner_id = spinner->id();
 
   Supervisor* sup = kernel_->supervisor();
-  SupervisorPolicy no_restart = sup->default_policy();
-  no_restart.restart = false;
-  const u32 spin_slot = sup->watch(*spinner, stub_factory(polite_step()),
-                                   &no_restart);
-  const u32 polite_slot = sup->watch(*polite, stub_factory(polite_step()),
-                                     &no_restart);
+  const u32 spin_slot = sup->watch(*spinner, stub_factory(polite_step()));
+  const u32 polite_slot = sup->watch(*polite, stub_factory(polite_step()));
 
   kernel_->run_for_us(50'000);
 
@@ -178,7 +178,7 @@ TEST_F(SupervisorTest, CrashLoopRestartsWithBackoffThenQuarantines) {
   EXPECT_EQ(r.incarnation, 2u);
   EXPECT_EQ(r.health, VmHealth::kQuarantined);
   EXPECT_FALSE(r.live);
-  EXPECT_EQ(platform_.stats().counter_value("kernel.supervisor.restarts"), 2u);
+  EXPECT_EQ(platform_->stats().counter_value("kernel.supervisor.restarts"), 2u);
   EXPECT_EQ(kernel_->vms_destroyed(), 3u);
 }
 
@@ -208,6 +208,7 @@ TEST_F(SupervisorTest, RestartedSlotRecoversWhenGuestBehaves) {
 }
 
 TEST_F(SupervisorTest, QuarantineReclaimsKernelObjects) {
+  boot(/*max_restarts=*/0);
   // Baseline after the healthy VM exists; the crasher's whole footprint
   // (heap blocks, control block, PD slot) must return to it.
   ProtectionDomain* healthy = make_vm("healthy", polite_step());
@@ -220,9 +221,7 @@ TEST_F(SupervisorTest, QuarantineReclaimsKernelObjects) {
   ProtectionDomain* crasher =
       make_vm("crasher", crasher_step(&armed, FatalKind::kDataAbort));
   Supervisor* sup = kernel_->supervisor();
-  SupervisorPolicy no_restart = sup->default_policy();
-  no_restart.restart = false;
-  sup->watch(*crasher, stub_factory(polite_step()), &no_restart);
+  sup->watch(*crasher, stub_factory(polite_step()));
 
   // The healthy VM holds a full scheduler quantum (33 ms default) when the
   // crasher is created mid-run: give the window enough slices for the
@@ -258,7 +257,7 @@ TEST_F(SupervisorTest, RestartRebindsIvcChannel) {
   EXPECT_FALSE(ch.endpoint_dead(r.pd));
   ProtectionDomain* fresh = kernel_->pd_by_id(r.pd);
   ASSERT_NE(fresh, nullptr);
-  GuestContext ctx(*kernel_, *fresh, platform_.cpu());
+  GuestContext ctx(*kernel_, *fresh, platform_->cpu());
   EXPECT_EQ(ctx.hypercall(Hypercall::kIvcSend, ch_id, 42).status,
             HcStatus::kSuccess);
   // And the peer was notified of the original death: hangup virq latched.
@@ -273,7 +272,7 @@ TEST_F(SupervisorTest, HealthQueryHypercallPacksLiveState) {
   sup->watch(*vm, stub_factory(polite_step()));
   kernel_->run_for_us(1'000);
 
-  GuestContext ctx(*kernel_, *vm, platform_.cpu());
+  GuestContext ctx(*kernel_, *vm, platform_->cpu());
   auto res = ctx.hypercall(Hypercall::kRegRead, kSvcHealthQuery,
                            kSvcHealthSelf);
   ASSERT_EQ(res.status, HcStatus::kSuccess);
@@ -281,16 +280,16 @@ TEST_F(SupervisorTest, HealthQueryHypercallPacksLiveState) {
 
   // Degrade via forwarded faults; the query must reflect both the health
   // transition and the fault count.
-  for (u32 i = 0; i < sup->default_policy().degrade_faults; ++i)
+  for (u32 i = 0; i < Supervisor::kDegradeFaults; ++i)
     sup->on_forwarded_fault(vm->id());
   res = ctx.hypercall(Hypercall::kRegRead, kSvcHealthQuery, kSvcHealthSelf);
   ASSERT_EQ(res.status, HcStatus::kSuccess);
   EXPECT_EQ(res.r1 >> 28, u32(VmHealth::kDegraded));
-  EXPECT_EQ(res.r1 & 0xFFFFu, sup->default_policy().degrade_faults);
+  EXPECT_EQ(res.r1 & 0xFFFFu, Supervisor::kDegradeFaults);
 
   // Unwatched targets are kNotFound; the legacy sysregs path still works.
   ProtectionDomain* other = make_vm("other", polite_step());
-  GuestContext octx(*kernel_, *other, platform_.cpu());
+  GuestContext octx(*kernel_, *other, platform_->cpu());
   EXPECT_EQ(octx.hypercall(Hypercall::kRegRead, kSvcHealthQuery,
                            kSvcHealthSelf)
                 .status,

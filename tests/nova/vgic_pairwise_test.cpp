@@ -21,11 +21,13 @@
 
 #include "core/platform.hpp"
 #include "nova/kernel.hpp"
+#include "null_hw_service.hpp"
 #include "stub_guest.hpp"
 
 namespace minova::nova {
 namespace {
 
+using testing::NullHwService;
 using testing::StubGuest;
 
 /// One self-contained rig: 8 vGICs with index-derived interrupt patterns
@@ -127,17 +129,6 @@ TEST(VGicPairwiseSweep, VirtualOnlySourcesNeverReachTheDistributor) {
 }
 
 // ---- kernel-level forced IRQ-entry injection --------------------------------
-
-class NullHwService final : public HwService {
- public:
-  HcStatus handle_request(GuestContext&, const HwTaskRequest&, u32&) override {
-    return HcStatus::kSuccess;
-  }
-  HcStatus handle_release(GuestContext&, PdId, hwtask::TaskId) override {
-    return HcStatus::kSuccess;
-  }
-  u32 query_reconfig(PdId) override { return 0; }
-};
 
 TEST(VGicKernelInjection, PhysicalPlIrqForcesOwnersIrqEntryOnly) {
   Platform platform;

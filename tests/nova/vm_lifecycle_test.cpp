@@ -11,23 +11,14 @@
 #include <memory>
 #include <string>
 
+#include "null_hw_service.hpp"
 #include "stub_guest.hpp"
 
 namespace minova::nova {
 namespace {
 
+using testing::NullHwService;
 using testing::StubGuest;
-
-class NullHwService final : public HwService {
- public:
-  HcStatus handle_request(GuestContext&, const HwTaskRequest&, u32&) override {
-    return HcStatus::kSuccess;
-  }
-  HcStatus handle_release(GuestContext&, PdId, hwtask::TaskId) override {
-    return HcStatus::kSuccess;
-  }
-  u32 query_reconfig(PdId) override { return 0; }
-};
 
 class VmLifecycleTest : public ::testing::Test {
  protected:

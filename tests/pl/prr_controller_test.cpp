@@ -16,7 +16,7 @@ class PlTest : public ::testing::Test {
  protected:
   PlTest()
       : dram_(0, 32 * kMiB),
-        library_(hwtask::TaskLibrary::paper_evaluation_set()),
+        library_(hwtask::TaskLibrary::evaluation_set(2, 2)),
         ctl_(clock_, events_, gic_, bus_, library_, /*num_prrs=*/4),
         pcap_(clock_, events_, gic_, ctl_) {
     bus_.add_ram(&dram_);

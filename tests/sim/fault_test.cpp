@@ -198,21 +198,5 @@ TEST(FaultInjectorTest, SiteNamesAreStableAndDistinct) {
   EXPECT_STREQ(fault_site_name(FaultSite::kCount), "?");
 }
 
-TEST(FaultInjectorTest, SetEnabledTogglesInjection) {
-  Clock clock;
-  StatsRegistry stats;
-  FaultConfig cfg = config_with(FaultSite::kPcapCrc, 1.0);
-  cfg.enabled = false;
-  FaultInjector fault(clock, stats, cfg);
-
-  EXPECT_FALSE(fault.enabled());
-  EXPECT_FALSE(fault.should_fail(FaultSite::kPcapCrc));
-  fault.set_enabled(true);
-  EXPECT_TRUE(fault.should_fail(FaultSite::kPcapCrc));
-  fault.set_enabled(false);
-  EXPECT_FALSE(fault.should_fail(FaultSite::kPcapCrc));
-  EXPECT_EQ(fault.attempts(FaultSite::kPcapCrc), 1u);  // only while enabled
-}
-
 }  // namespace
 }  // namespace minova::sim

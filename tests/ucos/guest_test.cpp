@@ -48,21 +48,6 @@ TEST(UcosGuestPort, WorkloadsProgressConcurrently) {
   EXPECT_EQ(thw->validation_failures, 0u);
 }
 
-TEST(UcosGuestPort, DisablingWorkloadsLeavesIdleGuest) {
-  SystemConfig cfg;
-  cfg.num_guests = 1;
-  cfg.guest_template.run_thw = false;
-  cfg.guest_template.run_adpcm = false;
-  cfg.guest_template.run_gsm = false;
-  VirtualizedSystem sys(cfg);
-  sys.run_for_us(30'000);
-  // Only the tick runs: the guest parks between timer interrupts and the
-  // hardware-task machinery stays untouched.
-  EXPECT_EQ(sys.guest(0).os().stats().units_run, 0u);
-  EXPECT_GT(sys.guest(0).os().tick_count(), 20u);
-  EXPECT_EQ(sys.platform().pcap().transfers_completed(), 0u);
-}
-
 TEST(UcosGuestPort, ThwVoluntaryReleasesHappen) {
   SystemConfig cfg;
   cfg.num_guests = 2;

@@ -7,7 +7,6 @@
 
 #include "core/platform.hpp"
 #include "hwtask/fft_core.hpp"
-#include "hwtask/qam_core.hpp"
 
 namespace minova::workloads {
 namespace {
@@ -82,20 +81,6 @@ TEST(SoftDsp, FftCostScalesSuperlinearly) {
   const double big_us = platform.clock().now_us() - t1;
   // 8x points, 13/10 stage ratio -> > 8x cost (N log N).
   EXPECT_GT(big_us, small_us * 8.0);
-}
-
-TEST(SoftDsp, QamMatchesHardwareCore) {
-  Platform platform;
-  FlatSvc svc(platform);
-  std::vector<u8> bits(96);
-  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = u8(i * 17);
-  ASSERT_TRUE(svc.write_block(0x10000, bits));
-  const u32 symbols = soft_qam(svc, 0x10000, u32(bits.size()), 0x20000, 16);
-  EXPECT_EQ(symbols, 96u * 8 / 4);
-  std::vector<u8> out(symbols * 8);
-  ASSERT_TRUE(svc.read_block(0x20000, out));
-  hwtask::QamCore core(16);
-  EXPECT_EQ(out, core.process(bits));
 }
 
 TEST(SoftDsp, SoftTaskEquivalentBitIdenticalForEveryLibraryTask) {

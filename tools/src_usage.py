@@ -3,7 +3,7 @@
 
     python3 tools/src_usage.py [REPO_ROOT]
 
-Three listings over the C++ of src/ bench/ perfbench/ tests/ examples/,
+Four listings over the C++ of src/ bench/ perfbench/ tests/ examples/,
 with comments, string and character literals stripped first:
 
 1. Header check: a src/ header that no file outside tests/ includes.
@@ -11,15 +11,21 @@ with comments, string and character literals stripped first:
    enum, enumerator, function, field, constant or alias) that no other
    token of those trees names. Declarations and out-of-line definitions
    of the name, and parameter names, do not count as naming it.
-3. Named only by tests/: a name from check 2 that tests/ names and no
+3. Option check: a field of a src/ struct or class named `*Config`,
+   `*Policy` or `*Options` that no file outside tests/ writes. A write is
+   a member access (`.f`, `->f`, or a designated initializer) followed by
+   an assignment, a compound assignment or `++`/`--`, preceded by `&`,
+   `++` or `--`, or followed by a mutating call such as `.push_back(`.
+   Such a field is a constant, not an option.
+4. Named only by tests/: a name from check 2 that tests/ names and no
    file of src/ bench/ perfbench/ examples/ does. Informational.
 
 Names are matched as identifiers, not resolved: a name declared in two
-classes counts as used when either is.
+classes counts as used (or written) when either is.
 
 Exit status 1 when check 1 lists a header, when check 2 lists a name that
-is not in ALLOWLIST, or when an ALLOWLIST entry is no longer uncalled;
-0 otherwise.
+is not in ALLOWLIST, when an ALLOWLIST entry is no longer uncalled, or
+when check 3 lists a field; 0 otherwise.
 """
 
 import pathlib
@@ -50,6 +56,17 @@ NOT_FUNCTIONS = {
     "requires", "__attribute__", "operator",
 }
 ACCESS = {"public", "private", "protected"}
+# Structs whose fields are options a caller sets (check 3).
+OPTION_STRUCT = re.compile(r"\w+(Config|Policy|Options)$")
+# Member calls that modify the member they are called on.
+MUTATORS = {"push_back", "emplace_back", "pop_back", "insert", "emplace",
+            "erase", "assign", "resize", "reserve", "clear", "fill", "swap",
+            "append"}
+# First characters of the compound assignments the tokenizer splits from
+# their `=` (`<<=` and `>>=` are matched apart).
+COMPOUND = {"+", "-", "*", "/", "%", "|", "&", "^"}
+# Tokens after which `&` is the address-of operator, not bitwise and.
+UNARY_LEADS = {"(", ",", "=", "{", "[", "?", ":", "return", ";"}
 # Tokens after which an identifier names a type, not a parameter.
 TYPE_LEADS = {"(", ",", "::", "const", "volatile", "struct", "class",
               "typename", "unsigned", "signed"}
@@ -134,6 +151,7 @@ class Scanner:
         self.toks = toks
         self.decls = []  # token indices that declare a name
         self.params = set()  # token indices naming a parameter
+        self.fields = []  # (class name, token index) of each data member
 
     def text(self, k):
         return self.toks[k]
@@ -275,17 +293,19 @@ class Scanner:
         # Variables and fields: the last name before `=`, `[` or `:` of each
         # comma-separated declarator.
         end = first_eq if first_eq is not None else len(stmt)
+        field = cls is not None and \
+            not {"static", "constexpr", "typedef"} & set(words)
         declarator = []
         for k, depth in top_level(stmt[:end], self.toks):
             w = self.text(k)
             if depth == 0 and w == ",":
-                self.declare_last(declarator)
+                self.declare_last(declarator, cls if field else None)
                 declarator = []
             elif depth == 0 or w == "[":
                 declarator.append(k)
-        self.declare_last(declarator)
+        self.declare_last(declarator, cls if field else None)
 
-    def declare_last(self, declarator):
+    def declare_last(self, declarator, cls=None):
         for k in declarator:
             if self.text(k) in ("[", ":"):
                 break
@@ -294,6 +314,8 @@ class Scanner:
             last = declarator[-1] if declarator else None
         if last is not None and is_ident(self.text(last)):
             self.declare(last)
+            if cls is not None:
+                self.fields.append((cls, last))
 
     def function(self, stmt, words, paren, cls):
         if paren == 0 or any(w in NOT_FUNCTIONS for w in words[:paren + 1]):
@@ -318,6 +340,58 @@ class Scanner:
                 self.params.add(stmt[k])
 
 
+def skip_brackets(toks, j):
+    """Index just past the `[...]` group opening at `j`."""
+    depth = 0
+    while j < len(toks):
+        depth += (toks[j] == "[") - (toks[j] == "]")
+        j += 1
+        if depth == 0:
+            break
+    return j
+
+
+def written_members(toks):
+    """Identifiers that a member access in `toks` writes (see check 3)."""
+    out = set()
+    n = len(toks)
+    for k in range(1, n):
+        if not is_ident(toks[k]) or toks[k - 1] not in (".", "->"):
+            continue
+        # Forward over the rest of the access chain: `.m`, `->m`, `[i]`.
+        j = k + 1
+        write = False
+        while j < n:
+            if toks[j] in (".", "->") and j + 1 < n and is_ident(toks[j + 1]):
+                if toks[j + 1] in MUTATORS and j + 2 < n and toks[j + 2] == "(":
+                    write = True
+                    break
+                j += 2
+            elif toks[j] == "[":
+                j = skip_brackets(toks, j)
+            else:
+                break
+        if not write and j + 1 < n:
+            a, b = toks[j], toks[j + 1]
+            c = toks[j + 2] if j + 2 < n else ""
+            write = (a == "=" and b != "=") \
+                or (a in COMPOUND and b == "=") \
+                or (a in ("<", ">") and b == a and c == "=") \
+                or (a in ("+", "-") and b == a)
+        # Backward to the start of the chain for a prefix `&`, `++`, `--`.
+        i = k - 1
+        while i >= 1 and toks[i] in (".", "->") and is_ident(toks[i - 1]):
+            i -= 2
+        i += 1  # first token of the chain
+        if not write and i >= 2:
+            p, q = toks[i - 1], toks[i - 2]
+            write = (p == "&" and q in UNARY_LEADS) \
+                or (p in ("+", "-") and q == p)
+        if write:
+            out.add(toks[k])
+    return out
+
+
 def rel(path, root):
     return path.relative_to(root).as_posix()
 
@@ -331,6 +405,8 @@ def main(argv):
     includes = defaultdict(set)  # header path under src/ -> includer trees
     declared = defaultdict(set)  # name -> src/ headers declaring it
     uses = defaultdict(set)  # name -> trees that name it
+    options = []  # (src/ file, struct, field) of each option-struct field
+    written = set()  # member names a file outside tests/ writes
     for path in files:
         raw = path.read_text(encoding="utf-8", errors="replace")
         tree = rel(path, root).split("/")[0]
@@ -346,6 +422,11 @@ def main(argv):
         for t in tokenize(macros):
             if is_ident(t):
                 uses[t].add(tree)
+        if tree == "src":
+            options += [(rel(path, root), cls, toks[k])
+                        for cls, k in scan.fields if OPTION_STRUCT.match(cls)]
+        if tree != "tests":
+            written |= written_members(toks)
         decl_set = set(scan.decls)
         is_src_header = tree == "src" and path.suffix in (".hpp", ".h")
         for k, t in enumerate(toks):
@@ -385,6 +466,15 @@ def main(argv):
         failures += 1
         print(f"  {header}: {name}  (allowlisted, no longer uncalled: "
               "drop it from ALLOWLIST)")
+
+    unset = sorted({o for o in options if o[2] not in written})
+    failures += len(unset)
+    print("option check: fields of src/ *Config, *Policy and *Options structs "
+          "that no file outside tests/ writes")
+    for path, cls, name in unset:
+        print(f"  {path}: {cls}::{name}")
+    if not unset:
+        print("  (none)")
 
     print("named only by tests/: names declared in src/ headers that no file "
           "of " + " ".join(t + "/" for t in PROGRAM_TREES) + "names")
