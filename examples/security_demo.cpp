@@ -89,7 +89,7 @@ int main() {
                      mem::kPrrGlobalRegsBase, /*device flag=*/1);
   std::printf("  -> status=%d (%s)\n", int(poke.status),
               poke.ok() ? "SUCCEEDED (BAD!)"
-                        : "denied: map-other/device capability required");
+                        : "denied: a guest maps only its own slab");
 
   // Reclaim: the victim requests the same task.
   std::printf("\n[reclaim] victim requests QAM-4...\n");

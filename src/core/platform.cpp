@@ -25,15 +25,11 @@ Platform::Platform(const PlatformConfig& cfg)
                   &prrctl_);
   bus_.add_device(mem::kDevcfgBase, mem::kDevcfgSize, &pcap_);
   bus_.add_device(mem::kUart0Base, mem::kUartSize, &uart0_);
-  gic_.set_irq_line([this](bool asserted) { cpu().set_irq_line(asserted); });
   prrctl_.attach_fault_injector(&fault_);
   pcap_.attach_fault_injector(&fault_);
 }
 
-void Platform::pump() {
-  events_.run_due(clock_.now());
-  cpu().set_irq_line(gic_.irq_asserted());
-}
+void Platform::pump() { events_.run_due(clock_.now()); }
 
 void Platform::configure_lanes(u32 n) {
   while (num_lanes() < n) {

@@ -46,7 +46,7 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
-  /// Fire due device events and refresh the CPU's IRQ line.
+  /// Fire due device events.
   void pump();
 
   /// Advance idle time to the next device event (or `limit`), then pump.

@@ -104,11 +104,6 @@ class Core {
   cache::Tlb& tlb() { return tlb_; }
   mem::Bus& bus() { return bus_; }
 
-  // ---- IRQ line from the GIC ----
-  void set_irq_line(bool asserted) { irq_line_ = asserted; }
-  /// Line asserted and not masked by CPSR.I.
-  bool irq_deliverable() const { return irq_line_ && !cpsr_.irq_masked; }
-
  private:
   /// Where a data access landed when its page is bound RAM.
   struct HostWord {
@@ -144,7 +139,6 @@ class Core {
   Psr cpsr_;
   std::array<Psr, 7> spsr_{};
   VfpBank vfp_;
-  bool irq_line_ = false;
   std::array<FetchMemo, kFetchMemoSlots> fetch_memo_{};
 };
 

@@ -270,8 +270,8 @@ void InvariantSuite::check_irq_unmask(std::vector<Violation>& out) const {
 void InvariantSuite::check_sched_partition(std::vector<Violation>& out) const {
   // Under SMP the partition property is global: every live non-halted PD
   // appears exactly once across the union of *all* cores' run + suspend
-  // queues. Work stealing and migration move PDs between queues but must
-  // never duplicate or drop one.
+  // queues. Work stealing moves PDs between queues but must never
+  // duplicate or drop one.
   std::map<const ProtectionDomain*, u32> seen;  // pd -> queue appearances
   for (u32 c = 0; c < insp_.num_cores(); ++c) {
     const auto& sched = insp_.core(c).runqueue();
@@ -573,10 +573,10 @@ void InvariantSuite::check_asid_uniqueness(std::vector<Violation>& out) const {
 
 // ---- (13) queue membership agrees with core affinity ------------------------
 //
-// Work stealing and migration are the only paths that move a PD between
-// cores, and both update run_core under the same "lock" (the take/enqueue
-// pair). A PD sitting in core i's queues with run_core != i means one of
-// those paths half-completed — the SMP analogue of a lost queue lock.
+// Work stealing is the only path that moves a PD between cores, and it
+// updates run_core under the same "lock" (the take/enqueue pair). A PD
+// sitting in core i's queues with run_core != i means a steal
+// half-completed — the SMP analogue of a lost queue lock.
 void InvariantSuite::check_core_partition(std::vector<Violation>& out) const {
   const ProtectionDomain* manager = insp_.manager();
   for (u32 c = 0; c < insp_.num_cores(); ++c) {

@@ -33,7 +33,6 @@ struct Args {
   bool single = false;  // --seed given: replay exactly one scenario
   minova::u64 seed = 0;
   minova::u64 steps = 5000;
-  minova::u64 heavy = 64;
   minova::u64 sabotage = 0;
   Oracle sabotage_oracle = Oracle::kQuantumBound;
   bool hw_sched = false;
@@ -51,11 +50,10 @@ struct Args {
 
 constexpr const char* kUsage =
     "usage: mininova_fuzz [--seed-base N] [--seeds N] [--seed N] [--steps N]\n"
-    "                     [--heavy N] [--sabotage STEP]\n"
-    "                     [--sabotage-oracle NAME] [--hw-sched]\n"
-    "                     [--supervisor] [--cores N] [--threads N]\n"
-    "                     [--compute] [--mt-check] [--lifecycle] [--shrink]\n"
-    "                     [--out DIR] [--verbose]\n";
+    "                     [--sabotage STEP] [--sabotage-oracle NAME]\n"
+    "                     [--hw-sched] [--supervisor] [--cores N]\n"
+    "                     [--threads N] [--compute] [--mt-check]\n"
+    "                     [--lifecycle] [--shrink] [--out DIR] [--verbose]\n";
 
 // A whole non-negative integer (decimal, or 0x-prefixed hex) that fits `T`.
 template <typename T>
@@ -93,8 +91,6 @@ bool parse(int argc, char** argv, Args& a) {
       a.single = true;
     } else if (arg == "--steps") {
       if (!num(a.steps)) return false;
-    } else if (arg == "--heavy") {
-      if (!num(a.heavy)) return false;
     } else if (arg == "--sabotage") {
       // Corrupt state at the given step: a self-test hook that demonstrates
       // detection, replay, and shrinking on a known-bad run.
@@ -216,7 +212,6 @@ int main(int argc, char** argv) {
     ScenarioOptions opts;
     opts.seed = first + i;
     opts.max_steps = a.steps;
-    opts.heavy_interval = a.heavy;
     opts.sabotage_step = a.sabotage;
     opts.sabotage_oracle = a.sabotage_oracle;
     opts.hw_sched = a.hw_sched;

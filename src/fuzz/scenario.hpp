@@ -26,8 +26,6 @@ struct ScenarioOptions {
   u64 seed = 1;
   /// Trap-exit/VM-switch events to observe before declaring the run clean.
   u64 max_steps = 5000;
-  /// Cadence of the scan-tier oracles (every N steps + once at the end).
-  u64 heavy_interval = 64;
 
   // Feature gates — the shrinker clears these to prune event classes.
   bool faults = true;   // seed-derived fault-injection probabilities (PR 1)

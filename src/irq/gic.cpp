@@ -76,7 +76,7 @@ void Gic::refresh(u32 id) {
 // priority, so ties go to the lowest ID exactly as a full scan would.
 int Gic::highest_pending(u8 cpu_mask) const {
   int best = -1;
-  u8 best_prio = priority_mask_;
+  u8 best_prio = kPriorityMask;
   for (u32 w = 0; w < candidates_.size(); ++w) {
     for (u64 bits = candidates_[w]; bits != 0; bits &= bits - 1) {
       const u32 i = w * 64 + u32(std::countr_zero(bits));
@@ -113,12 +113,10 @@ void Gic::update_line() {
   for (u32 w = 0; w < candidates_.size(); ++w) {
     for (u64 bits = candidates_[w]; bits != 0; bits &= bits - 1) {
       const IrqState& s = state_[w * 64 + u32(std::countr_zero(bits))];
-      if (s.prio < priority_mask_) cpus |= s.targets;
+      if (s.prio < kPriorityMask) cpus |= s.targets;
     }
   }
-  const bool was = irq_asserted();
   asserted_cpus_ = cpus;
-  if (irq_asserted() != was && irq_line_) irq_line_(irq_asserted());
 }
 
 }  // namespace minova::irq

@@ -2,13 +2,12 @@
 // Zynq-7000 MPCore).
 //
 // Models the distributor (per-interrupt enable/pending/active state and
-// priorities) and one CPU interface (acknowledge / end-of-interrupt /
-// priority masking). Mini-NOVA programs this interface directly; each vGIC
-// masks/unmasks its VM's interrupt set here on every VM switch (paper
+// priorities) and one CPU interface (acknowledge / end-of-interrupt, behind
+// a fixed priority mask). Mini-NOVA programs this interface directly; each
+// vGIC masks/unmasks its VM's interrupt set here on every VM switch (paper
 // §III.B) and writes EOI before injecting the virtual IRQ.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mem/address_map.hpp"
@@ -20,13 +19,7 @@ inline constexpr u32 kSpuriousIrq = 1023;
 
 class Gic {
  public:
-  /// `irq_line` is asserted/deasserted towards the CPU as the highest
-  /// pending-and-enabled priority rises above/falls below the mask.
-  using IrqLine = std::function<void(bool)>;
-
   explicit Gic(u32 num_irqs = mem::kNumIrqs);
-
-  void set_irq_line(IrqLine line) { irq_line_ = std::move(line); }
 
   // ---- Distributor ----
   void enable_irq(u32 id);
@@ -56,10 +49,9 @@ class Gic {
   u32 acknowledge_for(u8 cpu_mask);
   /// End of interrupt: drops the active state.
   void eoi(u32 id);
-  void set_priority_mask(u8 mask) { priority_mask_ = mask; update_line(); }
 
-  /// True when some enabled interrupt is pending above the mask (the state
-  /// of the nIRQ line towards the core).
+  /// True when some enabled interrupt is pending above the mask, for any
+  /// CPU interface.
   bool irq_asserted() const { return asserted_cpus_ != 0; }
   /// Per-CPU view of the same: pending, enabled, above the mask and
   /// targeted at a CPU in `cpu_mask`.
@@ -82,23 +74,25 @@ class Gic {
     u8 targets = 0x01;  // ICDIPTR reset: everything routes to CPU0
   };
 
+  /// ICCPMR at its reset value: the kernel never lowers it, so only
+  /// priority-0xFF sources are masked.
+  static constexpr u8 kPriorityMask = 0xFF;
+
   int highest_pending(u8 cpu_mask) const;  // index or -1
   /// Re-derive `id`'s bit in `candidates_` after its enable, pending or
   /// active bit changed.
   void refresh(u32 id);
-  /// Re-derive `asserted_cpus_` and drive the line on a change. Every
-  /// mutator ends here, so the queries above read a settled set.
+  /// Re-derive `asserted_cpus_`. Every mutator ends here, so the queries
+  /// above read a settled set.
   void update_line();
 
   std::vector<IrqState> state_;
   /// Bit i set <=> interrupt i is enabled, pending and not active: the only
   /// IDs a query visits (DESIGN.md §10.6).
   std::vector<u64> candidates_;
-  u8 priority_mask_ = 0xFF;  // 0xFF = no masking
   /// OR of the target masks of the candidates above the priority mask: bit
   /// i set <=> CPU interface i sees an asserted interrupt (DESIGN.md §10.6).
   u8 asserted_cpus_ = 0;
-  IrqLine irq_line_;
   u64 raised_count_ = 0;
   u64 acked_count_ = 0;
 };

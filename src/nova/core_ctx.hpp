@@ -32,12 +32,10 @@ namespace minova::nova {
 enum class IpiKind : u8 {
   kIpiReschedule = 0,  // remote core has new runnable work (unpark, vIRQ)
   kIpiTlbShootdown,    // invalidate your micro-TLB; ack the epoch
-  kIpiVmMigrate,       // a VM was re-homed onto you (arg = PdId)
 };
 
 struct Ipi {
   IpiKind kind = IpiKind::kIpiReschedule;
-  u32 arg = 0;     // shootdown: VA (0 = all); migrate/reschedule: PdId
   u64 epoch = 0;   // shootdown epoch being acknowledged
   cycles_t arrival = 0;  // absolute delivery time at the target core
 };
@@ -74,7 +72,6 @@ struct CoreContext {
   u64 ipis_received = 0;
   u64 shootdowns_acked = 0;
   u64 steals = 0;  // PDs this core pulled from other cores' queues
-  u64 migrations_in = 0;
   u64 irq_traps = 0;
   u64 vm_switches = 0;
 };

@@ -28,10 +28,8 @@ HypercallResult hwtask_request(KernelOps& ops, ProtectionDomain& caller,
     res.status = HcStatus::kDenied;
     return res;
   }
-  const HwTaskRequest req{.client = caller.id(),
-                          .task = args.r[0],
-                          .iface_va = args.r[1],
-                          .data_section_va = args.r[2]};
+  const HwTaskRequest req{
+      .client = caller.id(), .task = args.r[0], .iface_va = args.r[1]};
   if (plat.task_library().find(req.task) == nullptr ||
       !is_aligned(req.iface_va, mmu::kPageSize) || req.iface_va >= kKernelVa) {
     res.status = HcStatus::kInvalidArg;
@@ -45,7 +43,6 @@ HypercallResult hwtask_request(KernelOps& ops, ProtectionDomain& caller,
     (void)core.vwrite32(kernel_va(kManagerBase + kManagerMailboxOffset) +
                             w * 4,
                         args.r[w]);
-  manager->mailbox.push_back(req);
 
   // Enter the manager's protection domain (memory space switch; §IV.E).
   ProtectionDomain* requester = &caller;
@@ -56,7 +53,6 @@ HypercallResult hwtask_request(KernelOps& ops, ProtectionDomain& caller,
   u32 flags = 0;
   const HcStatus status = service->handle_request(mctx, req, flags);
   ops.hw_mark_exec_end();
-  manager->mailbox.pop_front();
 
   // The manager removes itself and the interrupted guest resumes (§IV.E).
   ops.vm_switch_to(requester);

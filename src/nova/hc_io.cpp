@@ -27,7 +27,6 @@ HypercallResult uart_write(KernelOps& ops, ProtectionDomain&,
   (void)ops.platform().bus().write32(mem::kUart0Base + 0x10,
                                      args.r[1] & 0xFF);
   core.spend(core.caches().access_device());
-  ops.console_buffer().push_back(char(args.r[1] & 0xFF));
   return res;
 }
 

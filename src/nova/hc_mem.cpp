@@ -1,7 +1,7 @@
 // Memory-side hypercall handlers: cache/TLB maintenance, guest mapping,
 // page-table creation, page protection, guest privilege mode and the
 // emulated privileged registers — plus the manager-facing map/unmap
-// services (§IV.E stage 3), which share the same authority model.
+// services (§IV.E stage 3), the one path that maps into another PD.
 #include <algorithm>
 
 #include "core/platform.hpp"
@@ -47,46 +47,32 @@ HypercallResult tlb_flush_va(KernelOps& ops, ProtectionDomain&,
   return {};
 }
 
+// The map calls act on the caller only; r0 is ~0 or the caller's own id.
+// An unknown target is an invalid argument and any other live PD is denied:
+// the manager maps into clients through Kernel::svc_map_into.
 HypercallResult map_insert(KernelOps& ops, ProtectionDomain& caller,
                            const HypercallArgs& args) {
   HypercallResult res;
   const PdId target_id = args.r[0] == 0xFFFF'FFFFu ? caller.id() : args.r[0];
   const vaddr_t va = args.r[1];
-  ProtectionDomain* target = ops.pd_by_id(target_id);
-  if (target == nullptr || !is_aligned(va, mmu::kPageSize) ||
-      va >= kKernelVa) {
+  if (ops.pd_by_id(target_id) == nullptr ||
+      !is_aligned(va, mmu::kPageSize) || va >= kKernelVa) {
     res.status = HcStatus::kInvalidArg;
     return res;
   }
-  if (target_id != caller.id() && !caller.has_cap(kCapMapOther)) {
+  // Self-service mapping of the caller's own physical slab.
+  const u32 offset = args.r[2];
+  if (target_id != caller.id() || !is_aligned(offset, mmu::kPageSize) ||
+      offset >= kVmPhysSize) {
     res.status = HcStatus::kDenied;
     return res;
   }
-  paddr_t pa;
-  mmu::MapAttrs attrs;
-  if (caller.has_cap(kCapMapOther) && (args.r[3] & 1u)) {
-    // Absolute device mapping (PRR interface page).
-    pa = args.r[2];
-    attrs = mmu::MapAttrs{.ap = mmu::Ap::kFullAccess,
-                          .domain = kDomDevice,
-                          .ng = true,
-                          .xn = true};
-  } else {
-    // Self-service mapping of the caller's own physical slab.
-    const u32 offset = args.r[2];
-    if (!is_aligned(offset, mmu::kPageSize) || offset >= kVmPhysSize ||
-        target_id != caller.id()) {
-      res.status = HcStatus::kDenied;
-      return res;
-    }
-    pa = vm_phys_base(caller.vm_index) + offset;
-    attrs = mmu::MapAttrs{.ap = mmu::Ap::kFullAccess,
-                          .domain = kDomGuestUser,
-                          .ng = true,
-                          .xn = false};
-  }
-  ops.ensure_space(*target);
-  target->space().map_page(va, pa, attrs);
+  ops.ensure_space(caller);
+  caller.space().map_page(va, vm_phys_base(caller.vm_index) + offset,
+                          mmu::MapAttrs{.ap = mmu::Ap::kFullAccess,
+                                        .domain = kDomGuestUser,
+                                        .ng = true,
+                                        .xn = false});
   ops.tlb_sync_va(va);
   ops.core().spend(160);  // descriptor writes + DSB/ISB
   return res;
@@ -97,17 +83,16 @@ HypercallResult map_remove(KernelOps& ops, ProtectionDomain& caller,
   HypercallResult res;
   const PdId target_id = args.r[0] == 0xFFFF'FFFFu ? caller.id() : args.r[0];
   const vaddr_t va = args.r[1];
-  ProtectionDomain* target = ops.pd_by_id(target_id);
-  if (target == nullptr || va >= kKernelVa) {
+  if (ops.pd_by_id(target_id) == nullptr || va >= kKernelVa) {
     res.status = HcStatus::kInvalidArg;
     return res;
   }
-  if (target_id != caller.id() && !caller.has_cap(kCapMapOther)) {
+  if (target_id != caller.id()) {
     res.status = HcStatus::kDenied;
     return res;
   }
-  ops.ensure_space(*target);
-  if (!target->space().unmap_page(va)) {
+  ops.ensure_space(caller);
+  if (!caller.space().unmap_page(va)) {
     res.status = HcStatus::kNotFound;
     return res;
   }

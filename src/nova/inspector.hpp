@@ -74,7 +74,6 @@ class KernelInspector {
       return plat_.lane(cc_.id).mmu().utlb_epoch();
     }
     cycles_t local_now() const { return cc_.local_now; }
-    u64 pending_ipis() const { return u64(cc_.ipis.size()); }
     /// kIpiTlbShootdown entries still in flight to this core (the
     /// completion-accounting oracle balances sent against acked + these).
     u64 pending_shootdowns() const {
@@ -88,7 +87,6 @@ class KernelInspector {
     u64 ipis_received() const { return cc_.ipis_received; }
     u64 shootdowns_acked() const { return cc_.shootdowns_acked; }
     u64 steals() const { return cc_.steals; }
-    u64 migrations_in() const { return cc_.migrations_in; }
     u64 irq_traps() const { return cc_.irq_traps; }
     u64 vm_switches() const { return cc_.vm_switches; }
 

@@ -108,7 +108,6 @@ void KernelOps::vtimer_armed_changed(bool was_enabled, bool now_enabled) {
   else
     --kernel_.vtimers_enabled_;
 }
-std::string& KernelOps::console_buffer() { return kernel_.console_; }
 std::vector<u8>& KernelOps::sd_image() { return kernel_.sd_image_; }
 IvcChannel* KernelOps::channel(u32 id) {
   return id < kernel_.channels_.size() ? kernel_.channels_[id].get() : nullptr;
@@ -278,11 +277,10 @@ ProtectionDomain& Kernel::create_vm(std::string name, u32 priority,
   // Every VM owns a virtual timer interrupt line.
   pd->vgic().register_irq(kVtimerVirq);
   pds_[id] = std::move(pd);
-  // Round-robin placement across cores (VM affinity: the PD remembers its
-  // home). On a unicore kernel this is always core 0, exactly as before.
+  // Round-robin placement across cores. On a unicore kernel this is always
+  // core 0.
   CoreContext& home = cores_[next_core_assign_ % u32(cores_.size())];
   next_core_assign_ = (next_core_assign_ + 1) % u32(cores_.size());
-  pds_[id]->home_core = home.id;
   pds_[id]->run_core = home.id;
   home.sched.enqueue(pds_[id].get());
   return *pds_[id];
@@ -443,35 +441,6 @@ void Kernel::set_parked(ProtectionDomain& pd, bool parked) {
     ++parked_count_;
   else
     --parked_count_;
-}
-
-// ---- SMP: explicit VM migration ---------------------------------------------
-
-bool Kernel::migrate_vm(PdId id, u32 target_core) {
-  if (target_core >= cores_.size()) return false;
-  ProtectionDomain* pd = pd_by_id(id);
-  if (pd == nullptr || pd->guest() == nullptr) return false;
-  if (pd->run_core == target_core) return true;
-  // A current VM's physical context is (or will be) loaded on its core;
-  // migration happens only from the queues.
-  for (const auto& cc : cores_)
-    if (cc.current == pd) return false;
-  CoreContext& from = cores_[pd->run_core];
-  CoreContext& to = cores_[target_core];
-  const bool runnable = from.sched.is_runnable(pd);
-  const bool susp = from.sched.is_suspended(pd);
-  from.sched.take(pd);
-  write_back_lazy_state(*pd, from.id);
-  // enqueue() preserves a nonzero remaining quantum; the vCPU, VFP bank and
-  // vGIC records live in the PD and cross untouched.
-  if (runnable)
-    to.sched.enqueue(pd);
-  else if (susp)
-    to.sched.suspend(pd);
-  pd->run_core = target_core;
-  ++pd->migrations;
-  send_ipi(target_core, IpiKind::kIpiVmMigrate, id, 0);
-  return true;
 }
 
 // ---- SMP: oracle mutation hooks (tests only) --------------------------------

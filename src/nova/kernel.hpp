@@ -116,7 +116,7 @@ struct KernelConfig {
   // kernel — the configuration all Table III goldens were recorded on —
   // must stay bit-identical, and any num_cores > 1 necessarily changes
   // scheduling interleavings. SMP runs opt in (run_all's `smp` section,
-  // fuzzer --cores, the MININOVA_TEST_CORES suites).
+  // fuzzer --cores, the SMP test suites).
   u32 num_cores = 1;
   // Conservative-window synchronization: one slice of the lagging core may
   // run at most this far ahead before control returns to the outer loop,
@@ -192,13 +192,6 @@ class Kernel {
   // ---- SMP (DESIGN.md §13) ----
   u32 num_cores() const { return u32(cores_.size()); }
   u32 active_core() const { return active_core_; }
-  /// Re-home a VM onto `target_core`'s run queue, preserving its vCPU,
-  /// VFP and vGIC state bit for bit (they live in the PD, untouched by the
-  /// queue transfer) and its remaining quantum. Refuses the manager, an
-  /// unknown id, and any PD that is current on some core. Sends
-  /// kIpiVmMigrate to the target. True on success (including a no-op
-  /// migration onto the core it already runs on).
-  bool migrate_vm(PdId id, u32 target_core);
   /// Global TLB shootdown epoch and how many shootdown IPIs were issued
   /// (completion accounting: sent == sum of per-core acks + in-flight).
   u64 tlb_epoch() const { return tlb_epoch_; }
@@ -297,7 +290,6 @@ class Kernel {
   KernelHeap& heap() { return heap_; }
   const KernelConfig& config() const { return cfg_; }
   HwMgrLatencies& hwmgr_latencies() { return hwmgr_lat_; }
-  const std::string& console() const { return console_; }
   double now_us() const { return platform_.clock().now_us(); }
 
   /// Count of VM switches performed (tests / benches): the per-core
@@ -403,7 +395,7 @@ class Kernel {
   /// Pull-based work stealing: called when `thief`'s run queue has nothing
   /// eligible. Scans victims round-robin from thief.id+1.
   ProtectionDomain* try_steal(CoreContext& thief);
-  void send_ipi(u32 target, IpiKind kind, u32 arg, u64 epoch);
+  void send_ipi(u32 target, IpiKind kind, u64 epoch = 0);
   /// Broadcast kIpiTlbShootdown for `va` (0 = full) to every other core,
   /// bumping the epoch. Called on every unmap/protect/flush and on ASID
   /// rollover. No-op on a unicore kernel (TLBIMVA needs no broadcast).
@@ -491,7 +483,6 @@ class Kernel {
   cycles_t hw_exec_end_ = 0;
 
   IntrospectionHook hook_;
-  std::string console_;
   std::vector<u8> sd_image_;
   AsidAllocator asid_alloc_;
   u32 next_vm_index_ = 0;

@@ -4,12 +4,11 @@
 // get friend access to `Kernel`; they receive a `KernelOps&` exposing only
 // the state a handler legitimately needs: the core, the platform, PD
 // lookup, the VM-switch primitive for the synchronous manager invocation,
-// the kernel-owned I/O state (console, SD image, IVC channels) and the
+// the kernel-owned I/O state (SD image, IVC channels) and the
 // Table III sampling marks. Everything else — scheduling, code layout,
 // boot, trap choreography — stays private to the kernel.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "nova/guest_iface.hpp"
@@ -61,7 +60,6 @@ class KernelOps {
   bool irq_live_on_sibling(u32 irq);
 
   // ---- kernel-owned shared-device state (hc_io) ----
-  std::string& console_buffer();
   std::vector<u8>& sd_image();
   IvcChannel* channel(u32 id);
 

@@ -115,7 +115,7 @@ bool Kernel::smp_slice(CoreContext& cc, cycles_t limit, bool allow_defer) {
       if (p != nullptr && p->parked && p->vgic().any_deliverable()) {
         set_parked(*p, false);
         if (p->run_core != active_core_)
-          send_ipi(p->run_core, IpiKind::kIpiReschedule, p->id(), 0);
+          send_ipi(p->run_core, IpiKind::kIpiReschedule);
       }
   }
 
@@ -226,14 +226,14 @@ void Kernel::switch_active_core(u32 target) {
   platform_.set_active_lane(target);
 }
 
-void Kernel::send_ipi(u32 target, IpiKind kind, u32 arg, u64 epoch) {
+void Kernel::send_ipi(u32 target, IpiKind kind, u64 epoch) {
   if (cores_.size() <= 1 || target == active_core_) return;
   auto& core = platform_.cpu();
   // ICDSGIR distributor write + synchronization barrier on the sender.
   core.spend(core.caches().access_device());
   core.spend(kIpiSendCycles);
   const cycles_t arrival = platform_.clock().now() + kIpiLatencyCycles;
-  cores_[target].ipis.push_back({kind, arg, epoch, arrival});
+  cores_[target].ipis.push_back({kind, epoch, arrival});
   ++cur_core().ipis_sent;
   c_ipi_sent_.inc();
   // Ride the event queue so an idle target's time jump stops at delivery
@@ -261,7 +261,7 @@ void Kernel::tlb_shootdown(vaddr_t va) {
       lm.tlb_flush_va(va);
     else
       lm.tlb_flush_all();
-    send_ipi(cc.id, IpiKind::kIpiTlbShootdown, u32(va), tlb_epoch_);
+    send_ipi(cc.id, IpiKind::kIpiTlbShootdown, tlb_epoch_);
     ++shootdowns_sent_;
   }
 }
@@ -295,9 +295,6 @@ void Kernel::drain_ipis(CoreContext& cc) {
           break;
         case IpiKind::kIpiReschedule:
           break;  // the pick below sees the new work
-        case IpiKind::kIpiVmMigrate:
-          ++cc.migrations_in;
-          break;
       }
     }
     ++cc.ipis_received;
@@ -325,7 +322,6 @@ ProtectionDomain* Kernel::try_steal(CoreContext& thief) {
     write_back_lazy_state(*pd, victim.id);
     thief.sched.enqueue(pd);  // keeps the remaining quantum (§III.D)
     pd->run_core = thief.id;
-    ++pd->migrations;
     ++thief.steals;
     c_steals_.inc();
     return pd;
@@ -402,10 +398,10 @@ void Kernel::route_irq(u32 irq) {
       owner->vgic().set_pending_charged(core, irq);
       if (owner->run_core != active_core_) {
         // Taken here, consumed there: the owner VM lives on another core
-        // (stale ICDIPTR target after a steal/migration). Count it and
-        // kick the owning core so it injects without waiting for its tick.
+        // (stale ICDIPTR target after a steal). Count it and kick the
+        // owning core so it injects without waiting for its tick.
         c_cross_core_irq_.inc();
-        send_ipi(owner->run_core, IpiKind::kIpiReschedule, owner->id(), 0);
+        send_ipi(owner->run_core, IpiKind::kIpiReschedule);
       }
     }
     return;

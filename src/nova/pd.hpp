@@ -5,11 +5,10 @@
 // machine and the microkernel: it holds the VM's identity and priority, its
 // vCPU, its address space (page-table root + ASID), its vGIC, the hardware
 // task data section, scheduling state, and the capability bits gating
-// privileged hypercalls (the Hardware Task Manager holds capabilities
-// ordinary guests don't).
+// privileged hypercalls and kernel services (the Hardware Task Manager
+// holds capabilities ordinary guests don't).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
 
@@ -31,7 +30,8 @@ inline constexpr PdId kInvalidPd = 0xFFFF'FFFFu;
 /// to express the authority differences the paper relies on).
 enum PdCaps : u32 {
   kCapNone = 0,
-  /// May map/unmap pages in *other* PDs' address spaces (manager only).
+  /// May map/unmap pages in *other* PDs' address spaces, through the
+  /// kernel's svc_map_into/svc_unmap_from services (manager only).
   kCapMapOther = 1u << 0,
   /// May program the PL global control page / PCAP (manager only).
   kCapPlControl = 1u << 1,
@@ -39,13 +39,13 @@ enum PdCaps : u32 {
   kCapHwClient = 1u << 2,
 };
 
-/// A pending hardware-task request routed to the manager service
-/// (the 3-argument hypercall of §IV.E).
+/// A hardware-task request routed to the manager service (the 3-argument
+/// hypercall of §IV.E). The third argument, the client's data section VA,
+/// is not carried: the manager loads the hwMMU from the PD's `hw_data_pa`.
 struct HwTaskRequest {
   PdId client = kInvalidPd;
   hwtask::TaskId task = hwtask::kInvalidTask;
-  vaddr_t iface_va = 0;      // where the client wants the PRR reg group
-  vaddr_t data_section_va = 0;  // client's hardware task data section
+  vaddr_t iface_va = 0;  // where the client wants the PRR reg group
 };
 
 enum class PdState : u8 { kReady, kSuspended, kHalted };
@@ -128,14 +128,12 @@ class ProtectionDomain {
   // interrupt becomes deliverable. Lets lower-priority PDs run while a
   // high-priority VM sleeps.
   bool parked = false;
-  // SMP affinity (DESIGN.md §13). `home_core` is the creation-time
-  // placement, `run_core` the core whose scheduler currently holds the PD
-  // (they diverge after a steal or an explicit migration). A pinned PD is
-  // never stolen. All zero on a unicore kernel.
-  u32 home_core = 0;
+  // SMP affinity (DESIGN.md §13). `run_core` is the core whose scheduler
+  // holds the PD: its round-robin placement at creation, then the thief of
+  // its last steal. A pinned PD is never stolen. All zero on a unicore
+  // kernel.
   u32 run_core = 0;
   bool core_pinned = false;
-  u64 migrations = 0;
 
   // Hardware task data section (physical window the hwMMU is loaded with).
   paddr_t hw_data_pa = 0;
@@ -143,9 +141,6 @@ class ProtectionDomain {
 
   // Index of this VM's physical memory slab (VMs only; services have none).
   u32 vm_index = 0;
-
-  // Requests queued for this PD when it is the manager service.
-  std::deque<HwTaskRequest> mailbox;
 
   // Guest privilege level (paper Table II): true while the guest executes
   // its kernel; drives which DACR the vCPU carries.

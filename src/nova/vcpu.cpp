@@ -5,10 +5,7 @@ namespace minova::nova {
 Vcpu::Vcpu(KernelHeap& heap, u32 asid)
     : heap_(&heap),
       save_area_(heap.alloc((kActiveWords + kVfpWords + kL2CtrlWords) * 4, 64)),
-      asid_(asid) {
-  psr_.mode = cpu::Mode::kUsr;
-  psr_.irq_masked = false;
-}
+      asid_(asid) {}
 
 Vcpu::~Vcpu() { heap_->free(save_area_); }
 
@@ -24,7 +21,6 @@ void Vcpu::touch_area(cpu::Core& core, u32 first, u32 words,
 void Vcpu::save_active(cpu::Core& core) {
   for (unsigned i = 0; i < 16; ++i)
     regs_[i] = core.regs().get(cpu::Mode::kUsr, i);
-  psr_ = core.cpsr();
   // TTBR/DACR/ASID are NOT captured from the live MMU: a guest cannot
   // change them (privilege flips go through kSetGuestMode, which updates
   // this mirror directly), and a VM switch can happen mid-hypercall while

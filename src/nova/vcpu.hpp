@@ -53,8 +53,6 @@ class Vcpu {
   // ---- register-level access for the kernel (hypercall ABI etc.) ----
   u32 reg(unsigned idx) const { return regs_[idx]; }
   void set_reg(unsigned idx, u32 v) { regs_[idx] = v; }
-  cpu::Psr& psr() { return psr_; }
-  const cpu::Psr& psr() const { return psr_; }
 
   // MMU context of this VM.
   void set_mmu_context(paddr_t ttbr, u32 dacr) {
@@ -97,7 +95,6 @@ class Vcpu {
   // Mirrored architectural values (the data also "lives" in the save area;
   // the mirror avoids re-serializing on every kernel inspection).
   std::array<u32, 16> regs_{};
-  cpu::Psr psr_;
   paddr_t ttbr0_ = 0;
   u32 dacr_ = 0;
   VtimerState vtimer_;

@@ -271,7 +271,6 @@ void ChaosGuest::op_hwtask(GuestContext& ctx) {
   if (held_task_ == hwtask::kInvalidTask) {
     const hwtask::TaskId task =
         cfg_.tasks[rng_.next_below(cfg_.tasks.size())];
-    ++stats_.hw_requests;
     const auto res = hc(ctx, Hypercall::kHwTaskRequest, task,
                         nova::kGuestHwIfaceVa, nova::kGuestHwDataVa);
     if (res.ok()) {

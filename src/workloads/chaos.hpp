@@ -66,7 +66,6 @@ struct ChaosStats {
   u64 faults = 0;    // forwarded guest faults taken
   u64 virqs = 0;
   u64 maps = 0;
-  u64 hw_requests = 0;
   u64 hw_grants = 0;
   u64 hw_releases = 0;
   u64 jobs_started = 0;

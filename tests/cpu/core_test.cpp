@@ -108,15 +108,5 @@ TEST_F(CoreTest, ExceptionEntryBanksStateAndMasksIrq) {
   EXPECT_FALSE(core_.cpsr().irq_masked);
 }
 
-TEST_F(CoreTest, IrqDeliverableRespectsMask) {
-  core_.set_irq_line(true);
-  core_.cpsr().irq_masked = true;
-  EXPECT_FALSE(core_.irq_deliverable());
-  core_.cpsr().irq_masked = false;
-  EXPECT_TRUE(core_.irq_deliverable());
-  core_.set_irq_line(false);
-  EXPECT_FALSE(core_.irq_deliverable());
-}
-
 }  // namespace
 }  // namespace minova::cpu

@@ -119,8 +119,8 @@ TEST_F(SecurityTest, InterfacePageInvisibleToOtherVms) {
 
 TEST_F(SecurityTest, GuestCannotProgramPlControlOrPcap) {
   // Only the manager maps the PL global control page and the PCAP. A guest
-  // has no mapping for them, and it cannot create one: the absolute-device
-  // form of map_insert requires the map-other capability.
+  // has no mapping for them, and it cannot create one: map_insert maps
+  // only offsets inside the caller's own slab.
   // Enter the attacker's address space directly (test plumbing).
   auto& cpu = platform_.cpu();
   attacker_->vcpu().restore_active(cpu);

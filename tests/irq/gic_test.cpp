@@ -47,18 +47,6 @@ TEST(Gic, ActiveIrqBlocksReAckUntilEoi) {
   EXPECT_EQ(gic.acknowledge(), 29u);
 }
 
-TEST(Gic, PriorityMaskBlocksLowPriority) {
-  Gic gic;
-  gic.enable_irq(40);
-  gic.set_priority(40, 0xA0);
-  gic.set_priority_mask(0x80);  // only prio < 0x80 visible
-  gic.raise(40);
-  EXPECT_FALSE(gic.irq_asserted());
-  EXPECT_EQ(gic.acknowledge(), kSpuriousIrq);
-  gic.set_priority_mask(0xFF);
-  EXPECT_TRUE(gic.irq_asserted());
-}
-
 TEST(Gic, DisableMasksButKeepsPending) {
   Gic gic;
   gic.enable_irq(40);
@@ -69,25 +57,6 @@ TEST(Gic, DisableMasksButKeepsPending) {
   gic.enable_irq(40);               // unmask -> delivered
   EXPECT_TRUE(gic.irq_asserted());
   EXPECT_EQ(gic.acknowledge(), 40u);
-}
-
-TEST(Gic, IrqLineCallbackEdges) {
-  Gic gic;
-  int transitions = 0;
-  bool state = false;
-  gic.set_irq_line([&](bool on) {
-    ++transitions;
-    state = on;
-  });
-  gic.enable_irq(40);
-  gic.raise(40);
-  EXPECT_EQ(transitions, 1);
-  EXPECT_TRUE(state);
-  gic.raise(40);  // already asserted: no new edge
-  EXPECT_EQ(transitions, 1);
-  gic.acknowledge();
-  EXPECT_EQ(transitions, 2);
-  EXPECT_FALSE(state);
 }
 
 TEST(Gic, Counters) {

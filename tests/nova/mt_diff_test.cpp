@@ -90,7 +90,6 @@ u64 run_stream_digest(u32 cores, u32 threads, double sim_ms) {
     d.mix(cv.ipis_received());
     d.mix(cv.shootdowns_acked());
     d.mix(cv.steals());
-    d.mix(cv.migrations_in());
     d.mix(cv.irq_traps());
     d.mix(cv.vm_switches());
     d.mix(cv.utlb_generation());

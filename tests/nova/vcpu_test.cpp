@@ -97,12 +97,6 @@ TEST_F(VcpuTest, VtimerStateHeldInVcpu) {
   EXPECT_EQ(a.vtimer().period_us, 1000u);
 }
 
-TEST_F(VcpuTest, BootsInUserModeWithIrqsEnabled) {
-  Vcpu a(heap_, 1);
-  EXPECT_EQ(a.psr().mode, cpu::Mode::kUsr);
-  EXPECT_FALSE(a.psr().irq_masked);
-}
-
 TEST_F(VcpuTest, RegisterMirrorAccess) {
   Vcpu a(heap_, 1);
   a.set_reg(0, 42);

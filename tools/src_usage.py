@@ -3,7 +3,7 @@
 
     python3 tools/src_usage.py [REPO_ROOT]
 
-Four listings over the C++ of src/ bench/ perfbench/ tests/ examples/,
+Six listings over the C++ of src/ bench/ perfbench/ tests/ examples/,
 with comments, string and character literals stripped first:
 
 1. Header check: a src/ header that no file outside tests/ includes.
@@ -17,7 +17,17 @@ with comments, string and character literals stripped first:
    an assignment, a compound assignment or `++`/`--`, preceded by `&`,
    `++` or `--`, or followed by a mutating call such as `.push_back(`.
    Such a field is a constant, not an option.
-4. Named only by tests/: a name from check 2 that tests/ names and no
+4. Write-only field check: a data member of a src/ struct or class that
+   no token of those trees reads. A read is any use that is not a pure
+   write. Pure writes are an assignment target, a compound assignment, a
+   statement-level `++x;` or `x++;`, a mutating call such as
+   `.push_back(` or `.pop_front(`, a constructor's member initializer and
+   a designated initializer. A write into a part of the member (`m.f = v`,
+   `m[i] = v`) writes the member; access through `->` reads it. An
+   increment whose value is used (`id = next_++`) is a read.
+5. Named only by tests/: a name from check 2 that tests/ names and no
+   file of src/ bench/ perfbench/ examples/ does. Informational.
+6. Read only by tests/: a field from check 4 that tests/ reads and no
    file of src/ bench/ perfbench/ examples/ does. Informational.
 
 Names are matched as identifiers, not resolved: a name declared in two
@@ -25,7 +35,7 @@ classes counts as used (or written) when either is.
 
 Exit status 1 when check 1 lists a header, when check 2 lists a name that
 is not in ALLOWLIST, when an ALLOWLIST entry is no longer uncalled, or
-when check 3 lists a field; 0 otherwise.
+when check 3 or check 4 lists a field; 0 otherwise.
 """
 
 import pathlib
@@ -59,14 +69,17 @@ ACCESS = {"public", "private", "protected"}
 # Structs whose fields are options a caller sets (check 3).
 OPTION_STRUCT = re.compile(r"\w+(Config|Policy|Options)$")
 # Member calls that modify the member they are called on.
-MUTATORS = {"push_back", "emplace_back", "pop_back", "insert", "emplace",
-            "erase", "assign", "resize", "reserve", "clear", "fill", "swap",
-            "append"}
+MUTATORS = {"push_back", "emplace_back", "pop_back", "push_front",
+            "emplace_front", "pop_front", "insert", "emplace", "erase",
+            "assign", "resize", "reserve", "clear", "fill", "swap", "append"}
 # First characters of the compound assignments the tokenizer splits from
 # their `=` (`<<=` and `>>=` are matched apart).
 COMPOUND = {"+", "-", "*", "/", "%", "|", "&", "^"}
 # Tokens after which `&` is the address-of operator, not bitwise and.
 UNARY_LEADS = {"(", ",", "=", "{", "[", "?", ":", "return", ";"}
+# Tokens that end the previous statement: an increment right after one
+# starts a statement of its own, so its value is unused.
+STMT_LEADS = {";", "{", "}", ")", "else", ":"}
 # Tokens after which an identifier names a type, not a parameter.
 TYPE_LEADS = {"(", ",", "::", "const", "volatile", "struct", "class",
               "typename", "unsigned", "signed"}
@@ -151,6 +164,7 @@ class Scanner:
         self.toks = toks
         self.decls = []  # token indices that declare a name
         self.params = set()  # token indices naming a parameter
+        self.inits = set()  # token indices of constructor member initializers
         self.fields = []  # (class name, token index) of each data member
 
     def text(self, k):
@@ -323,6 +337,8 @@ class Scanner:
         name = words[paren - 1]
         before = words[paren - 2] if paren >= 2 else ""
         qualifier = words[paren - 3] if paren >= 3 and before == "::" else None
+        if name == cls or name == qualifier:
+            self.member_inits(stmt, words, paren)
         if before == "~" or name == cls or name == qualifier:
             return  # constructor or destructor
         if not is_ident(name) or name.isupper():
@@ -338,6 +354,24 @@ class Scanner:
             if depth == 1 and words[k + 1] in (",", ")", "=", "[") \
                     and is_ident(w) and words[k - 1] not in TYPE_LEADS:
                 self.params.add(stmt[k])
+
+
+    def member_inits(self, stmt, words, paren):
+        """Record the members a constructor's initializer list names."""
+        depth, k = 0, paren
+        while k < len(words):
+            depth += (words[k] == "(") - (words[k] == ")")
+            k += 1
+            if depth == 0:
+                break
+        while k < len(words) and words[k] != ":":
+            k += 1
+        for m in range(k + 1, len(words) - 1):
+            w = words[m]
+            depth += (w in "({") - (w in ")}")
+            if depth == 0 and is_ident(w) and words[m - 1] in (":", ",") \
+                    and words[m + 1] in ("(", "{"):
+                self.inits.add(stmt[m])
 
 
 def skip_brackets(toks, j):
@@ -392,6 +426,54 @@ def written_members(toks):
     return out
 
 
+def chain_start(toks, k):
+    """First token of the access chain (`a.b->c[i]`) that ends at `k`."""
+    i = k
+    while i >= 2 and toks[i - 1] in (".", "->"):
+        j = i - 2
+        while toks[j] == "]":  # back over `[...]` groups
+            depth = 0
+            while j > 0:
+                depth += (toks[j] == "]") - (toks[j] == "[")
+                j -= 1
+                if depth == 0:
+                    break
+        if not is_ident(toks[j]):
+            break
+        i = j
+    return i
+
+
+def is_read(toks, k):
+    """False when the use of the identifier at `k` is a pure write (see
+    check 4)."""
+    n = len(toks)
+    j = k + 1
+    while j < n:
+        if toks[j] == "[":
+            j = skip_brackets(toks, j)
+        elif toks[j] == "." and j + 1 < n and is_ident(toks[j + 1]):
+            if j + 2 < n and toks[j + 2] == "(":
+                return toks[j + 1] not in MUTATORS
+            j += 2
+        else:
+            break
+    if j >= n or toks[j] == "->":
+        return True
+    a = toks[j]
+    b = toks[j + 1] if j + 1 < n else ""
+    c = toks[j + 2] if j + 2 < n else ""
+    if (a == "=" and b != "=") or (a in COMPOUND and b == "=") \
+            or (a in ("<", ">") and b == a and c == "="):
+        return False
+    i = chain_start(toks, k)
+    if a in ("+", "-") and b == a:  # postfix
+        return not (i >= 1 and toks[i - 1] in STMT_LEADS and c in (";", ")"))
+    if i >= 3 and toks[i - 1] in ("+", "-") and toks[i - 2] == toks[i - 1]:
+        return not (toks[i - 3] in STMT_LEADS and a in (";", ")"))
+    return True
+
+
 def rel(path, root):
     return path.relative_to(root).as_posix()
 
@@ -407,6 +489,8 @@ def main(argv):
     uses = defaultdict(set)  # name -> trees that name it
     options = []  # (src/ file, struct, field) of each option-struct field
     written = set()  # member names a file outside tests/ writes
+    fields = set()  # (src/ file, class, name) of each data member
+    reads = defaultdict(set)  # name -> trees that read it
     for path in files:
         raw = path.read_text(encoding="utf-8", errors="replace")
         tree = rel(path, root).split("/")[0]
@@ -422,9 +506,12 @@ def main(argv):
         for t in tokenize(macros):
             if is_ident(t):
                 uses[t].add(tree)
+                reads[t].add(tree)
         if tree == "src":
             options += [(rel(path, root), cls, toks[k])
                         for cls, k in scan.fields if OPTION_STRUCT.match(cls)]
+            fields |= {(rel(path, root), cls, toks[k])
+                       for cls, k in scan.fields}
         if tree != "tests":
             written |= written_members(toks)
         decl_set = set(scan.decls)
@@ -437,6 +524,8 @@ def main(argv):
                     declared[t].add(rel(path, root))
             elif k not in scan.params:
                 uses[t].add(tree)
+                if k not in scan.inits and is_read(toks, k):
+                    reads[t].add(tree)
 
     headers = sorted(rel(p, root) for p in files
                      if rel(p, root).startswith("src/") and p.suffix in (".hpp", ".h"))
@@ -476,11 +565,29 @@ def main(argv):
     if not unset:
         print("  (none)")
 
+    unread = sorted(f for f in fields if not reads[f[2]])
+    failures += len(unread)
+    print("write-only field check: data members of src/ structs and classes "
+          "that no token of " + " ".join(t + "/" for t in TREES) + "reads")
+    for path, cls, name in unread:
+        print(f"  {path}: {cls}::{name}")
+    if not unread:
+        print("  (none)")
+
     print("named only by tests/: names declared in src/ headers that no file "
           "of " + " ".join(t + "/" for t in PROGRAM_TREES) + "names")
     for header, name in sorted(test_only):
         print(f"  {header}: {name}")
     if not test_only:
+        print("  (none)")
+
+    test_read = sorted(f for f in fields
+                       if reads[f[2]] and not reads[f[2]] & set(PROGRAM_TREES))
+    print("read only by tests/: data members of src/ structs and classes that "
+          "no file of " + " ".join(t + "/" for t in PROGRAM_TREES) + "reads")
+    for path, cls, name in test_read:
+        print(f"  {path}: {cls}::{name}")
+    if not test_read:
         print("  (none)")
 
     print("FAIL" if failures else "OK")
