@@ -17,22 +17,11 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
 }
 
 Cache::AccessResult Cache::access(paddr_t pa, bool write) {
-  const u32 tag = line_addr(pa);
-  const std::size_t base = set_base(pa);
-  u32* tagp = &tags_[base];
-  const u32 ways = cfg_.ways;
-  const u32 dirty = write ? kDirtyBit : 0u;
-
-  // Hit path: branchless scan over the tag row. A tag lives in at most one
-  // way, so order of assignment doesn't matter and the loop vectorizes.
-  const u32 hit_way = way_of(base, tag);
-  if (hit_way != ways) {
-    tagp[hit_way] |= dirty;
-    ++stats_.hits;
-    return AccessResult{.hit = true};
-  }
+  if (try_hit(pa, write)) return AccessResult{.hit = true};
 
   // Miss: pick the first invalid way, else the LFSR's victim.
+  u32* tagp = &tags_[set_base(pa)];
+  const u32 ways = cfg_.ways;
   ++stats_.misses;
   ++fill_epoch_;
   u32 victim_way = ways;
@@ -55,7 +44,7 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
       ++stats_.writebacks;
     }
   }
-  tagp[victim_way] = tag | dirty;
+  tagp[victim_way] = line_addr(pa) | (write ? kDirtyBit : 0u);
   return res;
 }
 

@@ -57,6 +57,17 @@ class Cache {
   /// and victim info for the next level.
   AccessResult access(paddr_t pa, bool write);
 
+  /// The hit half of `access`, inline: on a hit mark the line dirty for a
+  /// write, count the hit and return true; on a miss change nothing.
+  bool try_hit(paddr_t pa, bool write) {
+    const std::size_t base = set_base(pa);
+    const u32 way = way_of(base, line_addr(pa));
+    if (way == cfg_.ways) return false;
+    if (write) tags_[base + way] |= kDirtyBit;
+    ++stats_.hits;
+    return true;
+  }
+
   /// Credit `n` further hits on the line holding `pa`, which must be
   /// present: exactly the state `n` calls of `access(pa, write)` leave
   /// (hit count and dirty bit).
@@ -103,6 +114,8 @@ class Cache {
   static constexpr u32 kDirtyBit = 1u << 31;
   static constexpr u32 kInvalidTag = ~0u;
 
+  // Branchless scan over the tag row: a tag lives in at most one way, so
+  // the order of assignment does not matter and the loop vectorizes.
   u32 way_of(std::size_t base, u32 tag) const {
     u32 hit_way = cfg_.ways;
     for (u32 w = 0; w < cfg_.ways; ++w)

@@ -11,12 +11,6 @@ namespace minova::cpu {
 namespace {
 constexpr u32 kExceptionEntryCycles = 18;  // pipeline flush + mode switch
 constexpr u32 kExceptionReturnCycles = 12;
-
-u32 load_word(const u8* p) {
-  u32 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
 }  // namespace
 
 Core::Core(sim::Clock& clock, mem::PhysMem& dram, mem::Bus& bus)
@@ -61,77 +55,49 @@ void Core::exec_code(const CodeRegion& region, double executed_fraction) {
   spend_insns(u64(double(region.instructions()) * executed_fraction));
 }
 
-Core::MemResult Core::data_access(vaddr_t va, mmu::AccessKind kind,
-                                  u32* read_out, u32 write_val,
-                                  HostWord* bound) {
-  MemResult res;
-  auto tr = mmu_.translate(va, kind, privileged());
+Core::MemResult Core::data_access(vaddr_t va, bool write, u32 write_val,
+                                  mmu::HostWord* bound) {
+  const auto tr = mmu_.translate(
+      va, write ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead,
+      privileged());
   clock_->advance(tr.cost + 1);  // +1: AGU/TLB lookup pipeline cost
-  if (!tr.ok()) {
-    res.ok = false;
-    res.fault = tr.fault;
-    return res;
-  }
+  if (!tr.ok()) return MemResult{.ok = false, .fault = tr.fault, .value = 0};
 
   const paddr_t pa = tr.pa;
-  const bool write = kind == mmu::AccessKind::kWrite;
-  if (tr.host != nullptr) {
-    // Bound RAM: no device overlaps the page, so the bus would route this
-    // access to the same host bytes.
-    MINOVA_CHECK(is_aligned(pa, 4));
-    clock_->advance(hierarchy_.access_data(pa, write));
-    if (write)
-      std::memcpy(tr.host, &write_val, sizeof write_val);
-    else if (read_out)
-      *read_out = load_word(tr.host);
-    if (bound) *bound = HostWord{tr.host, pa};
-    if (read_out) res.value = *read_out;
-    return res;
-  }
-
-  if (bus_.is_device(pa)) {
-    clock_->advance(hierarchy_.access_device());
-  } else {
-    clock_->advance(hierarchy_.access_data(pa, write));
-  }
-
-  mem::Bus::Result br;
-  if (write) {
-    br = bus_.write32(pa, write_val);
-  } else {
-    u32 v = 0;
-    br = bus_.read32(pa, v);
-    if (read_out) *read_out = v;
-  }
+  clock_->advance(bus_.is_device(pa) ? hierarchy_.access_device()
+                                     : hierarchy_.access_data(pa, write));
+  MemResult res;
+  const mem::Bus::Result br =
+      write ? bus_.write32(pa, write_val) : bus_.read32(pa, res.value);
   if (br != mem::Bus::Result::kOk) {
-    res.ok = false;
-    res.fault = mmu::Fault{.type = mmu::FaultType::kExternalAbort,
-                           .address = va,
-                           .domain = 0,
-                           .write = write,
-                           .instruction = false};
-    return res;
+    return MemResult{.ok = false,
+                     .fault = mmu::Fault{.type = mmu::FaultType::kExternalAbort,
+                                         .address = va,
+                                         .domain = 0,
+                                         .write = write,
+                                         .instruction = false},
+                     .value = 0};
   }
   // The access completed on the slow path. When it went to DRAM, bind the
-  // page so the next hits on it take the branch above.
+  // page so the next hits on it take the inline path.
   const paddr_t page = pa & ~(mmu::kPageSize - 1);
   if (!bus_.overlaps_device(page, mmu::kPageSize)) {
     if (u8* host = mmu_.bind_host(va, pa); host != nullptr && bound)
-      *bound = HostWord{host, pa};
+      *bound = mmu::HostWord{host, pa};
   }
-  if (read_out) res.value = *read_out;
   return res;
 }
 
 Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
                                   RunFaults faults) {
   MINOVA_CHECK(is_aligned(va, 4));
-  const auto kind = write ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead;
   constexpr cache::CacheConfig l1d = cache::kL1dGeometry;
   MemResult first_fault;
   while (words > 0) {
-    HostWord bound;
-    const MemResult r = data_access(va, kind, nullptr, 0, &bound);
+    u32 word = 0;  // a write stores zero; a read's value is discarded
+    mmu::HostWord bound = bound_access(va, write, word);
+    MemResult r;
+    if (bound.ptr == nullptr) r = data_access(va, write, 0, &bound);
     u32 k = 0;  // further words of this run charged in closed form
     if (r.ok) {
       // The word reached bound RAM: the rest of its line are certain
@@ -163,17 +129,6 @@ Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
     words -= k + 1;
   }
   return first_fault;
-}
-
-Core::MemResult Core::vread32(vaddr_t va) {
-  u32 v = 0;
-  MemResult r = data_access(va, mmu::AccessKind::kRead, &v, 0);
-  r.value = v;
-  return r;
-}
-
-Core::MemResult Core::vwrite32(vaddr_t va, u32 value) {
-  return data_access(va, mmu::AccessKind::kWrite, nullptr, value);
 }
 
 template <typename Byte>

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <array>
+#include <cstring>
 #include <span>
 
 #include "cache/hierarchy.hpp"
@@ -24,6 +25,7 @@
 #include "mem/bus.hpp"
 #include "mmu/mmu.hpp"
 #include "sim/clock.hpp"
+#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace minova::cpu {
@@ -68,8 +70,18 @@ class Core {
     u32 value = 0;
   };
 
-  MemResult vread32(vaddr_t va);
-  MemResult vwrite32(vaddr_t va, u32 value);
+  /// A word access. A warm hit on bound RAM runs inline; everything else
+  /// (walk, micro miss, fault, device, first binding) runs out of line.
+  MemResult vread32(vaddr_t va) {
+    MemResult r;
+    if (bound_access(va, false, r.value).ptr == nullptr)
+      r = data_access(va, false, 0);
+    return r;
+  }
+  MemResult vwrite32(vaddr_t va, u32 value) {
+    if (bound_access(va, true, value).ptr != nullptr) return MemResult{};
+    return data_access(va, true, value);
+  }
 
   /// Bulk transfers with per-cache-line cost accounting: the workload and
   /// DMA-staging paths move whole buffers; sequential line-granular accesses
@@ -105,13 +117,28 @@ class Core {
   mem::Bus& bus() { return bus_; }
 
  private:
-  /// Where a data access landed when its page is bound RAM.
-  struct HostWord {
-    u8* ptr = nullptr;
-    paddr_t pa = 0;
-  };
-  MemResult data_access(vaddr_t va, mmu::AccessKind kind, u32* read_out,
-                        u32 write_val, HostWord* bound = nullptr);
+  /// The warm hit path (DESIGN.md §10.2): a word of bound RAM that its
+  /// micro-TLB entry allows, charged and counted as the slow path would.
+  /// Returns where the word landed, or {} having changed nothing.
+  mmu::HostWord bound_access(vaddr_t va, bool write, u32& value) {
+    const mmu::HostWord w = mmu_.bound_hit(
+        va, write ? mmu::AccessKind::kWrite : mmu::AccessKind::kRead,
+        privileged());
+    if (w.ptr == nullptr) return w;
+    MINOVA_CHECK(is_aligned(va, 4));  // the copy must stay in its frame
+    // +1: AGU/TLB lookup pipeline cost; an L1D miss fills out of line.
+    clock_->advance(1 + (hierarchy_.l1d().try_hit(w.pa, write)
+                             ? cache::kL1dGeometry.hit_cycles
+                             : hierarchy_.access_data(w.pa, write)));
+    if (write)
+      std::memcpy(w.ptr, &value, sizeof value);
+    else
+      std::memcpy(&value, w.ptr, sizeof value);
+    return w;
+  }
+  /// The slow path of a word access; sets `bound` when it binds the page.
+  MemResult data_access(vaddr_t va, bool write, u32 write_val,
+                        mmu::HostWord* bound = nullptr);
   /// The one body of vread_block/vwrite_block: a const `Byte` writes.
   template <typename Byte>
   MemResult block_access(vaddr_t va, std::span<Byte> data);

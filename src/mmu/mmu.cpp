@@ -70,29 +70,18 @@ TranslateResult Mmu::translate(vaddr_t va, AccessKind kind, bool privileged) {
   const vaddr_t vpage = va >> 12;
   MicroEntry& u = micro_slot(vpage);
   const cache::TlbEntry* entry;
-  u8* host = nullptr;
   if (live(u, vpage)) {
     ++ustats_.hits;
     tlb_.touch(*u.entry);
     entry = u.entry;
-    if (u.host != nullptr && u.host_epoch == ram_.discard_epoch())
-      host = u.host;
   } else {
     ++ustats_.misses;
     entry = tlb_.lookup(asid_, va);
     if (entry != nullptr)
       u = MicroEntry{entry, vpage, asid_, tlb_.generation()};
   }
-  u32 attrs;
-  paddr_t pa;
   if (entry != nullptr) {
     res.tlb_hit = true;
-    attrs = entry->attrs;
-    if (entry->large) {
-      pa = (entry->ppage << 12) | (va & (kSectionSize - 1));
-    } else {
-      pa = (entry->ppage << 12) | (va & (kPageSize - 1));
-    }
   } else {
     WalkOut w = walk(va, res.cost);
     if (!w.ok) {
@@ -103,49 +92,22 @@ TranslateResult Mmu::translate(vaddr_t va, AccessKind kind, bool privileged) {
                         .instruction = kind == AccessKind::kExecute};
       return res;
     }
-    const cache::TlbEntry* inserted = tlb_.insert(w.entry);
-    u = MicroEntry{inserted, vpage, asid_, tlb_.generation()};
-    attrs = w.entry.attrs;
-    if (w.entry.large) {
-      pa = (w.entry.ppage << 12) | (va & (kSectionSize - 1));
-    } else {
-      pa = (w.entry.ppage << 12) | (va & (kPageSize - 1));
-    }
+    entry = tlb_.insert(w.entry);
+    u = MicroEntry{entry, vpage, asid_, tlb_.generation()};
   }
 
-  // Domain check against the *current* DACR (per-access, even on TLB hit).
-  const u32 domain = attrs_domain(attrs);
-  const DomainMode dm = dacr_get(dacr_, domain);
-  if (dm == DomainMode::kNoAccess) {
-    res.fault = Fault{.type = FaultType::kDomain,
+  // Domain and AP checks against the *current* DACR (per-access, even on a
+  // TLB hit).
+  const FaultType f = access_fault(entry->attrs, kind, privileged);
+  if (f != FaultType::kNone) {
+    res.fault = Fault{.type = f,
                       .address = va,
-                      .domain = domain,
+                      .domain = attrs_domain(entry->attrs),
                       .write = kind == AccessKind::kWrite,
                       .instruction = kind == AccessKind::kExecute};
     return res;
   }
-  if (dm == DomainMode::kClient) {
-    if (kind == AccessKind::kExecute && attrs_xn(attrs)) {
-      res.fault = Fault{.type = FaultType::kExecuteNever,
-                        .address = va,
-                        .domain = domain,
-                        .write = false,
-                        .instruction = true};
-      return res;
-    }
-    const bool write = kind == AccessKind::kWrite;
-    if (!ap_permits(attrs_ap(attrs), privileged, write)) {
-      res.fault = Fault{.type = FaultType::kPermission,
-                        .address = va,
-                        .domain = domain,
-                        .write = write,
-                        .instruction = kind == AccessKind::kExecute};
-      return res;
-    }
-  }
-  // Manager domain: no checks.
-  res.pa = pa;
-  if (host != nullptr) res.host = host + (va & (kPageSize - 1));
+  res.pa = entry_pa(*entry, va);
   return res;
 }
 

@@ -18,9 +18,11 @@
 // bumps; TTBR/ASID writes clear the micro-TLB outright.
 //
 // A live micro entry may also carry the host bytes of its 4 KB page in the
-// table RAM (`bind_host`), so a data access to bound RAM skips the bus
-// routing. The binding dies with the entry and with any `PhysMem::discard`
-// (DESIGN.md §10.2).
+// table RAM (`bind_host`). `bound_hit` is the warm hit path, inline: a live,
+// bound entry whose frame is still resident and whose DACR/AP checks pass
+// serves a data access with a micro hit's bookkeeping and no bus routing.
+// The binding dies with the entry and with any `PhysMem::discard`;
+// `translate` never returns a host address (DESIGN.md §10.2).
 #pragma once
 
 #include <array>
@@ -52,11 +54,15 @@ struct TranslateResult {
   Fault fault;  // fault.type == kNone on success
   cycles_t cost = 0;  // walk cost (0 on TLB hit)
   bool tlb_hit = false;
-  /// Host address of `pa` when the page is bound RAM (see Mmu::bind_host);
-  /// set only after every permission check has passed.
-  u8* host = nullptr;
 
   bool ok() const { return !fault.is_fault(); }
+};
+
+/// Where a word access to bound RAM lands: its host bytes and physical
+/// address.
+struct HostWord {
+  u8* ptr = nullptr;
+  paddr_t pa = 0;
 };
 
 class Mmu {
@@ -91,6 +97,23 @@ class Mmu {
   TranslateResult translate(vaddr_t va, AccessKind kind, bool privileged);
 
   cache::Tlb& tlb() { return tlb_; }
+
+  /// The warm hit: when `va`'s micro entry is live and bound to a frame
+  /// that is still resident, and the current DACR and AP allow the access,
+  /// do exactly a micro hit's bookkeeping and return where `va` lands.
+  /// Otherwise change nothing and return {}; `translate` then takes the
+  /// access, fault or not.
+  HostWord bound_hit(vaddr_t va, AccessKind kind, bool privileged) {
+    const vaddr_t vpage = va >> 12;
+    const MicroEntry& u = micro_slot(vpage);
+    if (u.host == nullptr || !enabled_ || !live(u, vpage) ||
+        u.host_epoch != ram_.discard_epoch() ||
+        access_fault(u.entry->attrs, kind, privileged) != FaultType::kNone)
+      return {};
+    ++ustats_.hits;
+    tlb_.touch(*u.entry);
+    return HostWord{u.host + (va & (kPageSize - 1)), entry_pa(*u.entry, va)};
+  }
 
   /// Bind the live micro entry of `va` (just translated to `pa`) to the
   /// host frame of `pa` in the table RAM, so later hits on the page return
@@ -129,6 +152,24 @@ class Mmu {
   static Ap attrs_ap(u32 a) { return Ap(a & 0x7u); }
   static u32 attrs_domain(u32 a) { return (a >> 3) & 0xFu; }
   static bool attrs_xn(u32 a) { return ((a >> 7) & 1u) != 0; }
+
+  static paddr_t entry_pa(const cache::TlbEntry& e, vaddr_t va) {
+    return (e.ppage << 12) | (va & (e.large ? kSectionSize - 1 : kPageSize - 1));
+  }
+
+  /// The fault the current DACR and `attrs` give an access, or kNone.
+  FaultType access_fault(u32 attrs, AccessKind kind, bool privileged) const {
+    switch (dacr_get(dacr_, attrs_domain(attrs))) {
+      case DomainMode::kNoAccess: return FaultType::kDomain;
+      case DomainMode::kClient:
+        if (kind == AccessKind::kExecute && attrs_xn(attrs))
+          return FaultType::kExecuteNever;
+        if (!ap_permits(attrs_ap(attrs), privileged, kind == AccessKind::kWrite))
+          return FaultType::kPermission;
+        return FaultType::kNone;
+      default: return FaultType::kNone;  // Manager: no checks
+    }
+  }
 
   mem::PhysMem& ram_;
   cache::MemHierarchy& hierarchy_;

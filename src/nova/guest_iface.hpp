@@ -50,9 +50,15 @@ class GuestContext {
   /// the guest; the access returns failure here. For a lazily-booted VM the
   /// first guest-memory touch instead materializes the address space
   /// (charged as one abort-class kernel trap) and the access is retried —
-  /// defined out of line in kernel.cpp for that reason.
-  cpu::Core::MemResult read32(vaddr_t va);
-  cpu::Core::MemResult write32(vaddr_t va, u32 v);
+  /// that retry is defined out of line in kernel.cpp.
+  cpu::Core::MemResult read32(vaddr_t va) {
+    const auto r = core_.vread32(va);
+    return r.ok ? r : retry_word(va, false, 0, r);
+  }
+  cpu::Core::MemResult write32(vaddr_t va, u32 v) {
+    const auto r = core_.vwrite32(va, v);
+    return r.ok ? r : retry_word(va, true, v, r);
+  }
   cpu::Core::MemResult read_block(vaddr_t va, std::span<u8> out);
   cpu::Core::MemResult write_block(vaddr_t va, std::span<const u8> in);
   /// `Core::touch_words` under the same rule, applied word by word: a
@@ -98,6 +104,11 @@ class GuestContext {
   cpu::Core& core() { return core_; }
 
  private:
+  /// A faulted word access `r`: after the lazy-boot fixup, the access
+  /// retried once; `r` itself when no fixup applies.
+  cpu::Core::MemResult retry_word(vaddr_t va, bool write, u32 v,
+                                  const cpu::Core::MemResult& r);
+
   Kernel& kernel_;
   ProtectionDomain& pd_;
   cpu::Core& core_;

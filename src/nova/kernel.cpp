@@ -41,15 +41,10 @@ bool GuestContext::raise_fatal(FatalKind kind) {
 // For an eager VM (or any fault that is not a first touch of an
 // unmaterialized space) lazy_fault_fixup declines and the fault result is
 // returned unchanged.
-cpu::Core::MemResult GuestContext::read32(vaddr_t va) {
-  auto r = core_.vread32(va);
-  if (!r.ok && kernel_.lazy_fault_fixup(pd_, va)) return core_.vread32(va);
-  return r;
-}
-cpu::Core::MemResult GuestContext::write32(vaddr_t va, u32 v) {
-  auto r = core_.vwrite32(va, v);
-  if (!r.ok && kernel_.lazy_fault_fixup(pd_, va)) return core_.vwrite32(va, v);
-  return r;
+cpu::Core::MemResult GuestContext::retry_word(vaddr_t va, bool write, u32 v,
+                                              const cpu::Core::MemResult& r) {
+  if (!kernel_.lazy_fault_fixup(pd_, va)) return r;
+  return write ? core_.vwrite32(va, v) : core_.vread32(va);
 }
 cpu::Core::MemResult GuestContext::read_block(vaddr_t va, std::span<u8> out) {
   auto r = core_.vread_block(va, out);
@@ -71,8 +66,7 @@ void GuestContext::touch_words(vaddr_t va, u32 words, bool write) {
         core_.touch_words(va, words, write, cpu::Core::RunFaults::kStop);
     if (r.ok) return;
     const vaddr_t at = r.fault.address;
-    if (kernel_.lazy_fault_fixup(pd_, at))
-      (void)(write ? core_.vwrite32(at, 0) : core_.vread32(at));
+    (void)retry_word(at, write, 0, r);
     const u32 done = (at - va) / 4 + 1;
     va += done * 4;
     words -= done;

@@ -117,17 +117,6 @@ void VGic::touch_list(cpu::Core& core) const {
   }
 }
 
-void VGic::mask_all_physical(cpu::Core& core,
-                             const std::function<bool(u32)>& skip) {
-  touch_list(core);
-  for (const auto& r : records_) {
-    if (r.irq == 0 || r.irq >= gic_.num_irqs()) continue;  // virtual-only
-    if (skip && skip(r.irq)) continue;  // live on a sibling core
-    gic_.disable_irq(r.irq);
-    core.spend(core.caches().access_device());  // GIC distributor write
-  }
-}
-
 void VGic::unmask_enabled_physical(cpu::Core& core) {
   touch_list(core);
   for (const auto& r : records_) {

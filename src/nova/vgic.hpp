@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 
 #include "cpu/core.hpp"
 #include "irq/gic.hpp"
@@ -75,12 +74,20 @@ class VGic {
 
   /// Physical GIC reprogramming on VM switch (charges one device access
   /// per touched source plus the record-list walk in kernel memory).
-  /// `skip` exempts a source from the mask sweep — the kernel passes its
-  /// one masking rule, Kernel::irq_live_on_sibling, so switching one core
-  /// never clobbers a source live on a sibling core (on one core it never
-  /// skips).
-  void mask_all_physical(cpu::Core& core,
-                         const std::function<bool(u32)>& skip = {});
+  /// `skip(irq)` exempts a source from the mask sweep — the kernel passes
+  /// its one masking rule, Kernel::irq_live_on_sibling, so switching one
+  /// core never clobbers a source live on a sibling core (on one core it
+  /// never skips).
+  template <typename Skip>
+  void mask_all_physical(cpu::Core& core, Skip skip) {
+    touch_list(core);
+    for (const auto& r : records_) {
+      if (r.irq == 0 || r.irq >= gic_.num_irqs()) continue;  // virtual-only
+      if (skip(r.irq)) continue;  // live on a sibling core
+      gic_.disable_irq(r.irq);
+      core.spend(core.caches().access_device());  // GIC distributor write
+    }
+  }
   void unmask_enabled_physical(cpu::Core& core);
 
   u32 registered_count() const;

@@ -11,8 +11,12 @@
 //
 // After every operation the rigs must agree on the results, the clock, the
 // TLB statistics and every slot's LRU stamp, the micro-TLB statistics, the
-// L1D/L1I/L2 statistics and residency of the touched lines, the device
-// traffic and the DRAM content digest (every 64 steps in the storm).
+// L1D/L1I/L2 statistics, residency and dirty bits of the touched lines, the
+// device traffic and the DRAM content digest (every 64 steps in the storm).
+//
+// Rig A's scalar accessors serve a warm word of bound RAM inline
+// (`Mmu::bound_hit` + `Cache::try_hit`); the "inline path" cases start from
+// such a page and change one thing under it.
 //
 // The instruction side gets the same treatment: rig A runs `exec_code`,
 // which charges a warm region's certain L1I hits in closed form, and rig B
@@ -293,6 +297,10 @@ class AccessRunDiffTest : public ::testing::Test {
     expect_same_cache(ca.caches().l1d(), cb.caches().l1d());
     expect_same_cache(ca.caches().l1i(), cb.caches().l1i());
     expect_same_cache(ca.caches().l2(), cb.caches().l2());
+    // Dirty bits are read by invalidating lines of copies: a dirty line's
+    // invalidation reports it, and flushing what remains counts the rest.
+    cache::Cache l1d_a = ca.caches().l1d(), l1d_b = cb.caches().l1d();
+    cache::Cache l2_a = ca.caches().l2(), l2_b = cb.caches().l2();
     const u32 line = cache::kL1dGeometry.line_bytes;
     for (u64 v = align_down(va, line); v < u64(va) + len; v += line) {
       paddr_t pa = paddr_t(v);
@@ -303,7 +311,13 @@ class AccessRunDiffTest : public ::testing::Test {
       }
       EXPECT_EQ(ca.caches().l1d().contains(pa), cb.caches().l1d().contains(pa));
       EXPECT_EQ(ca.caches().l2().contains(pa), cb.caches().l2().contains(pa));
+      EXPECT_EQ(l1d_a.invalidate_line(pa), l1d_b.invalidate_line(pa))
+          << "L1D dirty bit, pa=" << std::hex << pa;
+      EXPECT_EQ(l2_a.invalidate_line(pa), l2_b.invalidate_line(pa))
+          << "L2 dirty bit, pa=" << std::hex << pa;
     }
+    EXPECT_EQ(l1d_a.flush_all(), l1d_b.flush_all()) << "L1D dirty lines";
+    EXPECT_EQ(l2_a.flush_all(), l2_b.flush_all()) << "L2 dirty lines";
     EXPECT_EQ(a_.dev.reads, b_.dev.reads);
     EXPECT_EQ(a_.dev.writes, b_.dev.writes);
     EXPECT_EQ(a_.ram_dev.reads, b_.ram_dev.reads);
@@ -339,6 +353,26 @@ class AccessRunDiffTest : public ::testing::Test {
 
   void check_content() {
     ASSERT_EQ(a_.dram.content_digest(), b_.dram.content_digest());
+  }
+
+  /// Rig A serves `va` on the inline path: its probe succeeds, and rig B's
+  /// reference translation keeps the rigs in step (each charges one micro
+  /// hit and no cycle).
+  void expect_inline(vaddr_t va, bool write) {
+    const auto kind = write ? AccessKind::kWrite : AccessKind::kRead;
+    EXPECT_NE(a_.core.mmu().bound_hit(va, kind, a_.core.privileged()).ptr,
+              nullptr)
+        << "not served inline, va=" << std::hex << va;
+    (void)b_.core.mmu().translate(va, kind, b_.core.privileged());
+    check(va, 4);
+  }
+
+  /// Bind `va`'s page and warm its line: the next access to `va` takes the
+  /// inline path and hits L1D.
+  void warm(vaddr_t va) {
+    scalar(va, false, 0);  // the slow path binds the page
+    scalar(va, false, 0);
+    expect_inline(va, false);
   }
 
   Rig a_;
@@ -430,6 +464,152 @@ TEST_F(AccessRunDiffTest, ReadAfterDiscardOfBoundPage) {
   EXPECT_EQ(r.value, 0u);
   touch(va, 64, false);
   scalar(va + 12, true, 7);
+}
+
+// ---- the inline path: a bound, warm page, then one change under it ---------
+
+TEST_F(AccessRunDiffTest, InlineHitAfterDiscard) {
+  const vaddr_t va = kPageVa + 6 * 4096 + 0x40;
+  warm(va);
+  scalar(va, true, 0x1234'5678u);
+  both([](Rig& r) { r.dram.discard(page_frame(6), 4096); });
+  // The frame is gone: the write goes out of line and binds the new frame,
+  // and the read after it is inline again.
+  scalar(va + 4, true, 0xCAFEu);
+  expect_inline(va, false);
+  EXPECT_EQ(scalar(va, false, 0).value, 0u);
+  EXPECT_EQ(scalar(va + 4, false, 0).value, 0xCAFEu);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, InlineHitAfterDacrFlip) {
+  const vaddr_t va = kPageVa + 2 * 4096 + 0x80;
+  warm(va);
+  both([](Rig& r) { r.core.mmu().set_dacr(0); });  // NoAccess: domain faults
+  EXPECT_EQ(scalar(va, false, 0).fault.type, mmu::FaultType::kDomain);
+  EXPECT_EQ(scalar(va, true, 1).fault.type, mmu::FaultType::kDomain);
+  touch(va, 8, true);
+  both([](Rig& r) {
+    r.core.mmu().set_dacr(mmu::dacr_set(0, 0, DomainMode::kManager));
+  });
+  // Manager: no AP check, so even a user access to the privileged page
+  // binds and then runs inline.
+  expect_inline(va, true);
+  scalar(va, true, 2);
+  both([](Rig& r) { r.core.cpsr().mode = Mode::kUsr; });
+  const vaddr_t priv = kPageVa + kPrivPage * 4096 + 0x20;
+  EXPECT_TRUE(scalar(priv, true, 3).ok);
+  expect_inline(priv, false);
+  EXPECT_EQ(scalar(priv, false, 0).value, 3u);
+  both([](Rig& r) {
+    r.core.mmu().set_dacr(mmu::dacr_set(0, 0, DomainMode::kClient));
+  });
+  EXPECT_EQ(scalar(priv, false, 0).fault.type, mmu::FaultType::kPermission);
+  EXPECT_TRUE(scalar(va, false, 0).ok);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, UserAccessToPrivPageBoundByPrivilegedAccess) {
+  const vaddr_t va = kPageVa + kPrivPage * 4096 + 0x100;
+  warm(va);
+  scalar(va, true, 0xABCDu);
+  both([](Rig& r) { r.core.cpsr().mode = Mode::kUsr; });
+  EXPECT_EQ(scalar(va, false, 0).fault.type, mmu::FaultType::kPermission);
+  EXPECT_EQ(scalar(va, true, 9).fault.type, mmu::FaultType::kPermission);
+  touch(va - 8, 16, false);
+  both([](Rig& r) { r.core.cpsr().mode = Mode::kSvc; });
+  expect_inline(va, false);
+  EXPECT_EQ(scalar(va, false, 0).value, 0xABCDu);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, InlineHitAfterAsidTtbrAndVaFlush) {
+  const vaddr_t va = kPageVa + 7 * 4096 + 0x1C;
+  // Each rewrite drops the binding: the next access goes out of line and
+  // binds again.
+  const auto rewrites = {
+      +[](Rig& r) { r.core.mmu().set_asid(r.core.mmu().asid()); },
+      +[](Rig& r) { r.core.mmu().set_ttbr0(r.core.mmu().ttbr0()); },
+      +[](Rig& r) { r.core.mmu().tlb_flush_va(kPageVa + 7 * 4096); },
+  };
+  for (auto rewrite : rewrites) {
+    warm(va);
+    scalar(va, true, 5);
+    both(rewrite);
+    scalar(va, false, 0);
+    expect_inline(va, true);
+    scalar(va, true, 6);
+  }
+  // A switch to the other space serves the same VA from another frame.
+  both([](Rig& r) { r.switch_space(1); });
+  warm(va);
+  EXPECT_EQ(scalar(va, false, 0).value, 0u);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, InlineWriteHitsCleanLine) {
+  const vaddr_t va = kSectVa + 0x3000 + 0x14;
+  warm(va);  // the line is resident and clean
+  scalar(va, true, 0x5555u);
+  scalar(va + 4, true, 0x6666u);
+  both([](Rig& r) { r.clock.advance(r.core.caches().flush_all()); });
+  check(va, 4);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, InlineL1dMissWithDirtyVictim) {
+  // Bind page 4 through one line, then fill every L1D way of another of
+  // its lines' set with dirty section lines (identity-mapped). They are
+  // 32 KB apart, a multiple of the 8 KB way size, so their micro-TLB slots
+  // (0 and 8) spare page 4's; the section's TLB entry goes in first, since
+  // a TLB insert drops every micro entry. The access to that line probes
+  // inline, misses L1D and evicts a dirty line to L2.
+  const vaddr_t va = kPageVa + 4 * 4096 + 0x200;
+  scalar(kSectVa, false, 0);
+  warm(kPageVa + 4 * 4096);
+  const paddr_t set_pa = page_frame(4) + 0x200;
+  const auto dirty_set = [&](u32 seed) {
+    for (u32 w = 0; w < 2 * cache::kL1dGeometry.ways; ++w)
+      scalar(kSectVa + set_pa % (8 * kKiB) + w * 32 * kKiB, true, seed + w);
+  };
+  dirty_set(0);
+  ASSERT_FALSE(a_.core.caches().l1d().contains(set_pa));
+  const u64 writebacks = a_.core.caches().l1d().stats().writebacks;
+  expect_inline(va, false);
+  scalar(va, false, 0);
+  EXPECT_GT(a_.core.caches().l1d().stats().writebacks, writebacks);
+  // A write miss on the bound page dirties its new line.
+  dirty_set(16);
+  ASSERT_FALSE(a_.core.caches().l1d().contains(set_pa));
+  expect_inline(va, true);
+  scalar(va, true, 0x77u);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, InlineProbeDeclinesWithMmuOff) {
+  const vaddr_t va = kPageVa + 10 * 4096 + 0x60;
+  warm(va);
+  scalar(va, true, 0x11u);
+  // With the MMU off the VA is the PA; the live, bound micro entry must
+  // not serve it.
+  both([](Rig& r) { r.core.mmu().set_enabled(false); });
+  scalar(va, true, 0x22u);
+  EXPECT_EQ(scalar(va, false, 0).value, 0x22u);
+  touch(va, 8, false);
+  both([](Rig& r) { r.core.mmu().set_enabled(true); });
+  expect_inline(va, false);
+  EXPECT_EQ(scalar(va, false, 0).value, 0x11u);
+  check_content();
+}
+
+TEST(AccessRunDeathTest, UnalignedScalarOnBoundPageTripsCheck) {
+  Rig rig;
+  const vaddr_t page = kPageVa + 3 * 4096;
+  ASSERT_TRUE(rig.core.vwrite32(page + 4092, 1).ok);  // binds the page
+  ASSERT_TRUE(rig.core.vread32(page + 4092).ok);
+  // Four bytes from 4094 would run past the frame.
+  EXPECT_DEATH((void)rig.core.vread32(page + 4094), "MINOVA_CHECK failed");
+  EXPECT_DEATH((void)rig.core.vwrite32(page + 2, 0), "MINOVA_CHECK failed");
 }
 
 // ---- random storm -----------------------------------------------------------

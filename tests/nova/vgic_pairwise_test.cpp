@@ -30,6 +30,9 @@ namespace {
 using testing::NullHwService;
 using testing::StubGuest;
 
+/// The one-core masking rule: no source is live on a sibling core.
+constexpr auto kNeverSkip = [](u32) { return false; };
+
 /// One self-contained rig: 8 vGICs with index-derived interrupt patterns
 /// over a fresh physical GIC. Rebuilt per pair so pairs are independent.
 class PairRig {
@@ -98,7 +101,7 @@ TEST(VGicPairwiseSweep, EveryOrderedSwitchPairYieldsExactMaskUnmaskSets) {
       // The switch protocol, first half: mask the outgoing VM. No other VM
       // ever ran on this rig, so the distributor must be fully quiesced —
       // including sources a shares with b.
-      rig.vgics_[a].mask_all_physical(rig.platform_.cpu());
+      rig.vgics_[a].mask_all_physical(rig.platform_.cpu(), kNeverSkip);
       ASSERT_NO_FATAL_FAILURE(
           rig.expect_exact_gic_set(nullptr, "after mask-out"));
 
@@ -124,7 +127,7 @@ TEST(VGicPairwiseSweep, VirtualOnlySourcesNeverReachTheDistributor) {
   ASSERT_GE(kVtimerVirq, rig.platform_.gic().num_irqs());
   for (u32 v = 0; v < PairRig::kNumVms; ++v) {
     rig.vgics_[v].unmask_enabled_physical(rig.platform_.cpu());
-    rig.vgics_[v].mask_all_physical(rig.platform_.cpu());
+    rig.vgics_[v].mask_all_physical(rig.platform_.cpu(), kNeverSkip);
   }
 }
 

@@ -13,6 +13,9 @@
 namespace minova::nova {
 namespace {
 
+/// The one-core masking rule: no source is live on a sibling core.
+constexpr auto kNeverSkip = [](u32) { return false; };
+
 class VGicTest : public ::testing::Test {
  protected:
   VGicTest()
@@ -81,7 +84,7 @@ TEST_F(VGicTest, PhysicalMaskUnmaskFollowsRecordList) {
   gic.enable_irq(61);
   gic.enable_irq(62);
 
-  vgic_.mask_all_physical(core);  // VM switched out
+  vgic_.mask_all_physical(core, kNeverSkip);  // VM switched out
   EXPECT_FALSE(gic.is_enabled(61));
   EXPECT_FALSE(gic.is_enabled(62));
 
@@ -95,7 +98,7 @@ TEST_F(VGicTest, VirtualOnlyIrqsNeverTouchPhysicalGic) {
   vgic_.register_irq(kVtimerVirq);  // 120 >= kNumIrqs(96)
   vgic_.enable(kVtimerVirq);
   // Would abort with a bounds CHECK inside the GIC if it were forwarded.
-  vgic_.mask_all_physical(core);
+  vgic_.mask_all_physical(core, kNeverSkip);
   vgic_.unmask_enabled_physical(core);
   vgic_.set_pending(kVtimerVirq);
   u32 irq = 0;
@@ -114,7 +117,7 @@ TEST_F(VGicTest, MaskingCostsCycles) {
   vgic_.register_irq(61);
   vgic_.enable(61);
   const cycles_t t0 = platform_.clock().now();
-  vgic_.mask_all_physical(core);
+  vgic_.mask_all_physical(core, kNeverSkip);
   EXPECT_GT(platform_.clock().now(), t0);  // device access + list walk
 }
 
@@ -141,7 +144,7 @@ class VGicSwitchTest : public ::testing::Test {
   /// The kernel's VM-switch sequence: mask the outgoing VM's sources, then
   /// unmask the incoming VM's enabled sources (vgic.hpp).
   void switch_vms(u32 from, u32 to) {
-    vgics_[from].mask_all_physical(platform_.cpu());
+    vgics_[from].mask_all_physical(platform_.cpu(), kNeverSkip);
     vgics_[to].unmask_enabled_physical(platform_.cpu());
   }
 
