@@ -2,87 +2,37 @@
 
 namespace minova::nova {
 
-HostPool::HostPool(u32 workers) {
+HostPool::HostPool(u32 workers) : phase_(std::ptrdiff_t(workers) + 1) {
   threads_.reserve(workers);
-  for (u32 i = 0; i < workers; ++i)
-    threads_.emplace_back([this] { worker_main(); });
+  for (u32 t = 1; t <= workers; ++t) {
+    threads_.emplace_back([this, t] {
+      for (;;) {
+        phase_.arrive_and_wait();  // start
+        if (stop_) return;
+        run_home(t);
+        phase_.arrive_and_wait();  // finish
+      }
+    });
+  }
 }
 
 HostPool::~HostPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_start_.notify_all();
+  stop_ = true;
+  phase_.arrive_and_wait();  // a start phase that sends the workers home
   for (auto& t : threads_) t.join();
 }
 
-void HostPool::work_chunk(const std::function<void(std::size_t)>& fn,
-                          std::size_t n) {
-  for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
-    fn(i);
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last item done: wake the caller. Taking the mutex orders this
-      // notify after the caller's predicate check — no lost wakeup.
-      std::lock_guard<std::mutex> lk(mu_);
-      cv_done_.notify_all();
-    }
-  }
-}
-
-void HostPool::worker_main() {
-  u64 seen = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t n = 0;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_start_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      fn = fn_;
-      n = n_;
-    }
-    // fn may be null when this worker slept through an entire generation
-    // (run() already completed it); the claim counter is exhausted then,
-    // so there is nothing to execute either way.
-    if (fn != nullptr) work_chunk(*fn, n);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --active_;
-      if (active_ == 0) cv_done_.notify_all();
-    }
-  }
+void HostPool::run_home(std::size_t thread) {
+  for (std::size_t i = thread; i < n_; i += threads_.size() + 1) (*fn_)(i);
 }
 
 void HostPool::run(std::size_t n,
                    const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (threads_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  // Every worker must be home before the claim counter is reset: a
-  // straggler still draining the previous generation's (empty) claim loop
-  // must not pick up indices of this one with the old function pointer.
-  cv_done_.wait(lk, [&] { return active_ == 0; });
   fn_ = &fn;
   n_ = n;
-  next_.store(0, std::memory_order_relaxed);
-  remaining_.store(n, std::memory_order_relaxed);
-  ++generation_;
-  active_ = u32(threads_.size());
-  lk.unlock();
-  cv_start_.notify_all();
-  work_chunk(fn, n);  // the caller participates
-  lk.lock();
-  cv_done_.wait(lk, [&] {
-    return remaining_.load(std::memory_order_acquire) == 0;
-  });
-  fn_ = nullptr;
+  phase_.arrive_and_wait();  // start
+  run_home(0);
+  phase_.arrive_and_wait();  // finish
 }
 
 }  // namespace minova::nova

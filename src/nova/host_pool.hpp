@@ -1,27 +1,24 @@
 // A tiny persistent worker pool for the SMP batch phase (DESIGN.md §14).
 //
 // The kernel's round engine collects one independent compute step per
-// simulated core, then executes the whole batch at once: `run(n, fn)`
-// dispatches indices 0..n-1 across the workers plus the calling thread and
-// returns only when every index has completed. Indices are claimed through
-// a single atomic counter, so which host thread runs which item is
-// scheduling-dependent — the items themselves must be (and are, by the
-// engine's lane isolation) mutually independent, which is exactly why the
-// claim order cannot leak into any simulated number.
+// simulated core, then executes the whole batch at once: `run(n, fn)` runs
+// fn(0) .. fn(n-1) across the workers plus the calling thread and returns
+// only when every item has completed. Item i runs on its home thread
+// i mod T (T = workers + 1, the caller is thread 0); the items themselves
+// must be (and are, by the engine's lane isolation) mutually independent.
 //
-// Synchronization contract (ThreadSanitizer-clean by construction):
-//   * run() publishes the job under the mutex; workers observe it through
-//     the same mutex before touching fn/n.
-//   * every completion decrements `remaining_` with release ordering; the
-//     caller's wakeup check acquires it, so all writes a worker made while
-//     executing an item happen-before run() returns.
+// Synchronization contract (ThreadSanitizer-clean by construction): each
+// round is two phases of one std::barrier. run() writes fn and n before it
+// arrives at the start phase, and every thread reads them only after that
+// phase completes; every item's writes come before its thread arrives at the
+// finish phase, which completes before run() returns. A barrier phase
+// orders every arrival before every return from it, so both hand-offs are
+// happens-before edges.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <barrier>
 #include <cstddef>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -43,22 +40,13 @@ class HostPool {
   /// calling thread. Blocks until all are done. Not reentrant.
   void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  u32 workers() const { return u32(threads_.size()); }
-
  private:
-  void worker_main();
-  void work_chunk(const std::function<void(std::size_t)>& fn, std::size_t n);
+  void run_home(std::size_t thread);
 
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;  // guarded by mu_
-  std::size_t n_ = 0;                                     // guarded by mu_
-  u64 generation_ = 0;                                    // guarded by mu_
-  u32 active_ = 0;                                        // guarded by mu_
-  bool stop_ = false;                                     // guarded by mu_
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> remaining_{0};
+  std::barrier<> phase_;
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t n_ = 0;
+  bool stop_ = false;
   std::vector<std::thread> threads_;
 };
 

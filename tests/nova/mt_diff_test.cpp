@@ -4,15 +4,14 @@
 // number — clock readings, VM switch counts, per-core scheduling and
 // coherence counters, guest-visible checksums — must be bit-identical at
 // any thread count. These tests run the same configuration at 1 host
-// thread (the fully serial engine) and at 2/4 (plus any extra counts from
-// MININOVA_TEST_THREADS) and compare an FNV digest over everything
-// observable. Scenario-scale runs do the same through the fuzzer's digest.
+// thread (the fully serial engine) and at 2/3/4/8 and compare an FNV
+// digest over everything observable. Scenario-scale runs do the same
+// through the fuzzer's digest.
 // The suite also carries the starvation/liveness case: one core flooding
 // its siblings with shootdown IPIs must not keep the batch engine from
 // making progress.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,25 +36,9 @@ constexpr std::size_t kHostCacheLine = 64;
 static_assert(alignof(LaneClock) % kHostCacheLine == 0);
 static_assert(sizeof(LaneClock) % kHostCacheLine == 0);
 
-// Host thread counts to sweep against the threads=1 reference. The env
-// hook lets CI extend the sweep (e.g. MININOVA_TEST_THREADS=8,16).
-std::vector<u32> thread_counts() {
-  std::vector<u32> out{2, 4};
-  if (const char* env = std::getenv("MININOVA_TEST_THREADS")) {
-    const std::string s(env);
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const std::size_t comma = s.find(',', pos);
-      const std::string tok =
-          s.substr(pos, comma == std::string::npos ? s.npos : comma - pos);
-      const unsigned long v = std::strtoul(tok.c_str(), nullptr, 0);
-      if (v >= 1 && v <= 64) out.push_back(u32(v));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
-  return out;
-}
+// Host thread counts to sweep against the threads=1 reference. 3 leaves
+// one thread two home lanes on 4 cores; 8 is clamped to the core count.
+constexpr u32 kThreadCounts[] = {2, 3, 4, 8};
 
 // Run `cores` simulated cores, two stream-compute guests per core, for
 // `sim_ms`, and digest everything a caller could observe.
@@ -104,7 +87,7 @@ u64 run_stream_digest(u32 cores, u32 threads, double sim_ms) {
 TEST(MtDiffTest, StreamComputeDigestInvariantAcrossThreads) {
   for (u32 cores : {2u, 4u, 8u}) {
     const u64 ref = run_stream_digest(cores, 1, 10.0);
-    for (u32 t : thread_counts())
+    for (u32 t : kThreadCounts)
       EXPECT_EQ(run_stream_digest(cores, t, 10.0), ref)
           << "cores=" << cores << " threads=" << t;
   }
@@ -172,7 +155,7 @@ u64 run_mixed_digest(u32 cores, u32 threads, double sim_ms) {
 TEST(MtDiffTest, MixedSerialAndComputeTrafficInvariant) {
   for (u32 cores : {2u, 4u}) {
     const u64 ref = run_mixed_digest(cores, 1, 10.0);
-    for (u32 t : thread_counts())
+    for (u32 t : kThreadCounts)
       EXPECT_EQ(run_mixed_digest(cores, t, 10.0), ref)
           << "cores=" << cores << " threads=" << t;
   }
@@ -194,7 +177,7 @@ void expect_scenario_invariant(u64 seed, u32 cores, bool lifecycle) {
   opts.host_threads = 1;
   const auto ref = fuzz::run_scenario(opts);
   EXPECT_FALSE(ref.failed) << ref.report;
-  for (u32 t : thread_counts()) {
+  for (u32 t : kThreadCounts) {
     fuzz::ScenarioOptions mt = opts;
     mt.host_threads = t;
     const auto res = fuzz::run_scenario(mt);
