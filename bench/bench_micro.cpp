@@ -13,6 +13,7 @@
 #include "nova/host_pool.hpp"
 #include "nova/kernel.hpp"
 #include "nova/vgic.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "workloads/adpcm.hpp"
 #include "workloads/gsm.hpp"
@@ -256,6 +257,27 @@ void BM_GsmSynthFrame(benchmark::State& state) {
   state.SetItemsProcessed(i64(state.iterations()) * i64(pcm.size()));
 }
 BENCHMARK(BM_GsmSynthFrame);
+
+// ---- device events (host ns/op) ----------------------------------------------
+
+// One kernel-tick-style event per iteration: it fires from `run_due` and
+// re-arms itself from its own callback, behind 8 far-off pending events.
+void BM_EventQueueTick(benchmark::State& state) {
+  struct Tick {
+    sim::EventQueue* q;
+    const cycles_t* now;
+    void operator()() const { q->schedule_at(*now + 100, *this); }
+  };
+  sim::EventQueue q;
+  cycles_t now = 0;
+  for (cycles_t i = 0; i < 8; ++i) q.schedule_at(~cycles_t(0) - i, [] {});
+  q.schedule_at(100, Tick{&q, &now});
+  for (auto _ : state) {
+    now += 100;
+    benchmark::DoNotOptimize(q.run_due(now));
+  }
+}
+BENCHMARK(BM_EventQueueTick);
 
 // ---- interrupt queries (host ns/op) ------------------------------------------
 

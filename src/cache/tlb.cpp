@@ -1,12 +1,19 @@
 #include "cache/tlb.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.hpp"
 
 namespace minova::cache {
 
-Tlb::Tlb(u32 entries) { entries_.resize(entries); }
+Tlb::Tlb(u32 entries)
+    : entries_(entries), next_(entries),
+      shift_(32 - u32(std::bit_width(2 * entries - 1))) {
+  MINOVA_CHECK(entries > 0 && entries < kNil);
+  page_head_.assign(std::size_t(1) << (32 - shift_), kNil);
+  sect_head_ = page_head_;
+}
 
 bool Tlb::matches(const TlbEntry& e, u32 asid, vaddr_t va) {
   if (!e.valid) return false;
@@ -19,41 +26,31 @@ bool Tlb::matches(const TlbEntry& e, u32 asid, vaddr_t va) {
   return e.vpage == vpage;
 }
 
-void Tlb::index_add(u32 slot) {
+void Tlb::chain_add(u32 slot) {
   const TlbEntry& e = entries_[slot];
-  auto& bucket = e.large ? sect_idx_[u32(e.vpage >> 8)]
-                         : page_idx_[u32(e.vpage)];
-  bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), slot), slot);
+  u16* link = &head(e.large, key(e));
+  while (*link < slot) link = &next_[*link];
+  next_[slot] = *link;
+  *link = u16(slot);
 }
 
-void Tlb::index_remove(u32 slot) {
+void Tlb::chain_remove(u32 slot) {
   const TlbEntry& e = entries_[slot];
-  auto& idx = e.large ? sect_idx_ : page_idx_;
-  const u32 key = e.large ? u32(e.vpage >> 8) : u32(e.vpage);
-  auto it = idx.find(key);
-  MINOVA_CHECK(it != idx.end());
-  auto& bucket = it->second;
-  bucket.erase(std::lower_bound(bucket.begin(), bucket.end(), slot));
-  if (bucket.empty()) idx.erase(it);
+  u16* link = &head(e.large, key(e));
+  for (; *link != slot; link = &next_[*link]) MINOVA_CHECK(*link != kNil);
+  *link = next_[slot];
 }
 
 const TlbEntry* Tlb::lookup(u32 asid, vaddr_t va) {
-  // Candidates: small-page entries indexed under va>>12 and sections
-  // indexed under va>>20. Both buckets are sorted by slot; a two-pointer
-  // merge visits candidates in ascending slot order so the winner is the
-  // same "first matching slot" the linear scan would have found.
-  static const std::vector<u32> kEmpty;
-  const auto pit = page_idx_.find(u32(va >> 12));
-  const auto sit = sect_idx_.find(u32(va >> 20));
-  const std::vector<u32>& pages = pit != page_idx_.end() ? pit->second : kEmpty;
-  const std::vector<u32>& sects = sit != sect_idx_.end() ? sit->second : kEmpty;
-  std::size_t i = 0, j = 0;
-  while (i < pages.size() || j < sects.size()) {
-    u32 slot;
-    if (j >= sects.size() || (i < pages.size() && pages[i] < sects[j]))
-      slot = pages[i++];
-    else
-      slot = sects[j++];
+  // Candidates: the small-page chain for va>>12 and the section chain for
+  // va>>20. Both are sorted by slot (kNil above all); merging them visits
+  // candidates in ascending slot order so the winner is the same "first
+  // matching slot" the linear scan would have found. Colliding keys in a
+  // chain fail `matches`.
+  u32 p = head(false, u32(va >> 12));
+  u32 s = head(true, u32(va >> 20));
+  for (u32 slot; (slot = std::min(p, s)) != kNil;) {
+    (slot == p ? p : s) = next_[slot];
     TlbEntry& e = entries_[slot];
     if (matches(e, asid, va)) {
       e.lru = ++use_clock_;
@@ -69,22 +66,16 @@ const TlbEntry* Tlb::insert(const TlbEntry& entry) {
   MINOVA_CHECK(entry.valid);
   // Replace an existing entry for the same page first (re-walk after a
   // permission update), else an invalid slot, else LRU. Replacement
-  // candidates all live in one index bucket (same vpage, same size class);
-  // the bucket walk in slot order reproduces the old full-array scan.
+  // candidates all live in one chain (same vpage, same size class); the
+  // chain walk in slot order reproduces the old full-array scan.
   TlbEntry* slot = nullptr;
   u32 slot_idx = 0;
-  {
-    const auto& idx = entry.large ? sect_idx_ : page_idx_;
-    const u32 key = entry.large ? u32(entry.vpage >> 8) : u32(entry.vpage);
-    if (auto it = idx.find(key); it != idx.end()) {
-      for (u32 s : it->second) {
-        TlbEntry& e = entries_[s];
-        if (e.vpage == entry.vpage && (e.global || e.asid == entry.asid)) {
-          slot = &e;
-          slot_idx = s;
-          break;
-        }
-      }
+  for (u32 s = head(entry.large, key(entry)); s != kNil; s = next_[s]) {
+    TlbEntry& e = entries_[s];
+    if (e.vpage == entry.vpage && (e.global || e.asid == entry.asid)) {
+      slot = &e;
+      slot_idx = s;
+      break;
     }
   }
   if (slot == nullptr && valid_count_ < entries_.size()) {
@@ -107,20 +98,20 @@ const TlbEntry* Tlb::insert(const TlbEntry& entry) {
     }
   }
   if (slot->valid)
-    index_remove(slot_idx);
+    chain_remove(slot_idx);
   else
     ++valid_count_;
   *slot = entry;
   slot->lru = ++use_clock_;
-  index_add(slot_idx);
+  chain_add(slot_idx);
   ++gen_;
   return slot;
 }
 
 void Tlb::flush_all() {
   for (auto& e : entries_) e.valid = false;
-  page_idx_.clear();
-  sect_idx_.clear();
+  std::fill(page_head_.begin(), page_head_.end(), kNil);
+  std::fill(sect_head_.begin(), sect_head_.end(), kNil);
   valid_count_ = 0;
   ++stats_.flushes;
   ++gen_;
@@ -130,7 +121,7 @@ void Tlb::flush_asid(u32 asid) {
   for (u32 s = 0; s < u32(entries_.size()); ++s) {
     TlbEntry& e = entries_[s];
     if (e.valid && !e.global && e.asid == asid) {
-      index_remove(s);
+      chain_remove(s);
       e.valid = false;
       --valid_count_;
     }
@@ -139,19 +130,23 @@ void Tlb::flush_asid(u32 asid) {
   ++gen_;
 }
 
-void Tlb::flush_va(vaddr_t va) {
-  // Both size classes, all ASIDs: collect the matching slots from the two
-  // buckets first (invalidation mutates the buckets being walked).
-  std::vector<u32> hit_slots;
-  if (auto it = page_idx_.find(u32(va >> 12)); it != page_idx_.end())
-    hit_slots = it->second;
-  if (auto it = sect_idx_.find(u32(va >> 20)); it != sect_idx_.end())
-    hit_slots.insert(hit_slots.end(), it->second.begin(), it->second.end());
-  for (u32 s : hit_slots) {
-    index_remove(s);
-    entries_[s].valid = false;
+void Tlb::flush_chain(u16* link, u32 k) {
+  while (*link != kNil) {
+    TlbEntry& e = entries_[*link];
+    if (key(e) != k) {
+      link = &next_[*link];
+      continue;
+    }
+    *link = next_[*link];
+    e.valid = false;
     --valid_count_;
   }
+}
+
+void Tlb::flush_va(vaddr_t va) {
+  // Both size classes, all ASIDs.
+  flush_chain(&head(false, u32(va >> 12)), u32(va >> 12));
+  flush_chain(&head(true, u32(va >> 20)), u32(va >> 20));
   ++stats_.va_flushes;
   ++gen_;
 }

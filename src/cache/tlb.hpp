@@ -9,18 +9,17 @@
 //
 // Host-side structure (DESIGN.md §10): the array of entries is still the
 // fully-associative true-LRU store the simulated replacement decisions are
-// defined over, but lookups no longer scan it. Two hash indexes — small
-// pages keyed on `va >> 12`, sections keyed on `va >> 20` — map a virtual
-// page to the slots that could translate it, so `lookup` is O(1) in the
-// TLB size. Index buckets are kept sorted by slot number and the merged
-// candidate walk takes the lowest matching slot, which is exactly the
-// "first match in array order" the old linear scan produced: hit/miss
-// sequences, LRU stamps and therefore every simulated cycle are
-// bit-identical to the scanning implementation (pinned by the differential
-// test against `RefTlb`).
+// defined over, but lookups no longer scan it. Each size class has a flat
+// hash table of chain heads — small pages keyed on `va >> 12`, sections on
+// `va >> 20`, at least 2N buckets each — and every valid slot is linked
+// into its key's chain through `next_`. Chains are kept sorted by slot
+// number and `lookup` merges the two chains it reads, taking the lowest
+// matching slot, which is exactly the "first match in array order" the old
+// linear scan produced: hit/miss sequences, LRU stamps and therefore every
+// simulated cycle are bit-identical to the scanning implementation (pinned
+// by the differential test against `RefTlb`).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "util/types.hpp"
@@ -97,14 +96,25 @@ class Tlb {
  private:
   static bool matches(const TlbEntry& e, u32 asid, vaddr_t va);
 
-  // A valid slot lives in exactly one bucket: page_idx_[vpage] for small
-  // pages, sect_idx_[vpage >> 8] for sections. Buckets stay sorted by slot.
-  void index_add(u32 slot);
-  void index_remove(u32 slot);
+  static constexpr u16 kNil = 0xFFFF;  // end of chain; above every slot
+  static u32 key(const TlbEntry& e) {
+    return e.large ? u32(e.vpage >> 8) : u32(e.vpage);
+  }
+  u16& head(bool large, u32 k) {
+    return (large ? sect_head_ : page_head_)[(k * 0x9E37'79B1u) >> shift_];
+  }
+  // A valid slot lives in exactly one chain: its size class's chain for
+  // its key. Chains stay sorted by slot.
+  void chain_add(u32 slot);
+  void chain_remove(u32 slot);
+  /// Invalidate the entries of the chain at `link` whose key is `k`.
+  void flush_chain(u16* link, u32 k);
 
   std::vector<TlbEntry> entries_;
-  std::unordered_map<u32, std::vector<u32>> page_idx_;
-  std::unordered_map<u32, std::vector<u32>> sect_idx_;
+  std::vector<u16> next_;  // per slot: the next slot in its chain
+  std::vector<u16> page_head_;
+  std::vector<u16> sect_head_;
+  u32 shift_;  // 32 - log2(buckets per size class)
   u32 valid_count_ = 0;
   u64 use_clock_ = 0;
   u64 gen_ = 0;

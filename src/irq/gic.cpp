@@ -13,14 +13,12 @@ void Gic::enable_irq(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].enabled = true;
   refresh(id);
-  update_line();
 }
 
 void Gic::disable_irq(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].enabled = false;
   refresh(id);
-  update_line();
 }
 
 bool Gic::is_enabled(u32 id) const {
@@ -31,7 +29,7 @@ bool Gic::is_enabled(u32 id) const {
 void Gic::set_priority(u32 id, u8 prio) {
   MINOVA_CHECK(id < state_.size());
   state_[id].prio = prio;
-  update_line();
+  if (is_candidate(id)) update_line();
 }
 
 u8 Gic::priority(u32 id) const {
@@ -44,7 +42,6 @@ void Gic::raise(u32 id) {
   state_[id].pending = true;
   refresh(id);
   ++raised_count_;
-  update_line();
 }
 
 bool Gic::is_pending(u32 id) const {
@@ -55,7 +52,7 @@ bool Gic::is_pending(u32 id) const {
 void Gic::set_target_mask(u32 id, u8 mask) {
   MINOVA_CHECK(id < state_.size());
   state_[id].targets = mask;
-  update_line();
+  if (is_candidate(id)) update_line();
 }
 
 u8 Gic::target_mask(u32 id) const {
@@ -65,11 +62,9 @@ u8 Gic::target_mask(u32 id) const {
 
 void Gic::refresh(u32 id) {
   const IrqState& s = state_[id];
-  const u64 bit = u64(1) << (id % 64);
-  if (s.enabled && s.pending && !s.active)
-    candidates_[id / 64] |= bit;
-  else
-    candidates_[id / 64] &= ~bit;
+  if ((s.enabled && s.pending && !s.active) == is_candidate(id)) return;
+  candidates_[id / 64] ^= u64(1) << (id % 64);
+  update_line();
 }
 
 // Visits candidates in ascending ID order and keeps the first strictly best
@@ -97,7 +92,6 @@ u32 Gic::acknowledge_for(u8 cpu_mask) {
   s.active = true;
   refresh(u32(id));
   ++acked_count_;
-  update_line();
   return u32(id);
 }
 
@@ -105,7 +99,6 @@ void Gic::eoi(u32 id) {
   MINOVA_CHECK(id < state_.size());
   state_[id].active = false;
   refresh(id);
-  update_line();
 }
 
 void Gic::update_line() {

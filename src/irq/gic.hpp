@@ -79,11 +79,14 @@ class Gic {
   static constexpr u8 kPriorityMask = 0xFF;
 
   int highest_pending(u8 cpu_mask) const;  // index or -1
+  bool is_candidate(u32 id) const {
+    return (candidates_[id / 64] >> (id % 64)) & 1;
+  }
   /// Re-derive `id`'s bit in `candidates_` after its enable, pending or
-  /// active bit changed.
+  /// active bit changed, and the line if the bit flipped.
   void refresh(u32 id);
-  /// Re-derive `asserted_cpus_`. Every mutator ends here, so the queries
-  /// above read a settled set.
+  /// Re-derive `asserted_cpus_`. It changes only when the candidate set, or
+  /// a candidate's priority or targets, changes: the mutators call it then.
   void update_line();
 
   std::vector<IrqState> state_;

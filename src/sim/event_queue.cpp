@@ -1,13 +1,11 @@
 #include "sim/event_queue.hpp"
 
-#include <utility>
-
-#include "util/assert.hpp"
+#include <cstring>
 
 namespace minova::sim {
 
-EventQueue::EventId EventQueue::schedule_at(cycles_t when, Callback cb) {
-  MINOVA_CHECK(cb != nullptr);
+EventQueue::EventId EventQueue::enqueue(cycles_t when, const Storage& fn,
+                                        Thunk call) {
   u32 index;
   if (free_slots_.empty()) {
     index = u32(slots_.size());
@@ -17,7 +15,10 @@ EventQueue::EventId EventQueue::schedule_at(cycles_t when, Callback cb) {
     free_slots_.pop_back();
   }
   Slot& slot = slots_[index];
-  slot.cb = std::move(cb);
+  // memcpy (not assignment) creates the callable in a slot that may have
+  // held another type.
+  std::memcpy(&slot.fn, &fn, sizeof fn);
+  slot.call = call;
   const EventId id = (EventId(slot.gen) << 32) | index;
   heap_.push(Event{when, next_seq_++, id});
   ++live_count_;
@@ -28,12 +29,12 @@ EventQueue::Slot* EventQueue::live_slot(EventId id) {
   const u32 index = u32(id);
   if (index >= slots_.size()) return nullptr;
   Slot& slot = slots_[index];
-  return slot.cb && slot.gen == u32(id >> 32) ? &slot : nullptr;
+  return slot.call != nullptr && slot.gen == u32(id >> 32) ? &slot : nullptr;
 }
 
 void EventQueue::release(u32 index) {
   Slot& slot = slots_[index];
-  slot.cb = nullptr;
+  slot.call = nullptr;
   ++slot.gen;
   free_slots_.push_back(index);
   --live_count_;
@@ -52,9 +53,12 @@ std::size_t EventQueue::run_due(cycles_t now) {
     heap_.pop();
     Slot* slot = live_slot(id);
     if (slot == nullptr) continue;  // was cancelled
-    Callback cb = std::move(slot->cb);
+    // Copy out before releasing: the callback may reuse the slot or grow
+    // `slots_`.
+    Storage fn = slot->fn;
+    const Thunk call = slot->call;
     release(u32(id));
-    cb();
+    call(fn);
     ++fired;
   }
   return fired;

@@ -6,10 +6,16 @@
 // After every quantum of CPU progress, the kernel loop calls
 // `run_due(clock.now())` so device events interleave deterministically with
 // software execution.
+//
+// Callbacks are stored in place in their slot, next to a function-pointer
+// thunk that calls them: a callback must be trivially copyable and at most
+// two words (every device captures `this` plus at most one index), so
+// scheduling never allocates and needs no `std::function`.
 #pragma once
 
-#include <functional>
+#include <new>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -19,14 +25,26 @@ namespace minova::sim {
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
   /// Opaque handle: a callback slot index tagged with the slot's
   /// generation, so an id that outlived its event never names the event
   /// that later reuses the slot.
   using EventId = u64;
+  /// An id that names no slot: cancelling it is a no-op.
+  static constexpr EventId kNoEvent = ~EventId(0);
 
-  /// Schedule `cb` to fire once the clock reaches `when` (absolute cycles).
-  EventId schedule_at(cycles_t when, Callback cb);
+  /// Schedule `fn` to fire once the clock reaches `when` (absolute cycles).
+  template <typename F>
+  EventId schedule_at(cycles_t when, F fn) {
+    static_assert(std::is_trivially_copyable_v<F> &&
+                      sizeof(F) <= sizeof(Storage) &&
+                      alignof(F) <= alignof(Storage),
+                  "event callbacks are trivially copyable, at most two words");
+    Storage s{};
+    ::new (s.bytes) F(fn);
+    return enqueue(when, s, [](Storage& p) {
+      (*std::launder(reinterpret_cast<F*>(p.bytes)))();
+    });
+  }
 
   /// Cancel a pending event. Returns false if it already fired/was cancelled.
   bool cancel(EventId id);
@@ -48,28 +66,36 @@ class EventQueue {
   std::size_t slot_count() const { return slots_.size(); }
 
  private:
+  struct alignas(void*) Storage {
+    unsigned char bytes[2 * sizeof(void*)];
+  };
+  using Thunk = void (*)(Storage&);
+
   struct Event {
     cycles_t when;
     u64 seq;
     EventId id;
-    // Ordered as a min-heap on (when, seq).
-    bool operator>(const Event& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
+  };
+  // Orders the heap as a min-heap on (when, seq).
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
   struct Slot {
-    Callback cb;  // empty == free
-    u32 gen = 0;  // bumped each time the slot is released
+    Storage fn;
+    Thunk call = nullptr;  // null == free
+    u32 gen = 0;           // bumped each time the slot is released
   };
 
+  EventId enqueue(cycles_t when, const Storage& fn, Thunk call);
   /// The slot `id` names, or null if its event already fired or was
   /// cancelled.
   Slot* live_slot(EventId id);
   /// Return a fired or cancelled event's slot to the free list.
   void release(u32 index);
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::vector<Slot> slots_;
   std::vector<u32> free_slots_;
   u64 next_seq_ = 0;

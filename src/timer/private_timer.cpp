@@ -18,21 +18,16 @@ void PrivateTimer::start(u32 load, bool auto_reload) {
 }
 
 void PrivateTimer::stop() {
-  if (has_pending_event_) {
-    events_.cancel(pending_event_);
-    has_pending_event_ = false;
-  }
+  events_.cancel(pending_event_);  // a no-op once the event fired
   running_ = false;
 }
 
 void PrivateTimer::arm() {
   deadline_ = clock_.now() + cycles_t(load_) * kClockDivider;
   pending_event_ = events_.schedule_at(deadline_, [this] { on_expiry(); });
-  has_pending_event_ = true;
 }
 
 void PrivateTimer::on_expiry() {
-  has_pending_event_ = false;
   event_flag_ = true;
   ++expirations_;
   gic_.raise(irq_id_);

@@ -50,8 +50,7 @@ class PrivateTimer {
   bool auto_reload_ = false;
   u32 load_ = 0;
   cycles_t deadline_ = 0;
-  sim::EventQueue::EventId pending_event_ = 0;
-  bool has_pending_event_ = false;
+  sim::EventQueue::EventId pending_event_ = sim::EventQueue::kNoEvent;
   bool event_flag_ = false;
   u64 expirations_ = 0;
 };

@@ -22,10 +22,7 @@ void Ttc::start_interval(u32 ch, u32 interval, u32 prescale) {
 void Ttc::stop(u32 ch) {
   MINOVA_CHECK(ch < kChannels);
   Channel& c = chan_[ch];
-  if (c.has_event) {
-    events_.cancel(c.event);
-    c.has_event = false;
-  }
+  events_.cancel(c.event);  // a no-op once the event fired
   c.running = false;
 }
 
@@ -34,12 +31,10 @@ void Ttc::arm(u32 ch) {
   const cycles_t period = cycles_t(c.interval) << (c.prescale + 1);
   c.event = events_.schedule_at(clock_.now() + period, [this, ch] {
     Channel& cc = chan_[ch];
-    cc.has_event = false;
     ++cc.expirations;
     gic_.raise(irq_base_ + ch);
     if (cc.running) arm(ch);
   });
-  c.has_event = true;
 }
 
 }  // namespace minova::timer

@@ -34,8 +34,7 @@ class Ttc {
     bool running = false;
     u32 interval = 0;
     u32 prescale = 0;
-    sim::EventQueue::EventId event = 0;
-    bool has_event = false;
+    sim::EventQueue::EventId event = sim::EventQueue::kNoEvent;
     u64 expirations = 0;
   };
 

@@ -7,6 +7,7 @@
 namespace minova {
 
 using u8 = std::uint8_t;
+using u16 = std::uint16_t;
 using u32 = std::uint32_t;
 using u64 = std::uint64_t;
 using i8 = std::int8_t;

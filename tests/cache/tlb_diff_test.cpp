@@ -1,4 +1,4 @@
-// Differential test: the hash-indexed `Tlb` must be bit-identical to the
+// Differential test: the chain-indexed `Tlb` must be bit-identical to the
 // linear-scan `RefTlb` golden model — same hit/miss sequence, same winning
 // entry, same replacement decisions (slot-for-slot entry arrays, including
 // LRU stamps) and same statistics — under randomized traces mixing ASIDs,
@@ -115,6 +115,90 @@ TEST(TlbDifferential, RandomTraceSmallTlbHighPressure) {
 
 TEST(TlbDifferential, RandomTraceMediumTlb) {
   run_campaign(/*seed=*/0x5EED'0003ull, /*capacity=*/32, /*steps=*/120'000);
+}
+
+// 4 and 5 entries hash into 8 and 16 buckets per size class: with the
+// 512-page universe most chains hold entries of other keys.
+TEST(TlbDifferential, RandomTraceCollidingChains) {
+  run_campaign(/*seed=*/0x5EED'0004ull, /*capacity=*/4, /*steps=*/120'000);
+  run_campaign(/*seed=*/0x5EED'0005ull, /*capacity=*/5, /*steps=*/120'000);
+}
+
+TlbEntry page_entry(u32 asid, vaddr_t vpage, paddr_t ppage) {
+  return TlbEntry{.asid = asid, .vpage = vpage, .ppage = ppage, .attrs = 0,
+                  .global = false, .large = false, .valid = true, .lru = 0};
+}
+
+TlbEntry section_entry(u32 asid, u32 section, paddr_t ppage) {
+  TlbEntry e = page_entry(asid, section << 8, ppage);
+  e.large = true;
+  return e;
+}
+
+// The 9 keys below per size class share the 8 buckets of a 4-entry TLB,
+// so in each class some pair (a, b) shares a chain. Whatever the hash,
+// flush_va(a) must drop page a and section a and keep page b and section b.
+TEST(TlbDifferential, VaFlushSparesCollidingPageAndSection) {
+  const auto va = [](u32 k) { return vaddr_t((k << 20) | (k << 12)); };
+  for (u32 a = 0; a <= 8; ++a) {
+    for (u32 b = 0; b <= 8; ++b) {
+      if (a == b) continue;
+      SCOPED_TRACE(testing::Message() << "a " << a << " b " << b);
+      Tlb t(4);
+      RefTlb r(4);
+      for (const TlbEntry& e :
+           {page_entry(1, va(a) >> 12, 0x100 + a),
+            page_entry(1, va(b) >> 12, 0x100 + b),
+            section_entry(1, a, 0x200 + a), section_entry(1, b, 0x200 + b)}) {
+        t.insert(e);
+        r.insert(e);
+      }
+      t.flush_va(va(a));
+      r.flush_va(va(a));
+      expect_same_entry_arrays(t, r, 0);
+      expect_same_stats(t, r);
+      EXPECT_EQ(t.valid_count(), 2u);
+      const TlbEntry* page_b = t.lookup(1, va(b));
+      ASSERT_NE(page_b, nullptr);
+      EXPECT_EQ(page_b->ppage, 0x100 + b);  // the page wins: it is in slot 1
+      EXPECT_EQ(t.lookup(1, va(a)), nullptr);
+      // Halfway into each section: no page covers that VA.
+      const TlbEntry* sect_b = t.lookup(1, (b << 20) | 0x8'0000);
+      ASSERT_NE(sect_b, nullptr);
+      EXPECT_EQ(sect_b->ppage, 0x200 + b);
+      EXPECT_EQ(t.lookup(1, (a << 20) | 0x8'0000), nullptr);
+    }
+  }
+}
+
+// Re-inserting page a (a permission update) must replace a's slot even
+// when the chain holds a colliding entry ahead of it, in a lower slot.
+TEST(TlbDifferential, ReinsertBehindCollidingEntry) {
+  for (u32 a = 0; a <= 8; ++a) {
+    for (u32 b = 0; b <= 8; ++b) {
+      if (a == b) continue;
+      SCOPED_TRACE(testing::Message() << "a " << a << " b " << b);
+      for (const bool large : {false, true}) {
+        Tlb t(4);
+        RefTlb r(4);
+        const auto make = [&](u32 k, paddr_t ppage) {
+          return large ? section_entry(1, k, ppage) : page_entry(1, k, ppage);
+        };
+        for (const TlbEntry& e : {make(b, 1), make(a, 2), make(a, 3)}) {
+          const TlbEntry* x = t.insert(e);
+          const TlbEntry* y = r.insert(e);
+          ASSERT_EQ(x - t.entry_array().data(), y - r.entry_array().data());
+        }
+        expect_same_entry_arrays(t, r, 0);
+        EXPECT_EQ(t.valid_count(), 2u);
+        const vaddr_t va_a = large ? a << 20 : a << 12;
+        const TlbEntry* hit = t.lookup(1, va_a);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(hit - t.entry_array().data(), 1);
+        EXPECT_EQ(hit->ppage, 3u);
+      }
+    }
+  }
 }
 
 TEST(TlbDifferential, VaFlushCountsAndInvalidates) {

@@ -101,6 +101,17 @@ TEST(EventQueue, StaleIdCannotCancelSlotReuser) {
   EXPECT_EQ(q.slot_count(), 1u);
 }
 
+TEST(EventQueue, NoEventNamesNoSlot) {
+  EventQueue q;
+  int fired = 0;
+  const auto live = q.schedule_at(10, [&] { ++fired; });
+  ASSERT_EQ(u32(live), 0u);  // slot 0 is live
+  EXPECT_FALSE(q.cancel(EventQueue::kNoEvent));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.run_due(10), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(EventQueue, SlotStorageStaysBounded) {
   EventQueue q;
   cycles_t now = 0;

@@ -85,6 +85,46 @@ TEST_F(TimerTest, RestartReplacesDeadline) {
   EXPECT_EQ(t.expirations(), 1u);
 }
 
+// The fired event's id is stale: stop() after expiry must not cancel the
+// event that reused its slot, and a restart arms afresh.
+TEST_F(TimerTest, StopAfterExpiryThenRestart) {
+  PrivateTimer t(clock_, events_, gic_);
+  t.start(10, false);
+  clock_.advance(20);
+  pump();
+  ASSERT_EQ(t.expirations(), 1u);
+  int other = 0;
+  events_.schedule_at(clock_.now() + 5, [&] { ++other; });  // reuses slot
+  t.stop();
+  EXPECT_EQ(events_.size(), 1u);
+  t.start(10, false);
+  clock_.advance(20);
+  pump();
+  EXPECT_EQ(other, 1);
+  EXPECT_EQ(t.expirations(), 2u);
+  t.stop();
+  EXPECT_TRUE(events_.empty());
+}
+
+TEST_F(TimerTest, TtcStopAfterExpiryThenRestart) {
+  Ttc ttc(clock_, events_, gic_);
+  ttc.start_interval(2, 100, 0);
+  clock_.advance(200);
+  pump();
+  ASSERT_EQ(ttc.expirations(2), 1u);
+  ttc.stop(2);
+  EXPECT_TRUE(events_.empty());
+  int other = 0;
+  events_.schedule_at(clock_.now() + 5, [&] { ++other; });  // reuses slot
+  ttc.stop(2);  // the cancelled id is stale now
+  EXPECT_EQ(events_.size(), 1u);
+  ttc.start_interval(2, 100, 0);
+  clock_.advance(200);
+  pump();
+  EXPECT_EQ(other, 1);
+  EXPECT_EQ(ttc.expirations(2), 2u);
+}
+
 TEST_F(TimerTest, TtcIntervalModeRaisesChannelIrq) {
   Ttc ttc(clock_, events_, gic_);
   gic_.enable_irq(mem::kIrqTtc0_0 + 1);
