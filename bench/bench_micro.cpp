@@ -12,6 +12,7 @@
 #include "mmu/page_table.hpp"
 #include "nova/host_pool.hpp"
 #include "nova/kernel.hpp"
+#include "nova/kernel_ops.hpp"
 #include "nova/vgic.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
@@ -340,6 +341,36 @@ void BM_VgicMaskUnmask(benchmark::State& state) {
   state.SetItemsProcessed(i64(state.iterations()) * 2);  // two switches
 }
 BENCHMARK(BM_VgicMaskUnmask);
+
+// A warm VM switch (§III.A-C), there and back: save the outgoing vCPU
+// frame, mask its vGIC's sources, reload TTBR and ASID, restore the
+// incoming frame and unmask its sources. Two VMs of a booted kernel, four
+// registered sources each, on one core.
+void BM_VmSwitchWarm(benchmark::State& state) {
+  Platform platform;
+  nova::Kernel kernel(platform);
+  nova::ProtectionDomain& a =
+      kernel.create_vm("a", 1, std::make_unique<Idle>());
+  nova::ProtectionDomain& b =
+      kernel.create_vm("b", 1, std::make_unique<Idle>());
+  kernel.run_for_us(100);
+  for (u32 i = 0; i < 4; ++i) {
+    a.vgic().register_irq(61 + i);
+    a.vgic().enable(61 + i);
+    b.vgic().register_irq(65 + i);
+    b.vgic().enable(65 + i);
+  }
+  nova::KernelOps ops(kernel);
+  ops.vm_switch_to(&a);
+  ops.vm_switch_to(&b);
+  for (auto _ : state) {
+    ops.vm_switch_to(&a);
+    ops.vm_switch_to(&b);
+  }
+  benchmark::DoNotOptimize(kernel.vm_switch_count());
+  state.SetItemsProcessed(i64(state.iterations()) * 2);
+}
+BENCHMARK(BM_VmSwitchWarm);
 
 // ---- host-parallel hand-off (host ns/round) ----------------------------------
 

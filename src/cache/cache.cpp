@@ -48,15 +48,6 @@ Cache::AccessResult Cache::access(paddr_t pa, bool write) {
   return res;
 }
 
-void Cache::credit_hits(paddr_t pa, u64 n, bool write) {
-  if (n == 0) return;
-  const std::size_t base = set_base(pa);
-  const u32 way = way_of(base, line_addr(pa));
-  MINOVA_CHECK_MSG(way != cfg_.ways, "credited hits on an absent line");
-  if (write) tags_[base + way] |= kDirtyBit;
-  stats_.hits += n;
-}
-
 bool Cache::contains(paddr_t pa) const {
   return way_of(set_base(pa), line_addr(pa)) != cfg_.ways;
 }

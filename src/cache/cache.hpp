@@ -68,14 +68,9 @@ class Cache {
     return true;
   }
 
-  /// Credit `n` further hits on the line holding `pa`, which must be
-  /// present: exactly the state `n` calls of `access(pa, write)` leave
-  /// (hit count and dirty bit).
-  void credit_hits(paddr_t pa, u64 n, bool write);
-
-  /// Credit `n` read hits on lines known to be present. A read hit changes
-  /// nothing but the hit count, so this is exactly the state those
-  /// `access` calls leave.
+  /// Credit `n` read hits on lines known to be present, or write hits on
+  /// lines known to be dirty. Such a hit changes nothing but the hit count,
+  /// so this is exactly the state those `access` calls leave.
   void credit_read_hits(u64 n) { stats_.hits += n; }
 
   /// Moves whenever a line can leave the cache: on every miss (its fill

@@ -1,6 +1,7 @@
 #include "cpu/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 
@@ -39,10 +40,9 @@ void Core::exec_code(const CodeRegion& region, double executed_fraction) {
   cache::Cache& icache = hierarchy_.l1i();
   // An L1I hit only counts, so lines that all hit in this fill epoch are
   // certain hits again.
-  FetchMemo& memo = fetch_memo_[(region.base / line) % kFetchMemoSlots];
+  LineMemo& memo = memo_slot(fetch_memo_, region.base);
   const u64 epoch = icache.fill_epoch();
-  if (memo.base == region.base && memo.epoch == epoch &&
-      run_lines <= memo.lines) {
+  if (memo.covers(region.base, run_lines, epoch, false)) {
     icache.credit_read_hits(run_lines);
     clock_->advance(cycles_t(run_lines) * l1i.hit_cycles);
   } else {
@@ -50,7 +50,7 @@ void Core::exec_code(const CodeRegion& region, double executed_fraction) {
       clock_->advance(hierarchy_.access_ifetch(region.base + i * line));
     // An unmoved epoch means no line missed.
     if (icache.fill_epoch() == epoch)
-      memo = FetchMemo{region.base, run_lines, epoch};
+      memo = LineMemo{region.base, u16(run_lines), false, epoch};
   }
   spend_insns(u64(double(region.instructions()) * executed_fraction));
 }
@@ -89,27 +89,26 @@ Core::MemResult Core::data_access(vaddr_t va, bool write, u32 write_val,
 }
 
 Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
-                                  RunFaults faults) {
-  MINOVA_CHECK(is_aligned(va, 4));
-  constexpr cache::CacheConfig l1d = cache::kL1dGeometry;
+                                  RunFaults faults, u32 stride) {
+  MINOVA_CHECK(is_aligned(va, 4) && (stride == 4 || stride == 8));
+  const int stride_shift = std::countr_zero(stride);  // no division per page
   MemResult first_fault;
   while (words > 0) {
+    // This page's words of the run: after the first, certain micro-TLB hits.
+    const u32 page_left = mmu::kPageSize - va % mmu::kPageSize;
+    const u32 in_page =
+        std::min(words, (page_left + stride - 1) >> stride_shift);
     u32 word = 0;  // a write stores zero; a read's value is discarded
     mmu::HostWord bound = bound_access(va, write, word);
     MemResult r;
     if (bound.ptr == nullptr) r = data_access(va, write, 0, &bound);
     u32 k = 0;  // further words of this run charged in closed form
     if (r.ok) {
-      // The word reached bound RAM: the rest of its line are certain
-      // micro-TLB and L1D hits.
-      if (bound.ptr != nullptr)
-        k = std::min(words - 1,
-                     (l1d.line_bytes - bound.pa % l1d.line_bytes) / 4 - 1);
-      if (k > 0) {
-        mmu_.credit_hits(va, k);
-        hierarchy_.l1d().credit_hits(bound.pa, k, write);
-        clock_->advance(cycles_t(k) * (1 + l1d.hit_cycles));
-        if (write) std::memset(bound.ptr + 4, 0, std::size_t(k) * 4);
+      // The word reached bound RAM: the rest of the page are micro hits on
+      // the same frame, which only the L1D can tell apart.
+      if (bound.ptr != nullptr) {
+        k = in_page - 1;
+        charge_bound_run(va, bound, k, write, stride);
       }
     } else {
       if (first_fault.ok) first_fault = r;
@@ -120,15 +119,47 @@ Core::MemResult Core::touch_words(vaddr_t va, u32 words, bool write,
       const auto type = r.fault.type;
       if (type == mmu::FaultType::kDomain ||
           type == mmu::FaultType::kPermission) {
-        k = std::min(words - 1, (mmu::kPageSize - va % mmu::kPageSize) / 4 - 1);
+        k = in_page - 1;
         mmu_.credit_hits(va, k);
         clock_->advance(k);
       }
     }
-    va += (k + 1) * 4;
+    va += (k + 1) * stride;
     words -= k + 1;
   }
   return first_fault;
+}
+
+void Core::charge_bound_run(vaddr_t va, mmu::HostWord first, u32 more,
+                            bool write, u32 stride) {
+  if (more == 0) return;
+  constexpr cache::CacheConfig l1d = cache::kL1dGeometry;
+  constexpr u32 line = l1d.line_bytes;
+  mmu_.credit_hits(va, more);
+  cache::Cache& dcache = hierarchy_.l1d();
+  const paddr_t base = align_down(first.pa, line);
+  const paddr_t last = align_down(first.pa + more * stride, line);
+  const u32 lines = (last - base) / line + 1;
+  // Every word costs an AGU cycle and an L1D hit, except the first word of
+  // each further line, which pays whatever its access costs. The first
+  // word's access left its line present, and dirty for a write.
+  cycles_t cost = cycles_t(more) * (1 + l1d.hit_cycles);
+  LineMemo& memo = memo_slot(data_memo_, base);
+  const u64 epoch = dcache.fill_epoch();
+  if (memo.covers(base, lines, epoch, write)) {
+    dcache.credit_read_hits(more);
+  } else {
+    for (paddr_t l = base + line; l <= last; l += line)
+      cost += hierarchy_.access_data(l, write) - l1d.hit_cycles;
+    // The rest hit lines that these accesses left present (and dirty).
+    dcache.credit_read_hits(more - (lines - 1));
+    // An unmoved epoch means no line missed.
+    if (dcache.fill_epoch() == epoch)
+      memo = LineMemo{base, u16(lines), write, epoch};
+  }
+  clock_->advance(cost);
+  if (write)
+    for (u32 i = 1; i <= more; ++i) std::memset(first.ptr + i * stride, 0, 4);
 }
 
 template <typename Byte>

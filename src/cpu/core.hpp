@@ -7,7 +7,10 @@
 //   * `exec_code(region)` — instruction fetch through L1I/L2 for a routine's
 //                           text footprint + its pipeline cycles,
 //   * `vread*/vwrite*`    — data accesses: TLB/walk via the MMU, then
-//                           L1D/L2/DRAM (or uncached MMIO) costs.
+//                           L1D/L2/DRAM (or uncached MMIO) costs;
+//                           `touch_words` charges a run of them per page,
+//                           and from its L1D run memo when its lines are
+//                           certain hits.
 // Faults are returned to the caller (the Mini-NOVA kernel model decides how
 // to virtualize them); the core only charges the exception entry/exit
 // microarchitectural costs.
@@ -93,12 +96,15 @@ class Core {
   /// go on with the next word.
   enum class RunFaults : u8 { kStop, kSkip };
 
-  /// Touch `words` consecutive words from `va` (4-byte aligned): reads
-  /// discard their values, writes store zero. Charges and counts exactly
-  /// what the same `vread32`/`vwrite32` loop would, crediting in closed
-  /// form the words whose outcome is certain (DESIGN.md §10.2). Returns
-  /// the first fault, whose `address` names the faulting word.
-  MemResult touch_words(vaddr_t va, u32 words, bool write, RunFaults faults);
+  /// Touch `words` words from `va` (4-byte aligned), `stride` (4 or 8)
+  /// bytes apart: reads discard their values, writes store zero. Charges
+  /// and counts exactly what the same `vread32`/`vwrite32` loop would,
+  /// crediting in closed form the words whose outcome is certain: a page's
+  /// words after its first, and the lines of a run that the L1D run memo
+  /// proves present (DESIGN.md §10.2). Returns the first fault, whose
+  /// `address` names the faulting word.
+  MemResult touch_words(vaddr_t va, u32 words, bool write, RunFaults faults,
+                        u32 stride = 4);
 
   /// Translation probe without data access (used by the kernel to validate
   /// guest-supplied pointers).
@@ -143,16 +149,35 @@ class Core {
   template <typename Byte>
   MemResult block_access(vaddr_t va, std::span<Byte> data);
 
-  /// A region whose first `lines` lines all hit L1I while its fill epoch
-  /// read `epoch`; they stay resident until the epoch moves.
-  struct FetchMemo {
+  /// A run of `lines` lines from `base` that were all present in an L1
+  /// while its fill epoch read `epoch`, and all dirty if `dirty`. They stay
+  /// present until the epoch moves, and nothing cleans a line without
+  /// moving it, so while it holds every access to them is a hit.
+  struct LineMemo {
     paddr_t base = 0;
-    u32 lines = 0;
+    u16 lines = 0;  // 2^16 or more wraps to fewer than proved, which is safe
+    bool dirty = false;
     u64 epoch = 0;
+
+    /// Whether `n` lines from `base` are certain hits for a `write` access
+    /// in fill epoch `now`.
+    bool covers(paddr_t run, u32 n, u64 now, bool write) const {
+      return base == run && epoch == now && n <= lines && (dirty || !write);
+    }
   };
-  /// Direct-mapped by `base / line`. 256 slots keep base collisions rare
-  /// for the kernel's routine set; 64 do not.
-  static constexpr u32 kFetchMemoSlots = 256;
+  /// Direct-mapped by `base / line`, one table per L1. 256 slots keep base
+  /// collisions rare for the kernel's routine set and save areas; 64 do not.
+  static constexpr u32 kMemoSlots = 256;
+  static_assert(cache::kL1iGeometry.line_bytes ==
+                cache::kL1dGeometry.line_bytes);
+  static LineMemo& memo_slot(std::array<LineMemo, kMemoSlots>& memos,
+                             paddr_t base) {
+    return memos[(base / cache::kL1dGeometry.line_bytes) % kMemoSlots];
+  }
+  /// Charge the words after the first of a run on one bound page: `more`
+  /// further words, `stride` bytes apart, after the word at `first`.
+  void charge_bound_run(vaddr_t va, mmu::HostWord first, u32 more,
+                        bool write, u32 stride);
 
   sim::Clock* clock_;
   mem::PhysMem& dram_;
@@ -166,7 +191,8 @@ class Core {
   Psr cpsr_;
   std::array<Psr, 7> spsr_{};
   VfpBank vfp_;
-  std::array<FetchMemo, kFetchMemoSlots> fetch_memo_{};
+  std::array<LineMemo, kMemoSlots> fetch_memo_{};
+  std::array<LineMemo, kMemoSlots> data_memo_{};
 };
 
 }  // namespace minova::cpu

@@ -10,6 +10,7 @@
 #include <array>
 
 #include "cpu/mode.hpp"
+#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace minova::cpu {
@@ -47,8 +48,28 @@ class RegisterFile {
     for (auto& b : banked_) b = {0, 0};
   }
 
-  u32 get(Mode mode, unsigned index) const;
-  void set(Mode mode, unsigned index, u32 value);
+  u32 get(Mode mode, unsigned index) const {
+    MINOVA_CHECK(index <= 15);
+    if (index == 15) return pc_;
+    if (index <= 7 || (index <= 12 && mode != Mode::kFiq))
+      return shared_[index];
+    if (index <= 12) return fiq_high_[index - 8];
+    const SpLr& b = banked_[bank_of(mode)];
+    return index == 13 ? b.sp : b.lr;
+  }
+  void set(Mode mode, unsigned index, u32 value) {
+    MINOVA_CHECK(index <= 15);
+    if (index == 15)
+      pc_ = value;
+    else if (index <= 7 || (index <= 12 && mode != Mode::kFiq))
+      shared_[index] = value;
+    else if (index <= 12)
+      fiq_high_[index - 8] = value;
+    else {
+      SpLr& b = banked_[bank_of(mode)];
+      (index == 13 ? b.sp : b.lr) = value;
+    }
+  }
 
   u32 pc() const { return pc_; }
 
@@ -61,7 +82,18 @@ class RegisterFile {
   static constexpr u32 kContextWords = 17;
 
  private:
-  static unsigned bank_of(Mode mode);
+  static unsigned bank_of(Mode mode) {
+    switch (mode) {
+      case Mode::kUsr:
+      case Mode::kSys: return 0;
+      case Mode::kSvc: return 1;
+      case Mode::kIrq: return 2;
+      case Mode::kFiq: return 3;
+      case Mode::kUnd: return 4;
+      case Mode::kAbt: return 5;
+    }
+    return 6;
+  }
 
   std::array<u32, 13> shared_;          // r0-r12 (usr view)
   std::array<u32, 5> fiq_high_;         // r8-r12 fiq bank

@@ -78,7 +78,7 @@ TranslateResult Mmu::translate(vaddr_t va, AccessKind kind, bool privileged) {
     ++ustats_.misses;
     entry = tlb_.lookup(asid_, va);
     if (entry != nullptr)
-      u = MicroEntry{entry, vpage, asid_, tlb_.generation()};
+      u = MicroEntry{entry, vpage, utlb_epoch_, tlb_.generation()};
   }
   if (entry != nullptr) {
     res.tlb_hit = true;
@@ -93,7 +93,7 @@ TranslateResult Mmu::translate(vaddr_t va, AccessKind kind, bool privileged) {
       return res;
     }
     entry = tlb_.insert(w.entry);
-    u = MicroEntry{entry, vpage, asid_, tlb_.generation()};
+    u = MicroEntry{entry, vpage, utlb_epoch_, tlb_.generation()};
   }
 
   // Domain and AP checks against the *current* DACR (per-access, even on a

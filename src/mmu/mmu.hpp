@@ -8,14 +8,16 @@
 // domain between Client and NoAccess on guest privilege changes without
 // touching the TLB.
 //
-// A micro-TLB (direct-mapped, keyed on (asid, va>>12)) sits in front of
-// the main TLB, mirroring the A9's L1 micro-TLBs; each simulated core owns
-// a lane, so each core has its own. It is a pure host-side accelerator: a
-// micro hit replays the exact bookkeeping a main TLB hit would have
-// performed (`Tlb::touch`), so hit/miss sequences, LRU order and charged
-// cycles are bit-identical with it in place. Cached entry pointers are
-// revalidated against `Tlb::generation()`, which every insert and flush
-// bumps; TTBR/ASID writes clear the micro-TLB outright.
+// A micro-TLB (direct-mapped, keyed on va>>12) sits in front of the main
+// TLB, mirroring the A9's L1 micro-TLBs; each simulated core owns a lane,
+// so each core has its own. It is a pure host-side accelerator: a micro
+// hit replays the exact bookkeeping a main TLB hit would have performed
+// (`Tlb::touch`), so hit/miss sequences, LRU order and charged cycles are
+// bit-identical with it in place. Cached entry pointers are revalidated
+// against `Tlb::generation()`, which every insert and flush bumps. TTBR
+// and ASID writes flush the micro-TLB in O(1): an entry is live only while
+// the flush epoch it was installed under is current, so a flush is one
+// increment and a dropped entry never comes back.
 //
 // A live micro entry may also carry the host bytes of its 4 KB page in the
 // table RAM (`bind_host`). `bound_hit` is the warm hit path, inline: a live,
@@ -129,10 +131,7 @@ class Mmu {
 
   /// Drop every micro-TLB entry (TTBR/ASID writes do this implicitly;
   /// main-TLB maintenance invalidates via the generation check instead).
-  void utlb_flush() {
-    for (auto& u : utlb_) u.entry = nullptr;
-    ++utlb_epoch_;
-  }
+  void utlb_flush() { ++utlb_epoch_; }
   /// Flush count of the micro-TLB (KernelInspector's per-core uTLB
   /// generation).
   u64 utlb_epoch() const { return utlb_epoch_; }
@@ -181,15 +180,16 @@ class Mmu {
   u32 asid_ = 0;
 
   // Micro-TLB: direct-mapped on the low bits of the virtual page. An entry
-  // is live while `entry != nullptr`, the (asid, vpage) key matches, and
-  // `gen` equals the main TLB's current generation. `host`, when set, is
+  // is live while `entry != nullptr`, `vpage` matches, `epoch` equals the
+  // current flush epoch (every ASID write flushes, so the epoch also pins
+  // the ASID) and `gen` the main TLB's generation. `host`, when set, is
   // the page's frame in `ram_`, valid while the entry is live and
   // `ram_.discard_epoch()` still equals `host_epoch`.
   static constexpr u32 kMicroTlbEntries = 16;  // power of two
   struct MicroEntry {
     const cache::TlbEntry* entry = nullptr;
     vaddr_t vpage = 0;
-    u32 asid = 0;
+    u64 epoch = 0;
     u64 gen = 0;
     u8* host = nullptr;
     u64 host_epoch = 0;
@@ -198,8 +198,8 @@ class Mmu {
     return utlb_[vpage & (kMicroTlbEntries - 1)];
   }
   bool live(const MicroEntry& u, vaddr_t vpage) const {
-    return u.entry != nullptr && u.vpage == vpage && u.asid == asid_ &&
-           u.gen == tlb_.generation();
+    return u.entry != nullptr && u.vpage == vpage &&
+           u.epoch == utlb_epoch_ && u.gen == tlb_.generation();
   }
   std::array<MicroEntry, kMicroTlbEntries> utlb_{};
   u64 utlb_epoch_ = 0;

@@ -20,8 +20,8 @@ void VGic::ensure_area() const {
 }
 
 const VirqRecord* VGic::find(u32 irq) const {
-  for (const auto& r : records_)
-    if (r.irq == irq && r.irq != 0) return &r;
+  for (const auto& r : used())
+    if (r.irq == irq) return &r;
   return nullptr;
 }
 
@@ -32,13 +32,10 @@ VirqRecord* VGic::find(u32 irq) {
 bool VGic::register_irq(u32 irq) {
   MINOVA_CHECK(irq != 0);
   if (find(irq) != nullptr) return true;
-  for (auto& r : records_) {
-    if (r.irq == 0) {
-      r = VirqRecord{.irq = irq, .enabled = false, .pending = false};
-      return true;
-    }
-  }
-  return false;
+  if (used_ == kMaxEntries) return false;
+  records_[used_++] =
+      VirqRecord{.irq = irq, .enabled = false, .pending = false};
+  return true;
 }
 
 void VGic::enable(u32 irq) {
@@ -61,8 +58,7 @@ void VGic::set_pending(u32 irq) {
 void VGic::set_pending_charged(cpu::Core& core, u32 irq) {
   ensure_area();
   // Locate the record (scan) and mark it pending (write).
-  for (u32 i = 0; i < kMaxEntries; ++i) {
-    if (records_[i].irq == 0) continue;
+  for (u32 i = 0; i < used_; ++i) {
     (void)core.vread32(kernel_va(list_area_) + i * 8);
     if (records_[i].irq == irq) {
       (void)core.vwrite32(kernel_va(list_area_) + i * 8 + 4, 1);
@@ -74,8 +70,7 @@ void VGic::set_pending_charged(cpu::Core& core, u32 irq) {
 
 bool VGic::take_pending_charged(cpu::Core& core, u32& irq_out) {
   ensure_area();
-  for (u32 i = 0; i < kMaxEntries; ++i) {
-    if (records_[i].irq == 0) continue;
+  for (u32 i = 0; i < used_; ++i) {
     (void)core.vread32(kernel_va(list_area_) + i * 8);
     if (records_[i].enabled && records_[i].pending) break;
   }
@@ -85,14 +80,15 @@ bool VGic::take_pending_charged(cpu::Core& core, u32& irq_out) {
 }
 
 bool VGic::any_deliverable() const {
-  for (const auto& r : records_)
-    if (r.irq != 0 && r.enabled && r.pending) return true;
+  for (const auto& r : used())
+    if (r.enabled && r.pending) return true;
   return false;
 }
 
 bool VGic::take_pending(u32& irq_out) {
-  for (auto& r : records_) {
-    if (r.irq != 0 && r.enabled && r.pending) {
+  for (u32 i = 0; i < used_; ++i) {
+    VirqRecord& r = records_[i];
+    if (r.enabled && r.pending) {
       r.pending = false;
       irq_out = r.irq;
       return true;
@@ -111,26 +107,17 @@ void VGic::touch_list(cpu::Core& core) const {
   ensure_area();
   // Walk the record list in kernel memory: one word per occupied slot (the
   // state readback of Fig. 2's "values are read back to vGIC on exit").
-  for (u32 i = 0; i < kMaxEntries; ++i) {
-    if (records_[i].irq == 0) continue;
-    (void)core.vread32(kernel_va(list_area_) + i * 8);
-  }
+  (void)core.touch_words(kernel_va(list_area_), used_, /*write=*/false,
+                         cpu::Core::RunFaults::kSkip, /*stride=*/8);
 }
 
 void VGic::unmask_enabled_physical(cpu::Core& core) {
   touch_list(core);
-  for (const auto& r : records_) {
-    if (r.irq == 0 || !r.enabled || r.irq >= gic_.num_irqs()) continue;
+  for (const auto& r : used()) {
+    if (!r.enabled || r.irq >= gic_.num_irqs()) continue;
     gic_.enable_irq(r.irq);
     core.spend(core.caches().access_device());
   }
-}
-
-u32 VGic::registered_count() const {
-  u32 n = 0;
-  for (const auto& r : records_)
-    if (r.irq != 0) ++n;
-  return n;
 }
 
 }  // namespace minova::nova

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 
 #include "cpu/core.hpp"
 #include "irq/gic.hpp"
@@ -81,8 +82,8 @@ class VGic {
   template <typename Skip>
   void mask_all_physical(cpu::Core& core, Skip skip) {
     touch_list(core);
-    for (const auto& r : records_) {
-      if (r.irq == 0 || r.irq >= gic_.num_irqs()) continue;  // virtual-only
+    for (const auto& r : used()) {
+      if (r.irq >= gic_.num_irqs()) continue;  // virtual-only
       if (skip(r.irq)) continue;  // live on a sibling core
       gic_.disable_irq(r.irq);
       core.spend(core.caches().access_device());  // GIC distributor write
@@ -90,10 +91,10 @@ class VGic {
   }
   void unmask_enabled_physical(cpu::Core& core);
 
-  u32 registered_count() const;
+  u32 registered_count() const { return used_; }
 
   /// Read-only view of the record list (introspection / fuzzer oracles).
-  /// Slots with `irq == 0` are empty.
+  /// Slots with `irq == 0` are empty; they follow every occupied one.
   const std::array<VirqRecord, kMaxEntries>& records() const {
     return records_;
   }
@@ -103,6 +104,11 @@ class VGic {
   bool has_area() const { return list_area_ != 0; }
 
  private:
+  /// The occupied records: registration fills the first free slot and
+  /// nothing empties one, so they are a prefix of the list.
+  std::span<const VirqRecord> used() const {
+    return {records_.data(), used_};
+  }
   const VirqRecord* find(u32 irq) const;
   VirqRecord* find(u32 irq);
   void touch_list(cpu::Core& core) const;
@@ -113,6 +119,7 @@ class VGic {
   KernelHeap* heap_;
   mutable paddr_t list_area_;
   std::array<VirqRecord, kMaxEntries> records_{};
+  u32 used_ = 0;
   vaddr_t entry_ = 0;
 };
 

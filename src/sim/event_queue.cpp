@@ -6,15 +6,13 @@ namespace minova::sim {
 
 EventQueue::EventId EventQueue::enqueue(cycles_t when, const Storage& fn,
                                         Thunk call) {
-  u32 index;
-  if (free_slots_.empty()) {
+  u32 index = free_head_;
+  if (index == kNoSlot) {
     index = u32(slots_.size());
     slots_.emplace_back();
-  } else {
-    index = free_slots_.back();
-    free_slots_.pop_back();
   }
   Slot& slot = slots_[index];
+  free_head_ = slot.next_free;
   // memcpy (not assignment) creates the callable in a slot that may have
   // held another type.
   std::memcpy(&slot.fn, &fn, sizeof fn);
@@ -36,7 +34,8 @@ void EventQueue::release(u32 index) {
   Slot& slot = slots_[index];
   slot.call = nullptr;
   ++slot.gen;
-  free_slots_.push_back(index);
+  slot.next_free = free_head_;
+  free_head_ = index;
   --live_count_;
 }
 

@@ -8,9 +8,11 @@
 // software execution.
 //
 // Callbacks are stored in place in their slot, next to a function-pointer
-// thunk that calls them: a callback must be trivially copyable and at most
-// two words (every device captures `this` plus at most one index), so
-// scheduling never allocates and needs no `std::function`.
+// thunk (`fire<F>`) that calls them: a callback must be trivially copyable
+// and at most two words (every device captures `this` plus at most one
+// index), so scheduling never allocates and needs no `std::function`. Free
+// slots form a LIFO list threaded through their own `next_free` links, so
+// taking one touches only the slot itself.
 #pragma once
 
 #include <new>
@@ -41,9 +43,7 @@ class EventQueue {
                   "event callbacks are trivially copyable, at most two words");
     Storage s{};
     ::new (s.bytes) F(fn);
-    return enqueue(when, s, [](Storage& p) {
-      (*std::launder(reinterpret_cast<F*>(p.bytes)))();
-    });
+    return enqueue(when, s, &fire<F>);
   }
 
   /// Cancel a pending event. Returns false if it already fired/was cancelled.
@@ -70,6 +70,12 @@ class EventQueue {
     unsigned char bytes[2 * sizeof(void*)];
   };
   using Thunk = void (*)(Storage&);
+  /// The thunk of callbacks of type `F`: a named function, so a profile
+  /// charges each callback to its own `fire<F>`.
+  template <typename F>
+  static void fire(Storage& p) {
+    (*std::launder(reinterpret_cast<F*>(p.bytes)))();
+  }
 
   struct Event {
     cycles_t when;
@@ -82,10 +88,12 @@ class EventQueue {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
+  static constexpr u32 kNoSlot = ~0u;
   struct Slot {
     Storage fn;
-    Thunk call = nullptr;  // null == free
-    u32 gen = 0;           // bumped each time the slot is released
+    Thunk call = nullptr;     // null == free
+    u32 gen = 0;              // bumped each time the slot is released
+    u32 next_free = kNoSlot;  // the free list's link while free
   };
 
   EventId enqueue(cycles_t when, const Storage& fn, Thunk call);
@@ -97,7 +105,7 @@ class EventQueue {
 
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::vector<Slot> slots_;
-  std::vector<u32> free_slots_;
+  u32 free_head_ = kNoSlot;  // the last slot released (a LIFO list)
   u64 next_seq_ = 0;
   std::size_t live_count_ = 0;
 };

@@ -103,36 +103,6 @@ TEST(Cache, DirtyWritebackSurvivesTagWordEncoding) {
   EXPECT_EQ(c.stats().writebacks, 4u);
 }
 
-TEST(Cache, CreditHitsMatchesRepeatedAccess) {
-  // Credit k hits after an access vs k + 1 real accesses: the same stats
-  // and dirty bits, hence the same later victims and writebacks.
-  Cache credited(small_cfg()), looped(small_cfg());
-  u64 seed = 0x9E37'79B9'7F4A'7C15ull;
-  for (u32 step = 0; step < 2000; ++step) {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    const paddr_t pa = paddr_t((seed >> 33) % 0x400) & ~3u;
-    const bool write = (seed >> 20) & 1;
-    const bool credit_write = (seed >> 21) & 1;  // may differ from `write`
-    const u32 k = u32((seed >> 24) % 6);
-    const auto a = credited.access(pa, write);
-    credited.credit_hits(pa, k, credit_write);  // k = 0 leaves nothing
-    const auto b = looped.access(pa, write);
-    for (u32 i = 0; i < k; ++i)
-      ASSERT_TRUE(looped.access(pa, credit_write).hit);
-    ASSERT_EQ(a.hit, b.hit) << "step " << step;
-    ASSERT_EQ(a.writeback, b.writeback) << "step " << step;
-    ASSERT_EQ(a.evicted_valid, b.evicted_valid) << "step " << step;
-    ASSERT_EQ(a.victim_line, b.victim_line) << "step " << step;
-  }
-  EXPECT_EQ(credited.stats().hits, looped.stats().hits);
-  EXPECT_EQ(credited.stats().misses, looped.stats().misses);
-  EXPECT_EQ(credited.stats().evictions, looped.stats().evictions);
-  EXPECT_EQ(credited.stats().writebacks, looped.stats().writebacks);
-  for (paddr_t pa = 0; pa < 0x400; pa += 32)
-    EXPECT_EQ(credited.contains(pa), looped.contains(pa));
-  EXPECT_EQ(credited.flush_all(), looped.flush_all());  // same dirty lines
-}
-
 TEST(Cache, FillEpochMovesOnlyWhenALineCanLeave) {
   Cache c(small_cfg());
   u64 epoch = c.fill_epoch();
@@ -144,8 +114,6 @@ TEST(Cache, FillEpochMovesOnlyWhenALineCanLeave) {
   EXPECT_FALSE(c.access(0x100, false).hit);  // a miss fills
   EXPECT_TRUE(moved());
   EXPECT_TRUE(c.access(0x104, true).hit);
-  c.credit_hits(0x100, 3, true);
-  c.credit_hits(0x100, 0, false);
   c.credit_read_hits(5);
   EXPECT_FALSE(moved());
   EXPECT_FALSE(c.invalidate_line(0x300));  // absent: nothing leaves

@@ -18,6 +18,11 @@
 // (`Mmu::bound_hit` + `Cache::try_hit`); the "inline path" cases start from
 // such a page and change one thing under it.
 //
+// Rig A's runs also charge a page's words after its first as certain
+// micro-TLB hits, and a run whose lines its L1D run memo proves present
+// (and dirty, for a write) as L1D hits; the "memo" cases warm a run and
+// then change one thing under it. The "stride" cases run every other word.
+//
 // The instruction side gets the same treatment: rig A runs `exec_code`,
 // which charges a warm region's certain L1I hits in closed form, and rig B
 // fetches every line through `access_ifetch`.
@@ -156,10 +161,10 @@ Core::MemResult ref_access(Core& c, vaddr_t va, bool write, u32 value) {
 
 /// `touch_words` as a word loop; returns the first fault.
 Core::MemResult ref_touch(Core& c, vaddr_t va, u32 words, bool write,
-                          Core::RunFaults faults) {
+                          Core::RunFaults faults, u32 stride) {
   Core::MemResult first;
   for (u32 w = 0; w < words; ++w) {
-    const auto r = ref_access(c, va + w * 4, write, 0);
+    const auto r = ref_access(c, va + w * stride, write, 0);
     if (r.ok) continue;
     if (first.ok) first = r;
     if (faults == Core::RunFaults::kStop) break;
@@ -207,16 +212,17 @@ void ref_exec(Core& c, const CodeRegion& region, double fraction) {
 
 class AccessRunDiffTest : public ::testing::Test {
  protected:
-  void touch(vaddr_t va, u32 words, bool write) {
+  void touch(vaddr_t va, u32 words, bool write, u32 stride = 4) {
     for (const auto faults : {Core::RunFaults::kStop, Core::RunFaults::kSkip})
-      touch(va, words, write, faults);
+      touch(va, words, write, faults, stride);
   }
 
-  void touch(vaddr_t va, u32 words, bool write, Core::RunFaults faults) {
-    const auto ra = a_.core.touch_words(va, words, write, faults);
-    const auto rb = ref_touch(b_.core, va, words, write, faults);
+  void touch(vaddr_t va, u32 words, bool write, Core::RunFaults faults,
+             u32 stride = 4) {
+    const auto ra = a_.core.touch_words(va, words, write, faults, stride);
+    const auto rb = ref_touch(b_.core, va, words, write, faults, stride);
     expect_same_result(ra, rb);
-    check(va, words * 4);
+    check(va, words * stride);
   }
 
   void read_block(vaddr_t va, u32 len) {
@@ -602,6 +608,133 @@ TEST_F(AccessRunDiffTest, InlineProbeDeclinesWithMmuOff) {
   check_content();
 }
 
+// ---- the L1D run memo: a warm run, then one change under it ----------------
+
+// A 40-word run over six lines of a bound page, warmed by two runs (the
+// fixture's `touch` runs it stopping and skipping): the second is charged
+// from the memo.
+constexpr vaddr_t kMemoRun = kPageVa + 4 * 4096 + 0x1F0;
+constexpr u32 kMemoWords = 40;
+
+TEST_F(AccessRunDiffTest, MemoRunAfterMissElsewhere) {
+  touch(kMemoRun, kMemoWords, true);
+  scalar(kSectVa + 0x7000, false, 0);  // a miss in another set
+  touch(kMemoRun, kMemoWords, false);
+  // Misses that evict one of the run's lines: every L1D way of the set of
+  // its line at page offset 0x200 fills with dirty section lines.
+  const paddr_t set_pa = page_frame(4) + 0x200;
+  for (u32 w = 0; w < 2 * cache::kL1dGeometry.ways; ++w)
+    scalar(kSectVa + set_pa % (8 * kKiB) + w * 32 * kKiB, true, w);
+  ASSERT_FALSE(a_.core.caches().l1d().contains(set_pa));
+  touch(kMemoRun, kMemoWords, true);
+  touch(kMemoRun, kMemoWords, false);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, MemoRunAfterFlushAndInvalidate) {
+  touch(kMemoRun, kMemoWords, true);
+  both([](Rig& r) { r.clock.advance(r.core.caches().flush_all()); });
+  touch(kMemoRun, kMemoWords, false);
+  touch(kMemoRun, kMemoWords, true);
+  // A line in the middle of the run leaves; its first word still hits.
+  const paddr_t mid = page_frame(4) + 0x240;
+  both([&](Rig& r) { r.core.caches().l1d().invalidate_line(mid); });
+  ASSERT_TRUE(a_.core.caches().l1d().contains(page_frame(4) + 0x1F0));
+  touch(kMemoRun, kMemoWords, true);
+  both([&](Rig& r) { r.core.caches().l1d().invalidate_line(mid); });
+  touch(kMemoRun, kMemoWords, false);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, MemoRunAfterAsidAndSpaceChange) {
+  // An ASID rewrite flushes the micro-TLB but not the L1D: the run's first
+  // word misses the micro-TLB and the rest is charged from the memo.
+  touch(kMemoRun, kMemoWords, true);
+  both([](Rig& r) { r.core.mmu().set_asid(r.core.mmu().asid()); });
+  touch(kMemoRun, kMemoWords, true);
+  // The other space maps the run's VA to another frame, then back.
+  both([](Rig& r) { r.switch_space(1); });
+  touch(kMemoRun, kMemoWords, false);
+  touch(kMemoRun, kMemoWords, false);
+  both([](Rig& r) { r.switch_space(0); });
+  touch(kMemoRun, kMemoWords, false);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, MemoRunAfterDacrAndModeFlip) {
+  // On the privileged-only page: warm from SVC, fault from user mode, then
+  // warm again; the same with the domain set to NoAccess.
+  const vaddr_t run = kPageVa + kPrivPage * 4096 + 0x3E4;
+  touch(run, kMemoWords, true);
+  both([](Rig& r) { r.core.cpsr().mode = Mode::kUsr; });
+  touch(run, kMemoWords, false);
+  touch(run, kMemoWords, true);
+  both([](Rig& r) { r.core.cpsr().mode = Mode::kSvc; });
+  touch(run, kMemoWords, true);
+  both([](Rig& r) { r.core.mmu().set_dacr(0); });
+  touch(run, kMemoWords, false);
+  both([](Rig& r) {
+    r.core.mmu().set_dacr(mmu::dacr_set(0, 0, DomainMode::kClient));
+  });
+  touch(run, kMemoWords, false);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, MemoWriteAfterRead) {
+  // A read run leaves its lines clean: the write after it must dirty them
+  // all, not credit hits from the read's memo. Then a read from the
+  // write's memo, and a write that covers more lines than the memo does.
+  touch(kMemoRun, kMemoWords, false);
+  touch(kMemoRun, kMemoWords, true);
+  touch(kMemoRun, kMemoWords, false);
+  touch(kMemoRun, kMemoWords + 24, true);
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, MemoRunsCrossPages) {
+  // Each page's part of the run has its own memo; in the scattered region
+  // the two parts are in unrelated frames.
+  for (u32 s = 0; s < 2; ++s) {
+    both([&](Rig& r) { r.switch_space(s); });
+    for (int rep = 0; rep < 3; ++rep) {
+      touch(kPageVa + 3 * 4096 - 40, 30, rep == 1);
+      touch(kSectVa + kMiB - 44, 30, rep != 1, 8);
+    }
+  }
+  check_content();
+}
+
+// ---- runs with a stride of 8 (the vGIC record list) ------------------------
+
+TEST_F(AccessRunDiffTest, StrideEightRuns) {
+  // From an 8-aligned and a 4-aligned start, in a section, across pages
+  // and over the same lines as a stride-4 run.
+  for (const u32 off : {0u, 4u}) {
+    touch(kSectVa + 0x500 + off, 16, true, 8);
+    touch(kSectVa + 0x500 + off, 16, false, 8);
+    touch(kSectVa + 0x500 + off, 32, false);
+    touch(kPageVa + 6 * 4096 - 64 + off, 40, true, 8);
+    touch(kPageVa + 6 * 4096 - 64 + off, 40, false, 8);
+  }
+  check_content();
+}
+
+TEST_F(AccessRunDiffTest, StrideEightFaultsAndDevices) {
+  // Into the hole, across the privileged-only page from user mode, and
+  // over the device pages.
+  touch(kPageVa + kHolePage * 4096 - 40, 20, true, 8);
+  touch(kPageVa + kDevPage * 4096, 8, false, 8);
+  touch(kPageVa + kDevPage * 4096 + 0x30, 8, true, 8);
+  for (int rep = 0; rep < 2; ++rep)
+    touch(kPageVa + kSharedDevPage * 4096 + kRamDevOff - 32, 12, rep == 0, 8);
+  touch(kPageVa + kPrivPage * 4096 - 32, 20, true, 8);
+  both([](Rig& r) { r.core.cpsr().mode = Mode::kUsr; });
+  touch(kPageVa + kPrivPage * 4096 - 32, 600, false, 8);
+  touch(kPageVa + kPrivPage * 4096 + 0x100, 16, true, 8);
+  EXPECT_GT(a_.ram_dev.reads, 0u);
+  check_content();
+}
+
 TEST(AccessRunDeathTest, UnalignedScalarOnBoundPageTripsCheck) {
   Rig rig;
   const vaddr_t page = kPageVa + 3 * 4096;
@@ -633,7 +766,8 @@ TEST_F(AccessRunDiffTest, RandomStorm) {
     const vaddr_t va = rand_va();
     if (op < 30) {
       touch(align_down(va, 4), u32(rng.next_range(1, 48)), rng.next() & 1,
-            rng.next() & 1 ? Core::RunFaults::kSkip : Core::RunFaults::kStop);
+            rng.next() & 1 ? Core::RunFaults::kSkip : Core::RunFaults::kStop,
+            step % 3 == 0 ? 8 : 4);
     } else if (op < 45) {
       read_block(va, u32(rng.next_range(1, 9000)));
     } else if (op < 58) {

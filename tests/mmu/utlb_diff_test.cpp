@@ -342,5 +342,31 @@ TEST_F(UtlbDifferentialTest, GenerationInvalidatesAcrossEvictionReuse) {
   EXPECT_EQ(r.pa, want);
 }
 
+TEST_F(UtlbDifferentialTest, FlushedEntryStaysDeadWhenItsAsidReturns) {
+  // A micro entry (bound to its frame) installed under space 0's ASID must
+  // not come back when that ASID does: the flush on the way out dropped it,
+  // and nothing installed it again. The main TLB is untouched throughout,
+  // so only the micro-TLB's own flush keeps the entry dead.
+  const vaddr_t va = kPageBase + 1 * kPageSize;
+  const auto r = mmu_.translate(va, AccessKind::kRead, true);
+  ASSERT_TRUE(r.ok());
+  ram_.write32(r.pa, 1);  // materialize the frame so the page binds
+  const u64 gen = tlb_.generation();
+  for (const u32 away : {1u, 0u}) {  // another ASID; the same one rewritten
+    ASSERT_NE(mmu_.bind_host(va, r.pa), nullptr);
+    ASSERT_NE(mmu_.bound_hit(va, AccessKind::kRead, true).ptr, nullptr);
+    mmu_.set_asid(asid(away));
+    mmu_.set_asid(asid(0));
+    ASSERT_EQ(tlb_.generation(), gen);
+    EXPECT_EQ(mmu_.bound_hit(va, AccessKind::kRead, true).ptr, nullptr)
+        << "revived after ASID " << asid(away);
+    const u64 misses = mmu_.micro_stats().misses;
+    const auto again = mmu_.translate(va, AccessKind::kRead, true);
+    EXPECT_TRUE(again.tlb_hit);
+    EXPECT_EQ(again.pa, r.pa);
+    EXPECT_EQ(mmu_.micro_stats().misses, misses + 1) << "micro entry revived";
+  }
+}
+
 }  // namespace
 }  // namespace minova::mmu

@@ -4,10 +4,13 @@
 
 #include <array>
 #include <deque>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/platform.hpp"
 #include "nova/kernel.hpp"
+#include "stub_guest.hpp"
 #include "util/rng.hpp"
 
 namespace minova::nova {
@@ -250,6 +253,94 @@ TEST_F(VGicSwitchTest, PendingOnDisabledSourceSurvivesSwitchesUntilEnabled) {
   vgics_[1].enable(63);
   EXPECT_TRUE(vgics_[1].take_pending(irq));
   EXPECT_EQ(irq, 63u);
+}
+
+// ---- the record-list walk against the per-slot loop -------------------------
+
+/// A booted kernel's core (MMU on, the kernel's global mapping live) and a
+/// vGIC on a heap of its own: the list reads are the kernel-VA accesses
+/// vm_switch makes.
+struct ListRig {
+  static constexpr paddr_t kHeapBase = kKernelHeapBase + 3 * kMiB;
+
+  ListRig() : kernel(platform), heap(kHeapBase, 2 * kMiB) {
+    kernel.create_vm("vm", 1, std::make_unique<testing::StubGuest>());
+    kernel.run_for_us(100);
+    vgic.emplace(heap, platform.gic());
+  }
+
+  Platform platform;
+  Kernel kernel;
+  KernelHeap heap;
+  std::optional<VGic> vgic;
+};
+
+TEST(VGicListWalk, MaskAndUnmaskChargeThePerSlotLoop) {
+  // Rig A runs the vGIC; rig B runs the per-slot loop the list walk
+  // replaced (one vread32 per occupied slot) and the same GIC writes. The
+  // passes run cold (after a cache flush), then warm, in both privilege
+  // modes: from user mode every read takes the privileged-only fault.
+  const paddr_t area = KernelHeap(ListRig::kHeapBase, 2 * kMiB)
+                           .alloc(VGic::kMaxEntries * 8, 64);
+  for (const u32 n : {0u, 1u, 5u, 16u}) {
+    ListRig a, b;
+    for (u32 i = 0; i < n; ++i) {
+      for (ListRig* r : {&a, &b}) {
+        ASSERT_TRUE(r->vgic->register_irq(61 + i));
+        if (i % 2 == 0) r->vgic->enable(61 + i);
+      }
+    }
+    const auto ref_walk = [&] {
+      for (u32 i = 0; i < VGic::kMaxEntries; ++i)
+        if (b.vgic->records()[i].irq != 0)
+          (void)b.platform.cpu().vread32(kernel_va(area) + i * 8);
+    };
+    const auto& l1d = a.platform.cpu().caches().l1d().stats();
+    for (const cpu::Mode mode : {cpu::Mode::kSvc, cpu::Mode::kUsr}) {
+      for (ListRig* r : {&a, &b}) {
+        r->platform.cpu().cpsr().mode = mode;
+        r->platform.clock().advance(r->platform.cpu().caches().flush_all());
+      }
+      const u64 l1d_before = l1d.hits + l1d.misses;
+      for (int pass = 0; pass < 3; ++pass) {
+        a.vgic->mask_all_physical(a.platform.cpu(), kNeverSkip);
+        a.vgic->unmask_enabled_physical(a.platform.cpu());
+        ref_walk();
+        for (const auto& r : b.vgic->records()) {
+          if (r.irq == 0) continue;
+          b.platform.gic().disable_irq(r.irq);
+          b.platform.cpu().spend(b.platform.cpu().caches().access_device());
+        }
+        ref_walk();
+        for (const auto& r : b.vgic->records()) {
+          if (r.irq == 0 || !r.enabled) continue;
+          b.platform.gic().enable_irq(r.irq);
+          b.platform.cpu().spend(b.platform.cpu().caches().access_device());
+        }
+        cpu::Core& ca = a.platform.cpu();
+        cpu::Core& cb = b.platform.cpu();
+        ASSERT_EQ(a.platform.clock().now(), b.platform.clock().now())
+            << n << " records, pass " << pass;
+        EXPECT_EQ(ca.caches().l1d().stats().hits,
+                  cb.caches().l1d().stats().hits);
+        EXPECT_EQ(ca.caches().l1d().stats().misses,
+                  cb.caches().l1d().stats().misses);
+        EXPECT_EQ(ca.caches().l2().stats().hits, cb.caches().l2().stats().hits);
+        EXPECT_EQ(ca.tlb().stats().hits, cb.tlb().stats().hits);
+        EXPECT_EQ(ca.tlb().stats().misses, cb.tlb().stats().misses);
+        EXPECT_EQ(ca.mmu().micro_stats().hits, cb.mmu().micro_stats().hits);
+        EXPECT_EQ(ca.mmu().micro_stats().misses,
+                  cb.mmu().micro_stats().misses);
+        for (u32 i = 0; i < n; ++i)
+          EXPECT_EQ(a.platform.gic().is_enabled(61 + i),
+                    b.platform.gic().is_enabled(61 + i));
+      }
+      // Privileged reads reach kernel RAM; user-mode ones all fault.
+      EXPECT_EQ(l1d.hits + l1d.misses - l1d_before,
+                mode == cpu::Mode::kSvc ? 6 * n : 0);
+    }
+    EXPECT_EQ(a.vgic->registered_count(), n);
+  }
 }
 
 }  // namespace

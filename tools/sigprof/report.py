@@ -2,12 +2,18 @@
 """Summarise a SIGPROF sampler profile as per-function shares.
 
     python3 tools/sigprof/report.py sigprof.<pid>.txt [--top 15]
+        [--under Kernel::vm_switch]
 
 Reads the samples and the memory map that tools/sigprof/sampler.c wrote,
 names every address with `addr2line -f -i -C -a` (inlined scopes included)
 and prints the sample count, then the functions with the largest inclusive
 share (the function or anything it called was running) next to their self
 share (the function itself was running).
+
+With --under FUNC it then prints the same two shares for the frames below
+FUNC (its callees, inlined ones included), as shares of all samples. FUNC
+names a frame by its qualified name without arguments or by any `::`
+suffix of it.
 """
 import argparse
 import collections
@@ -75,10 +81,18 @@ def symbolize(maps, addrs):
     return names
 
 
+def is_frame(name, func):
+    """True when `name` (as addr2line prints it) is the function `func`."""
+    bare = name.split("(", 1)[0]
+    return bare == func or bare.endswith("::" + func)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=15)
+    ap.add_argument("--under", metavar="FUNC",
+                    help="also break down the frames below FUNC")
     args = ap.parse_args()
 
     maps, samples = parse(args.profile)
@@ -96,23 +110,50 @@ def main():
     def chain(addr):
         return names.get(addr) or ["?? %#x" % addr]
 
-    self_count, incl_count = collections.Counter(), collections.Counter()
+    # Each sample's frames, innermost first.
+    stacks = []
     for s in samples:
-        self_count[chain(s[0])[0]] += 1
-        seen = set(chain(s[0]))
+        frames = list(chain(s[0]))
         for a in s[1:]:
-            seen.update(chain(a - 1))
-        incl_count.update(seen)
+            frames.extend(chain(a - 1))
+        stacks.append(frames)
+
+    def shares(stacks):
+        self_count, incl_count = collections.Counter(), collections.Counter()
+        for frames in stacks:
+            if frames:
+                self_count[frames[0]] += 1
+            incl_count.update(set(frames))
+        return self_count, incl_count
 
     n = len(samples)
-    print("%8s %8s  function" % ("incl%", "self%"))
-    for fn, c in incl_count.most_common(args.top):
-        print("%7.1f%% %7.1f%%  %s" % (100.0 * c / n, 100.0 * self_count[fn] / n,
-                                       fn[:110]))
-    print("top self:")
-    for fn, c in self_count.most_common(args.top):
-        print("%7.1f%% %7.1f%%  %s" % (100.0 * incl_count[fn] / n, 100.0 * c / n,
-                                       fn[:110]))
+
+    def table(self_count, incl_count):
+        print("%8s %8s  function" % ("incl%", "self%"))
+        def row(incl, own, fn):
+            print("%7.1f%% %7.1f%%  %s" % (100.0 * incl / n, 100.0 * own / n,
+                                           fn[:110]))
+        for fn, c in incl_count.most_common(args.top):
+            row(c, self_count[fn], fn)
+        print("top self:")
+        for fn, c in self_count.most_common(args.top):
+            row(incl_count[fn], c, fn)
+
+    table(*shares(stacks))
+    if args.under:
+        # Cut each stack at its outermost FUNC frame, so recursion counts
+        # once; a sample whose innermost frame is FUNC itself is FUNC's self
+        # time and has no frame below it.
+        below = []
+        for frames in stacks:
+            at = [i for i, fn in enumerate(frames) if is_frame(fn, args.under)]
+            if at:
+                below.append(frames[:at[-1]])
+        print("under %s: %d samples (%.1f%%), %d in it itself" % (
+            args.under, len(below), 100.0 * len(below) / n,
+            sum(1 for b in below if not b)))
+        if below:
+            table(*shares(below))
     return 0
 
 
